@@ -1,5 +1,5 @@
-(* Batched-engine throughput probe: per-example tape vs the flat-Bigarray
-   mini-batch path on the same corpus and parameters.
+(* Batched-engine throughput probe: one-lane tapes (the batch-size-1
+   training step) vs mini-batches on the same corpus and parameters.
 
    Usage:
      dune exec bench/batched.exe                  # default corpus (n=60)
@@ -7,8 +7,8 @@
      dune exec bench/batched.exe -- 8 16 32       # batch sizes to probe
 
    Prints, for each batch size: forward-only and forward+backward wall
-   time per example, plus the speedup over the per-example path.  This is
-   the number the train.LiGer examples_per_second history gate tracks. *)
+   time per example, plus the speedup over one-lane tapes.  This is the
+   number the train.LiGer examples_per_second history gate tracks. *)
 
 open Liger_tensor
 open Liger_core
@@ -43,55 +43,32 @@ let () =
     Unix.gettimeofday () -. t0
   in
   let reps = 3 in
-  (* per-example reference *)
-  let unbatched_fwd =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.iter
-            (fun ex ->
-              let tape = Autodiff.tape () in
-              ignore (wrap.Train.train_loss tape ex);
-              Autodiff.discard tape)
-            train
-        done)
+  let run_chunks bs backward () =
+    let off = ref 0 in
+    while !off < n_ex do
+      let len = min bs (n_ex - !off) in
+      let chunk = Array.sub train !off len in
+      off := !off + len;
+      let btape = Batched.tape () in
+      let losses, _ = Liger_model.loss_batch model btape chunk in
+      if backward then begin
+        Batched.backward btape (Batched.sum_all btape losses);
+        Param.zero_grads wrap.Train.store
+      end
+      else Batched.discard btape
+    done
   in
-  let unbatched_fb =
-    time (fun () ->
-        for _ = 1 to reps do
-          Array.iter
-            (fun ex ->
-              let tape = Autodiff.tape () in
-              let loss = wrap.Train.train_loss tape ex in
-              Autodiff.backward tape loss;
-              Param.zero_grads wrap.Train.store)
-            train
-        done)
-  in
+  let timed bs backward = time (fun () -> for _ = 1 to reps do run_chunks bs backward () done) in
   let per_ex_us dt = dt /. float_of_int (reps * n_ex) *. 1e6 in
+  (* reference: one-lane tapes, the batch-size-1 step of [Train.fit] *)
+  let one_fwd = timed 1 false and one_fb = timed 1 true in
   Printf.printf "\n%-22s %14s %14s\n" "path" "fwd us/ex" "fwd+bwd us/ex";
-  Printf.printf "%-22s %14.1f %14.1f\n%!" "per-example" (per_ex_us unbatched_fwd)
-    (per_ex_us unbatched_fb);
+  Printf.printf "%-22s %14.1f %14.1f\n%!" "one-lane (bs=1)" (per_ex_us one_fwd)
+    (per_ex_us one_fb);
   List.iter
     (fun bs ->
-      let run_chunks backward () =
-        let off = ref 0 in
-        while !off < n_ex do
-          let len = min bs (n_ex - !off) in
-          let chunk = Array.sub train !off len in
-          off := !off + len;
-          let btape = Batched.tape () in
-          let losses, _ = Liger_model.loss_batch model btape chunk in
-          if backward then begin
-            Batched.backward btape (Batched.sum_all btape losses);
-            Param.zero_grads wrap.Train.store
-          end
-          else Batched.discard btape
-        done
-      in
-      let fwd = time (fun () -> for _ = 1 to reps do run_chunks false () done) in
-      let fb = time (fun () -> for _ = 1 to reps do run_chunks true () done) in
+      let fwd = timed bs false and fb = timed bs true in
       Printf.printf "%-22s %14.1f %14.1f   (%.2fx / %.2fx)\n%!"
         (Printf.sprintf "batched (bs=%d)" bs)
-        (per_ex_us fwd) (per_ex_us fb)
-        (unbatched_fwd /. fwd) (unbatched_fb /. fb))
+        (per_ex_us fwd) (per_ex_us fb) (one_fwd /. fwd) (one_fb /. fb))
     batch_sizes

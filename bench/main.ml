@@ -79,10 +79,10 @@ let build_fixture () =
     candidates;
   }
 
+(* one training step as [Train.fit] takes it at batch size 1: forward and
+   backward on a one-lane batched tape (the optimizer update excluded) *)
 let train_step (wrap : Train.model) ex () =
-  let tape = Autodiff.tape () in
-  let loss = wrap.Train.train_loss tape ex in
-  Autodiff.backward tape loss;
+  ignore (Train.backward_chunk (Train.batched_hooks wrap) [| ex |]);
   Param.zero_grads wrap.Train.store
 
 let ablation_step fx ~seed config =
@@ -498,9 +498,7 @@ let run_serve_bench ~qps ~duration =
   let sustained = float_of_int completed /. wall in
   let p50 = percentile sorted 0.50 and p99 = percentile sorted 0.99 in
   let snap = Liger_obs.Metrics.snapshot () in
-  let cache_hits =
-    Option.value ~default:0.0 (Liger_obs.Metrics.gauge_value snap "serve.cache_hits")
-  in
+  let cache_hits = float_of_int (Liger_obs.Metrics.counter_value snap "serve.cache_hits") in
   say "  target                       %12.1f qps\n" qps;
   say "  completed                    %12d ok, %d errors in %.2f s\n" completed errors wall;
   say "  sustained                    %12.1f qps\n" sustained;

@@ -391,9 +391,10 @@ let train_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let batch =
     Arg.(value & opt int 1
-         & info [ "batch" ]
-             ~doc:"Mini-batch size; > 1 trains and evaluates on the batched \
-                   engine (one optimizer step per batch).")
+         & info [ "batch" ] ~docv:"N"
+             ~doc:"Mini-batch size: one optimizer step per $(docv) examples. Every \
+                   size trains and evaluates on the batched engine; 1 runs a \
+                   one-lane tape per example.")
   in
   let save =
     Arg.(value & opt (some string) None

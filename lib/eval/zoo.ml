@@ -16,6 +16,12 @@ let prediction_of_task task name_of class_of ex =
   | Liger_model.Naming -> Train.Subtokens (name_of ex)
   | Liger_model.Classify _ -> Train.Class (class_of ex)
 
+(* batched counterpart of [prediction_of_task]: one prediction per example *)
+let batch_predictions task names_of classes_of exs =
+  match task with
+  | Liger_model.Naming -> Array.map (fun n -> Train.Subtokens n) (names_of exs)
+  | Liger_model.Classify _ -> Array.map (fun c -> Train.Class c) (classes_of exs)
+
 (** LiGer (optionally ablated).  Returns the wrapper and the model itself
     (the attention-inspection experiment needs the latter). *)
 let liger ?(config = Liger_model.default_config) ?(view = Common.full_view) ?seed ~vocab task =
@@ -48,18 +54,12 @@ let liger ?(config = Liger_model.default_config) ?(view = Common.full_view) ?see
             Train.train_loss_batch =
               (fun btape exs -> fst (Liger_model.loss_batch model btape ~view exs));
             predict_batch =
-              (fun exs ->
-                match task with
-                | Liger_model.Naming ->
-                    Array.map
-                      (fun ids ->
-                        Train.Subtokens
-                          (List.map (Vocab.name (Liger_model.vocab model)) ids))
-                      (Liger_model.predict_name_ids_batch model ~view exs)
-                | Liger_model.Classify _ ->
-                    Array.map
-                      (fun c -> Train.Class c)
-                      (Liger_model.predict_class_batch model ~view exs));
+              batch_predictions task
+                (fun exs ->
+                  Array.map
+                    (List.map (Vocab.name (Liger_model.vocab model)))
+                    (Liger_model.predict_name_ids_batch model ~view exs))
+                (fun exs -> Liger_model.predict_class_batch model ~view exs);
           };
       embed = Some (fun ex -> Liger_model.embed_program model ~view ex);
     }
@@ -86,7 +86,15 @@ let dypro ?(dim = 16) ?(view = Common.full_view) ?seed ~vocab task =
           in
           Autodiff.discard tape;
           p);
-      batched = None;
+      batched =
+        Some
+          {
+            Train.train_loss_batch = (fun btape exs -> Dypro.loss_batch model btape ~view exs);
+            predict_batch =
+              batch_predictions task
+                (fun exs -> Dypro.predict_name_batch model ~view exs)
+                (fun exs -> Dypro.predict_class_batch model ~view exs);
+          };
       embed = Some (fun ex -> Dypro.embed_program model ~view ex);
     }
   in
@@ -114,7 +122,14 @@ let code2vec ?(dim = 16) ?seed ~train task =
         in
         Autodiff.discard tape;
         p);
-    batched = None;
+    batched =
+      Some
+        {
+          Train.train_loss_batch = Code2vec.loss_batch model;
+          predict_batch =
+            batch_predictions task (Code2vec.predict_name_batch model)
+              (Code2vec.predict_class_batch model);
+        };
     embed = None;
   }
 
@@ -139,6 +154,13 @@ let code2seq ?(dim = 16) ?seed ~train task =
         in
         Autodiff.discard tape;
         p);
-    batched = None;
+    batched =
+      Some
+        {
+          Train.train_loss_batch = Code2seq.loss_batch model;
+          predict_batch =
+            batch_predictions task (Code2seq.predict_name_batch model)
+              (Code2seq.predict_class_batch model);
+        };
     embed = None;
   }

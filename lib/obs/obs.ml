@@ -1067,12 +1067,11 @@ let render_top ?prev ?health ~source cur : (string, string) result =
                 qps
           | _ -> ())
         (Metrics.entries_with snap "serve.latency_seconds");
-      (match g "serve.cache_hits" with
-      | Some hits ->
-          let v name = Option.value ~default:0.0 (g name) in
-          line "serve cache: %.0f entries, %.0f hits / %.0f misses, %.0f evicted"
-            (v "serve.cache_entries") hits (v "serve.cache_misses")
-            (v "serve.cache_evictions")
+      (match g "serve.cache_entries" with
+      | Some entries ->
+          let c name = Metrics.counter_value snap name in
+          line "serve cache: %.0f entries, %d hits / %d misses, %d evicted" entries
+            (c "serve.cache_hits") (c "serve.cache_misses") (c "serve.cache_evictions")
       | None -> ());
       (* embedding drift (when the dynamics streams are recording) *)
       List.iter

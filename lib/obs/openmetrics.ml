@@ -89,9 +89,9 @@ let help_table =
     ("serve.batches", "Coalesced batched forwards run by the serving engine");
     ("serve.batch_lanes", "Total lanes across coalesced batched forwards");
     ("serve.cache_entries", "Entries currently in the embedding LRU cache");
-    ("serve.cache_hits", "Embedding cache hits (AST-hash keyed)");
-    ("serve.cache_misses", "Embedding cache misses");
-    ("serve.cache_evictions", "Embedding cache evictions at capacity");
+    ("serve.cache_hits", "Embedding cache lookups that hit (AST-hash keyed)");
+    ("serve.cache_misses", "Embedding cache lookups that missed");
+    ("serve.cache_evictions", "Embedding cache entries evicted at capacity");
   ]
 
 let help_for name =

@@ -54,12 +54,6 @@ type t = {
   suggest_co : (Common.enc_example, string list) Coalescer.t;
 }
 
-let publish_cache_metrics cache =
-  Metrics.gauge "serve.cache_entries" (float_of_int (Lru.size cache));
-  Metrics.gauge "serve.cache_hits" (float_of_int (Lru.hits cache));
-  Metrics.gauge "serve.cache_misses" (float_of_int (Lru.misses cache));
-  Metrics.gauge "serve.cache_evictions" (float_of_int (Lru.evictions cache))
-
 let create ?(config = default_config) ?index ~model ~vocab () =
   let embed_run exs =
     Metrics.incr "serve.batches" ~labels:[ ("op", "embed") ];
@@ -129,17 +123,19 @@ let encode t meth hash = encode_method ~config:t.config ~vocab:t.vocab meth hash
 let embed_vector t ~deadline (meth : Ast.meth) hash =
   match Lru.find t.cache hash with
   | Some v ->
-      publish_cache_metrics t.cache;
+      Metrics.incr "serve.cache_hits";
       Ok (v, true)
   | None -> (
-      publish_cache_metrics t.cache;
+      Metrics.incr "serve.cache_misses";
       match encode t meth hash with
       | Error _ as e -> e
       | Ok ex -> (
           match Coalescer.submit t.embed_co ~deadline ex with
           | Ok v ->
-              Lru.put t.cache hash v;
-              publish_cache_metrics t.cache;
+              (* hits, misses and evictions count events; the entry count
+                 is a gauge *)
+              Lru.put t.cache hash v ~on_evict:(fun () -> Metrics.incr "serve.cache_evictions");
+              Metrics.gauge "serve.cache_entries" (float_of_int (Lru.size t.cache));
               Ok (v, false)
           | Error `Expired ->
               Metrics.incr "serve.deadline_expired";

@@ -68,8 +68,8 @@ let find t key =
       Some node.value
 
 (** Insert or refresh [key]; evicts the least-recently-used entry when the
-    capacity is exceeded. *)
-let put t key value =
+    capacity is exceeded, calling [on_evict] once per eviction. *)
+let put ?(on_evict = ignore) t key value =
   locked t @@ fun () ->
   (match Hashtbl.find_opt t.tbl key with
   | Some node ->
@@ -86,7 +86,8 @@ let put t key value =
         | Some victim ->
             unlink t victim;
             Hashtbl.remove t.tbl victim.key;
-            t.evictions <- t.evictions + 1)
+            t.evictions <- t.evictions + 1;
+            on_evict ())
 
 let size t = locked t @@ fun () -> Hashtbl.length t.tbl
 let capacity t = t.capacity

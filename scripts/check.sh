@@ -38,10 +38,16 @@ dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-profile/metri
     echo "   ERROR: profile section missing from runs/ci-profile/metrics.json" >&2; exit 1; }
 echo "   ok: runs/ci-profile/metrics.json has a consistent profile section"
 
-echo "== benchmark history: unbatched baseline record"
+# Batch size 1 is the default of `liger train` and of every experiment:
+# one-lane tapes on the batched engine, for LiGer and for a baseline.
+echo "== benchmark history: batch-1 (one-lane tape) records, LiGer and DYPRO"
 dune exec --no-build bin/liger_cli.exe -- train -n 16 --epochs 3 \
   --history BENCH_history.jsonl > /dev/null 2>&1
-echo "   ok: train.LiGer (batch=1) record appended"
+dune exec --no-build bin/liger_cli.exe -- train --model dypro -n 16 --epochs 3 \
+  --history BENCH_history.jsonl > /dev/null 2>&1
+tail -n 1 BENCH_history.jsonl | grep -q '"benchmark":"train.DYPRO"' || {
+  echo "   ERROR: last history record is not a train.DYPRO record" >&2; exit 1; }
+echo "   ok: train.LiGer and train.DYPRO (batch=1) records appended"
 
 # At -n 16 the test split is 3 examples and F1 is legitimately 0 (the CLI
 # warns).  This smoke trains batched at a scale where the model actually

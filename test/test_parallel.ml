@@ -228,7 +228,7 @@ let constant_score_model () =
     train_loss =
       (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
     predict = (fun _ -> Train.Class 0);
-    batched = None;
+    batched = Some (Testutil.stub_batched w [| 1.0; 1.0 |]);
     embed = None;
   }
 
@@ -258,17 +258,18 @@ let test_nan_grad_skips_step () =
   let store = Param.create_store ~seed:6 () in
   let w = Param.matrix store "w" 1 2 in
   let init = Tensor.to_array w.Param.value in
+  (* simulate a poisoned backward pass *)
+  let poison () = Tensor.set_idx w.Param.grad 0 Float.nan in
   let model =
     {
       Train.name = "nan-grad";
       store;
       train_loss =
         (fun tape _ex ->
-          (* simulate a poisoned backward pass *)
-          Tensor.set_idx w.Param.grad 0 Float.nan;
+          poison ();
           Autodiff.const tape [| 1.0 |]);
       predict = (fun _ -> Train.Class 0);
-      batched = None;
+      batched = Some (Testutil.stub_batched ~before:poison w [| 1.0; 1.0 |]);
       embed = None;
     }
   in

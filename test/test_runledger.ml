@@ -187,7 +187,7 @@ let tiny_model () =
     train_loss =
       (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
     predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched = None;
+    batched = Some (Testutil.stub_batched w [| 1.0; 1.0 |]);
     embed = None;
   }
 
@@ -377,7 +377,7 @@ let test_nonfinite_loss_abort () =
         (fun tape _ex ->
           Autodiff.matvec tape w (Autodiff.const tape [| Float.nan; Float.nan |]));
       predict = (fun _ -> Liger_eval.Train.Class 0);
-      batched = None;
+      batched = Some (Testutil.stub_batched w [| Float.nan; Float.nan |]);
       embed = None;
     }
   in

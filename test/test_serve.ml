@@ -359,6 +359,8 @@ let test_engine_coalesced_bitwise_equal () =
 
 let test_engine_cache_hit () =
   let model, vocab, sources = Lazy.force fixture in
+  OM.enable ();
+  OM.reset_prefix "serve.";
   let engine = Engine.create ~config:fast_config ~model ~vocab () in
   let m = parse_first (List.hd sources) in
   let h = Ast_hash.of_meth m in
@@ -378,6 +380,39 @@ let test_engine_cache_hit () =
   Alcotest.(check int) "cache hit counted" 1 (Lru.hits engine.Engine.cache);
   Alcotest.(check int) "one lane total (hit skipped the model)" 1
     (Coalescer.lanes engine.Engine.embed_co);
+  (* hits and misses are counters bumped per lookup, entries a gauge *)
+  let snap = OM.snapshot () in
+  Alcotest.(check int) "hit counter" 1 (OM.counter_value snap "serve.cache_hits");
+  Alcotest.(check int) "miss counter" 1 (OM.counter_value snap "serve.cache_misses");
+  Alcotest.(check (option (float 0.0))) "entries gauge" (Some 1.0)
+    (OM.gauge_value snap "serve.cache_entries");
+  let text = Liger_obs.Openmetrics.render snap in
+  check_contains "hits exposed as a counter" text "# TYPE serve_cache_hits counter";
+  check_contains "hit total" text "serve_cache_hits_total 1";
+  check_contains "entries exposed as a gauge" text "# TYPE serve_cache_entries gauge";
+  Engine.stop engine
+
+let test_engine_cache_evictions_counted () =
+  let model, vocab, sources = Lazy.force fixture in
+  OM.enable ();
+  OM.reset_prefix "serve.";
+  let engine =
+    Engine.create ~config:{ fast_config with Engine.cache_capacity = 1 } ~model ~vocab ()
+  in
+  List.iter
+    (fun src ->
+      let m = parse_first src in
+      match Engine.embed_vector engine ~deadline:(far_deadline ()) m (Ast_hash.of_meth m) with
+      | Ok _ -> ()
+      | Error (s, msg) -> Alcotest.failf "embed failed: %d %s" s msg)
+    [ List.nth sources 0; List.nth sources 1; List.nth sources 0 ];
+  let snap = OM.snapshot () in
+  Alcotest.(check int) "every lookup missed" 3 (OM.counter_value snap "serve.cache_misses");
+  Alcotest.(check int) "no hit" 0 (OM.counter_value snap "serve.cache_hits");
+  Alcotest.(check int) "one eviction per insert past capacity" 2
+    (OM.counter_value snap "serve.cache_evictions");
+  Alcotest.(check int) "counter agrees with the cache" (Lru.evictions engine.Engine.cache)
+    (OM.counter_value snap "serve.cache_evictions");
   Engine.stop engine
 
 let test_engine_deadline_408_no_lane () =
@@ -741,6 +776,8 @@ let () =
           Alcotest.test_case "coalesced batch bitwise equals sequential" `Quick
             test_engine_coalesced_bitwise_equal;
           Alcotest.test_case "cache hit skips the model" `Quick test_engine_cache_hit;
+          Alcotest.test_case "cache evictions counted per event" `Quick
+            test_engine_cache_evictions_counted;
           Alcotest.test_case "expired deadline answers 408, lane reclaimed" `Quick
             test_engine_deadline_408_no_lane;
           Alcotest.test_case "oov method embeds without mutating vocab" `Quick

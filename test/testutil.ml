@@ -41,3 +41,19 @@ let poll_for ?(timeout_s = 5.0) ?(interval_s = 0.002) ~what f =
 let require ?timeout_s ?interval_s ~what pred =
   if not (poll_until ?timeout_s ?interval_s pred) then
     Alcotest.failf "timed out waiting for %s" what
+
+(** Batched hooks for the stub models of the training-loop tests: each
+    lane's loss is [w · x] for the [1 × n] parameter [w] and the constant
+    input [x], and every prediction is class 0.  [?before] runs ahead of
+    each forward pass. *)
+let stub_batched ?(before = ignore) (w : Liger_tensor.Param.t) x =
+  let open Liger_tensor in
+  {
+    Liger_eval.Train.train_loss_batch =
+      (fun btape chunk ->
+        before ();
+        let g = Array.length chunk and n = Array.length x in
+        let xs = Batched.const_arr btape ~rows:g ~cols:n (Array.init (g * n) (fun i -> x.(i mod n))) in
+        Batched.matmul_nt btape xs w);
+    predict_batch = (fun chunk -> Array.map (fun _ -> Liger_eval.Train.Class 0) chunk);
+  }
