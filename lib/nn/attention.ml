@@ -12,7 +12,6 @@ module P = Liger_obs.Profile
 module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "attention"
-let lname = "attention"
 
 type t = { proj : Linear.t; v : Param.t }
 
@@ -29,7 +28,7 @@ let score_impl t tape ~q h =
 
 (** Raw attention score (1-dim node) of candidate [h] given context [q]. *)
 let score t tape ~q h =
-  if P.on () then P.with_layer layer (fun () -> score_impl t tape ~q h)
+  if P.scope_on () then P.with_layer layer (fun () -> score_impl t tape ~q h)
   else score_impl t tape ~q h
 
 let weights_impl t tape ~q hs =
@@ -40,7 +39,7 @@ let weights_impl t tape ~q hs =
     [|hs|]).  Profiled frames nest (weights > score); the profiler's
     self-time column stays double-count-free. *)
 let weights t tape ~q hs =
-  if P.on () then P.with_layer layer (fun () -> weights_impl t tape ~q hs)
+  if P.scope_on () then P.with_layer layer (fun () -> weights_impl t tape ~q hs)
   else weights_impl t tape ~q hs
 
 let fuse_impl t tape ~q hs =
@@ -49,7 +48,7 @@ let fuse_impl t tape ~q hs =
 
 (** Weighted sum of candidates; returns [(weights, fused)]. *)
 let fuse t tape ~q hs =
-  if P.on () then P.with_layer layer (fun () -> fuse_impl t tape ~q hs)
+  if P.scope_on () then P.with_layer layer (fun () -> fuse_impl t tape ~q hs)
   else fuse_impl t tape ~q hs
 
 let fuse_uniform_impl tape hs =
@@ -62,7 +61,7 @@ let fuse_uniform_impl tape hs =
     "evenly distribute[s] the weights across all traces in a blended
     trace". *)
 let fuse_uniform tape hs =
-  if P.on () then P.with_layer layer (fun () -> fuse_uniform_impl tape hs)
+  if P.scope_on () then P.with_layer layer (fun () -> fuse_uniform_impl tape hs)
   else fuse_uniform_impl tape hs
 
 (* --- batched (lanes × dim) variants --- *)
@@ -84,7 +83,7 @@ let project_batch_impl t btape hs =
     pass it to {!fuse_batch} via [?hproj] when the same candidates are
     scored repeatedly (the decoder attends over fixed memory every step). *)
 let project_batch t btape hs =
-  if P.on () then P.with_layer layer (fun () -> project_batch_impl t btape hs)
+  if P.scope_on () then P.with_layer layer (fun () -> project_batch_impl t btape hs)
   else project_batch_impl t btape hs
 
 (* One dynamics observation per lane: the entropy −Σ w·ln w of the
@@ -122,18 +121,14 @@ let weights_batch_impl t btape ?hproj ~q ~mask hs =
   if D.on () && D.should_sample () then record_weight_entropies w ~mask;
   w
 
-let weights_batch_guarded t btape ?hproj ~q ~mask hs =
-  if P.on () then P.with_layer layer (fun () -> weights_batch_impl t btape ?hproj ~q ~mask hs)
-  else weights_batch_impl t btape ?hproj ~q ~mask hs
-
 (** Masked softmax weights over candidate slots ([mask : lanes×K], 1.0 =
     valid).  A lane with one valid slot gets weight 1 with exactly zero
     gradient into its score (softmax Jacobian), so it behaves like the
     unbatched single-candidate bypass. *)
 let weights_batch t btape ?hproj ~q ~mask hs =
-  if D.on () then
-    D.with_layer lname (fun () -> weights_batch_guarded t btape ?hproj ~q ~mask hs)
-  else weights_batch_guarded t btape ?hproj ~q ~mask hs
+  if P.scope_on () then
+    P.with_layer layer (fun () -> weights_batch_impl t btape ?hproj ~q ~mask hs)
+  else weights_batch_impl t btape ?hproj ~q ~mask hs
 
 let fuse_batch_impl t btape ?hproj ~q ~mask hs =
   let w = weights_batch t btape ?hproj ~q ~mask hs in
@@ -144,7 +139,7 @@ let fuse_batch_impl t btape ?hproj ~q ~mask hs =
     {!project_batch}) to reuse the candidate-side projection across
     calls. *)
 let fuse_batch t btape ?hproj ~q ~mask hs =
-  if P.on () then P.with_layer layer (fun () -> fuse_batch_impl t btape ?hproj ~q ~mask hs)
+  if P.scope_on () then P.with_layer layer (fun () -> fuse_batch_impl t btape ?hproj ~q ~mask hs)
   else fuse_batch_impl t btape ?hproj ~q ~mask hs
 
 let fuse_uniform_batch_impl btape ~(mask : Tensor.t) hs =
@@ -172,5 +167,5 @@ let fuse_uniform_batch_impl btape ~(mask : Tensor.t) hs =
 (** Batched uniform fusion over the valid slots of each lane (the "remove
     attention" ablation, and step 0 where no trace context exists yet). *)
 let fuse_uniform_batch btape ~mask hs =
-  if P.on () then P.with_layer layer (fun () -> fuse_uniform_batch_impl btape ~mask hs)
+  if P.scope_on () then P.with_layer layer (fun () -> fuse_uniform_batch_impl btape ~mask hs)
   else fuse_uniform_batch_impl btape ~mask hs

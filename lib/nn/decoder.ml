@@ -12,10 +12,8 @@
 open Liger_tensor
 open Liger_trace
 module P = Liger_obs.Profile
-module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "decoder"
-let lname = "decoder"
 
 type t = {
   cell : Rnn_cell.t;
@@ -43,7 +41,7 @@ let create ?(kind = Rnn_cell.Gru) ?(max_len = 8) store name embedding ~dim_hidde
 let init_impl t tape ~program_embedding = Linear.forward_tanh t.bridge tape program_embedding
 
 let init t tape ~program_embedding =
-  if P.on () then P.with_layer layer (fun () -> init_impl t tape ~program_embedding)
+  if P.scope_on () then P.with_layer layer (fun () -> init_impl t tape ~program_embedding)
   else init_impl t tape ~program_embedding
 
 let step_impl t tape ~memory ~h ~prev_id =
@@ -54,7 +52,7 @@ let step_impl t tape ~memory ~h ~prev_id =
   (h', logits)
 
 let step t tape ~memory ~h ~prev_id =
-  if P.on () then P.with_layer layer (fun () -> step_impl t tape ~memory ~h ~prev_id)
+  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~memory ~h ~prev_id)
   else step_impl t tape ~memory ~h ~prev_id
 
 (** Teacher-forced negative log-likelihood of [target_ids] (without the
@@ -76,7 +74,7 @@ let loss_impl t tape ~memory ~program_embedding ~target_ids =
   !total
 
 let loss t tape ~memory ~program_embedding ~target_ids =
-  if P.on () then
+  if P.scope_on () then
     P.with_layer layer (fun () -> loss_impl t tape ~memory ~program_embedding ~target_ids)
   else loss_impl t tape ~memory ~program_embedding ~target_ids
 
@@ -140,14 +138,9 @@ let decode t tape ~memory ~program_embedding =
 let init_batch_impl t btape ~program_embedding =
   Linear.forward_tanh_batch t.bridge btape program_embedding
 
-let init_batch_guarded t btape ~program_embedding =
-  if P.on () then P.with_layer layer (fun () -> init_batch_impl t btape ~program_embedding)
-  else init_batch_impl t btape ~program_embedding
-
 let init_batch t btape ~program_embedding =
-  if D.on () then
-    D.with_layer lname (fun () -> init_batch_guarded t btape ~program_embedding)
-  else init_batch_guarded t btape ~program_embedding
+  if P.scope_on () then P.with_layer layer (fun () -> init_batch_impl t btape ~program_embedding)
+  else init_batch_impl t btape ~program_embedding
 
 (* [memory] is K padded slot nodes (lanes × dim_mem) with a lanes × K
    validity mask; each lane attends only over its own valid slots. *)
@@ -165,17 +158,11 @@ let step_batch_impl t ?hproj btape ~memory ~memory_mask ~h ~prev_ids =
   in
   (h', logits)
 
-let step_batch_guarded t ?hproj btape ~memory ~memory_mask ~h ~prev_ids =
-  if P.on () then
+let step_batch t ?hproj btape ~memory ~memory_mask ~h ~prev_ids =
+  if P.scope_on () then
     P.with_layer layer (fun () ->
         step_batch_impl t ?hproj btape ~memory ~memory_mask ~h ~prev_ids)
   else step_batch_impl t ?hproj btape ~memory ~memory_mask ~h ~prev_ids
-
-let step_batch t ?hproj btape ~memory ~memory_mask ~h ~prev_ids =
-  if D.on () then
-    D.with_layer lname (fun () ->
-        step_batch_guarded t ?hproj btape ~memory ~memory_mask ~h ~prev_ids)
-  else step_batch_guarded t ?hproj btape ~memory ~memory_mask ~h ~prev_ids
 
 (** Batched teacher-forced loss: per-example summed NLL as a [G×1] node.
     Lanes run in lockstep to the longest target; steps past a lane's own

@@ -25,7 +25,7 @@ let embed_id_impl t tape i =
 
 (** Embedding of a token id. *)
 let embed_id t tape i =
-  if P.on () then P.with_layer layer (fun () -> embed_id_impl t tape i)
+  if P.scope_on () then P.with_layer layer (fun () -> embed_id_impl t tape i)
   else embed_id_impl t tape i
 
 (** Embedding of a token string; unseen tokens use the [unk] row (pure
@@ -44,7 +44,7 @@ let embed_ids_impl t btape ids =
 (** Batched embedding lookup: one lane per id (out-of-range ids fall back to
     [unk], as in {!embed_id}). *)
 let embed_ids t btape ids =
-  if P.on () then P.with_layer layer (fun () -> embed_ids_impl t btape ids)
+  if P.scope_on () then P.with_layer layer (fun () -> embed_ids_impl t btape ids)
   else embed_ids_impl t btape ids
 
 (** Batched lookup of token strings; unseen tokens use the [unk] row. *)

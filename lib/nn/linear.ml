@@ -2,10 +2,8 @@
 
 open Liger_tensor
 module P = Liger_obs.Profile
-module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "linear"
-let lname = "linear"
 
 type t = { w : Param.t; b : Param.t }
 
@@ -15,10 +13,10 @@ let create store name ~dim_in ~dim_out =
     b = Param.vector store (name ^ ".b") dim_out;
   }
 
-(* profiling wrappers branch before building the closure, so the disabled
-   path is a direct call with no allocation *)
+(* layer-scope wrappers branch before building the closure, so the
+   disabled path is a direct call with no allocation *)
 let forward t tape x =
-  if P.on () then P.with_layer layer (fun () -> Autodiff.affine tape ~w:t.w ~b:t.b x)
+  if P.scope_on () then P.with_layer layer (fun () -> Autodiff.affine tape ~w:t.w ~b:t.b x)
   else Autodiff.affine tape ~w:t.w ~b:t.b x
 
 let forward_tanh t tape x = Autodiff.tanh_ tape (forward t tape x)
@@ -28,28 +26,16 @@ let forward_sigmoid t tape x = Autodiff.sigmoid tape (forward t tape x)
 (* --- batched (lanes × dim) variants; semantics per lane identical --- *)
 
 let forward_batch t btape x =
-  if P.on () then P.with_layer layer (fun () -> Batched.affine btape ~w:t.w ~b:t.b x)
+  if P.scope_on () then P.with_layer layer (fun () -> Batched.affine btape ~w:t.w ~b:t.b x)
   else Batched.affine btape ~w:t.w ~b:t.b x
 
-(* the fused-activation variants additionally set the dynamics ambient
-   layer so saturation samples taken inside Batched attribute here when no
-   enclosing model layer claimed them; same branch-before-closure shape *)
+(* saturation samples taken inside the fused activations attribute to
+   this scope when no enclosing model layer claimed them *)
 let forward_tanh_batch t btape x =
-  if D.on () then
-    D.with_layer lname (fun () ->
-        if P.on () then
-          P.with_layer layer (fun () -> Batched.affine_tanh btape ~w:t.w ~b:t.b x)
-        else Batched.affine_tanh btape ~w:t.w ~b:t.b x)
-  else if P.on () then
-    P.with_layer layer (fun () -> Batched.affine_tanh btape ~w:t.w ~b:t.b x)
+  if P.scope_on () then P.with_layer layer (fun () -> Batched.affine_tanh btape ~w:t.w ~b:t.b x)
   else Batched.affine_tanh btape ~w:t.w ~b:t.b x
 
 let forward_sigmoid_batch t btape x =
-  if D.on () then
-    D.with_layer lname (fun () ->
-        if P.on () then
-          P.with_layer layer (fun () -> Batched.affine_sigmoid btape ~w:t.w ~b:t.b x)
-        else Batched.affine_sigmoid btape ~w:t.w ~b:t.b x)
-  else if P.on () then
+  if P.scope_on () then
     P.with_layer layer (fun () -> Batched.affine_sigmoid btape ~w:t.w ~b:t.b x)
   else Batched.affine_sigmoid btape ~w:t.w ~b:t.b x

@@ -3,10 +3,8 @@
 
 open Liger_tensor
 module P = Liger_obs.Profile
-module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "lstm"
-let lname = "lstm"
 
 type t = {
   gates : Linear.t;  (* [i; f; o; u] stacked: 4H x (in + H) *)
@@ -45,7 +43,7 @@ let step_impl t tape ~state ~x =
   { h; c }
 
 let step t tape ~state ~x =
-  if P.on () then P.with_layer layer (fun () -> step_impl t tape ~state ~x)
+  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~state ~x)
   else step_impl t tape ~state ~x
 
 let run t tape xs =
@@ -81,16 +79,12 @@ let step_batch_impl t btape ~state ~x =
   let h = Batched.mul btape o (Batched.tanh_ btape c) in
   { bh = h; bc = c }
 
-let step_batch_guarded t btape ~state ~x =
-  if P.on () then P.with_layer layer (fun () -> step_batch_impl t btape ~state ~x)
-  else step_batch_impl t btape ~state ~x
-
 (** One batched LSTM step; [?mask] freezes both [h] and [c] on padded lanes
     (exactly zero gradient through the frozen step). *)
 let step_batch ?mask t btape ~state ~x =
   let next =
-    if D.on () then D.with_layer lname (fun () -> step_batch_guarded t btape ~state ~x)
-    else step_batch_guarded t btape ~state ~x
+    if P.scope_on () then P.with_layer layer (fun () -> step_batch_impl t btape ~state ~x)
+    else step_batch_impl t btape ~state ~x
   in
   match mask with
   | None -> next

@@ -11,10 +11,8 @@
 
 open Liger_tensor
 module P = Liger_obs.Profile
-module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "rnn_cell"
-let lname = "rnn_cell"
 
 type kind = Vanilla | Gru
 
@@ -75,7 +73,7 @@ let step_impl t tape ~h ~x =
 
 (** One recurrence step. *)
 let step t tape ~h ~x =
-  if P.on () then P.with_layer layer (fun () -> step_impl t tape ~h ~x)
+  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~h ~x)
   else step_impl t tape ~h ~x
 
 (** Fold over a sequence of input nodes starting from the learned initial
@@ -114,17 +112,13 @@ let step_batch_impl t btape ~h ~x =
       let h_tilde = Linear.forward_tanh_batch cand btape x_rh in
       Batched.lerp btape z h_tilde h
 
-let step_batch_guarded t btape ~h ~x =
-  if P.on () then P.with_layer layer (fun () -> step_batch_impl t btape ~h ~x)
-  else step_batch_impl t btape ~h ~x
-
 (** One batched recurrence step.  With [?mask] (1.0 live / 0.0 padded) the
     update is [m⊙h' + (1-m)⊙h]: padded lanes keep their previous state and
     receive exactly zero gradient through this step. *)
 let step_batch ?mask t btape ~h ~x =
   let h' =
-    if D.on () then D.with_layer lname (fun () -> step_batch_guarded t btape ~h ~x)
-    else step_batch_guarded t btape ~h ~x
+    if P.scope_on () then P.with_layer layer (fun () -> step_batch_impl t btape ~h ~x)
+    else step_batch_impl t btape ~h ~x
   in
   match mask with None -> h' | Some m -> Batched.select_rows btape ~mask:m h' h
 

@@ -19,10 +19,8 @@
 open Liger_tensor
 open Liger_trace
 module P = Liger_obs.Profile
-module D = Liger_obs.Dynamics
 
 let layer = P.register_layer "treelstm"
-let lname = "treelstm"
 
 type t = {
   wx : Param.t;  (* 4H x in : [i; o; u; f] input contributions *)
@@ -79,7 +77,7 @@ let node_state_impl t tape x children =
   (h, c)
 
 let node_state t tape x children =
-  if P.on () then P.with_layer layer (fun () -> node_state_impl t tape x children)
+  if P.scope_on () then P.with_layer layer (fun () -> node_state_impl t tape x children)
   else node_state_impl t tape x children
 
 (** Embed a tree: [embed] supplies the vector of a label (leaf token or AST
@@ -188,12 +186,6 @@ let embed_forest_flat_impl t btape ~embed ~(labels : 'a array)
   let all_h = Batched.vstack btape (List.rev !level_h) in
   Batched.gather_rows btape all_h (Array.map (fun r -> stack_pos.(r)) roots)
 
-let embed_forest_flat_guarded t btape ~embed ~labels ~children ~roots =
-  if P.on () then
-    P.with_layer layer (fun () ->
-        embed_forest_flat_impl t btape ~embed ~labels ~children ~roots)
-  else embed_forest_flat_impl t btape ~embed ~labels ~children ~roots
-
 (** Embed a pre-flattened forest with level-grouped packing: all nodes of
     equal height are evaluated as one batched TreeLSTM cell application,
     children aggregated with segment sums.  [children.(i)] must hold only
@@ -201,10 +193,10 @@ let embed_forest_flat_guarded t btape ~embed ~labels ~children ~roots =
     of labels to a [|labels| × dim_in] node.  Returns root hidden states,
     one lane per root (in order). *)
 let embed_forest_flat t btape ~embed ~labels ~children ~roots =
-  if D.on () then
-    D.with_layer lname (fun () ->
-        embed_forest_flat_guarded t btape ~embed ~labels ~children ~roots)
-  else embed_forest_flat_guarded t btape ~embed ~labels ~children ~roots
+  if P.scope_on () then
+    P.with_layer layer (fun () ->
+        embed_forest_flat_impl t btape ~embed ~labels ~children ~roots)
+  else embed_forest_flat_impl t btape ~embed ~labels ~children ~roots
 
 (** Embed a forest of {!Encode.tree}s (convenience wrapper over
     {!embed_forest_flat}): post-order flattens the trees, then packs by

@@ -21,40 +21,31 @@
     - [dynamics.saturation{act=...,layer=...}] /
       [dynamics.dead_units{act=...,layer=...}] — fraction of saturated
       activations and of dead output units, sampled from the fused
-      tanh/sigmoid batched nodes (every {!sample_every}-th call).
+      tanh/sigmoid batched nodes (every {!sample_every}-th call) and
+      labelled with the outermost {!Profile.with_layer} frame.
     - [dynamics.attention_entropy] — histogram of per-lane attention
       weight entropies in nats.
     - [dynamics.embed_drift{model=...}] / [dynamics.nn_churn{model=...}]
       — epoch-over-epoch mean cosine drift of a frozen probe set, and
       the fraction of each probe's nearest neighbors that changed. *)
 
-let enabled_flag = Atomic.make false
-let on () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
+(* The enablement flag is this module's bit in the profiler's subscriber
+   word, so turning dynamics on also makes the nn layers push their
+   {!Profile.with_layer} frames, even with profiling off. *)
+let on () = Profile.subscribed Profile.dynamics
+let enable () = Profile.set_subscribed Profile.dynamics true
+let disable () = Profile.set_subscribed Profile.dynamics false
 
-(* ---------------- ambient layer attribution ---------------- *)
+(* ---------------- layer attribution ---------------- *)
 
-(* The fused activation nodes live in Batched, which knows nothing about
-   the nn layer invoking it; the layers' batched entry points wrap their
-   implementations in [with_layer] so samples taken inside attribute to
-   the right layer.  Per-domain (DLS) because predictions run on the
-   parallel pool. *)
-let layer_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let with_layer name f =
-  let stack = Domain.DLS.get layer_key in
-  stack := name :: !stack;
-  Fun.protect ~finally:(fun () -> stack := List.tl !stack) f
-
-(** The outermost ambient layer name, or ["?"] outside any.  Outermost
-    because nested entries only add detail the metric labels don't want:
-    a decoder's bridge projection pushes ["decoder"] then ["linear"], and
-    the sample should attribute to the decoder, not to the generic linear
-    primitive it happens to route through. *)
-let current_layer () =
-  let rec last = function [] -> "?" | [ name ] -> name | _ :: tl -> last tl in
-  last !(Domain.DLS.get layer_key)
+(** The outermost layer scope's name, or ["?"] outside any.  The fused
+    activation nodes live in [Batched], which knows nothing about the nn
+    layer invoking it.  Outermost because nested frames only add detail
+    the metric labels don't want: a decoder's bridge projection runs a
+    ["linear"] frame inside the ["decoder"] one, and the sample should
+    attribute to the decoder, not to the generic linear primitive it
+    happens to route through. *)
+let current_layer () = Option.value (Profile.outermost_layer ()) ~default:"?"
 
 (* ---------------- activation sampling ---------------- *)
 
@@ -71,9 +62,9 @@ let should_sample () = Atomic.fetch_and_add sample_ctr 1 land (sample_every - 1)
 (** [record_saturation ~act ~saturated ~total ~dead ~units] publishes one
     activation sample: [saturated]/[total] elements past the saturation
     threshold and [dead]/[units] output columns dead across every lane,
-    attributed to the ambient {!current_layer}. *)
+    attributed to the outermost layer scope ({!current_layer}). *)
 let record_saturation ~act ~saturated ~total ~dead ~units =
-  if Atomic.get enabled_flag && total > 0 then begin
+  if on () && total > 0 then begin
     let labels = [ ("act", act); ("layer", current_layer ()) ] in
     Metrics.gauge "dynamics.saturation" ~labels
       (float_of_int saturated /. float_of_int total);
@@ -91,7 +82,7 @@ let entropy_buckets = [| 0.01; 0.05; 0.1; 0.25; 0.5; 0.75; 1.0; 1.5; 2.0; 2.5; 3
 
 (** Record one per-lane attention-entropy observation (nats). *)
 let record_attention_entropy h =
-  if Atomic.get enabled_flag then
+  if on () then
     Metrics.observe "dynamics.attention_entropy" ~buckets:entropy_buckets h
 
 (* ---------------- per-layer gradient flow ---------------- *)
@@ -131,14 +122,14 @@ let sanitize v = if Float.is_finite v then v else 1e9
     path), and recording it would fire the vanishing-gradients rule on
     perfectly healthy runs — true vanishing shows up as tiny-but-nonzero. *)
 let record_layer_grad ~layer norm =
-  if Atomic.get enabled_flag && norm <> 0.0 then
+  if on () && norm <> 0.0 then
     Metrics.gauge "dynamics.layer_grad_norm" ~labels:[ ("layer", layer) ] (sanitize norm)
 
 (** Publish one parameter group's applied update: the gauge is
     ‖Δw‖/‖w‖ (the classic update-to-weight ratio; healthy training sits
     around 1e-3).  A zero weight norm (an untouched bias) reports 0. *)
 let record_layer_update ~layer ~update_norm ~weight_norm =
-  if Atomic.get enabled_flag then
+  if on () then
     Metrics.gauge "dynamics.layer_update_ratio" ~labels:[ ("layer", layer) ]
       (if weight_norm > 0.0 then sanitize (update_norm /. weight_norm) else 0.0)
 
@@ -185,7 +176,7 @@ let neighbors embs i =
     the drift gauges against the previous epoch: mean [1 - cosine] per
     probe and the fraction of changed nearest neighbors (churn@k). *)
 let observe_embeddings ~id (embs : float array array) =
-  if Atomic.get enabled_flag && Array.length embs >= 2 then begin
+  if on () && Array.length embs >= 2 then begin
     Mutex.lock probe_mutex;
     let st =
       match Hashtbl.find_opt probe_states id with

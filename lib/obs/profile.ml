@@ -18,10 +18,15 @@
     per-domain via [Domain.DLS] — no locks on the hot path; aggregation
     walks the domain states under a mutex only when a {!snapshot} is taken.
 
-    Layer timing mirrors {!Span}: each domain keeps a stack of layer frames
-    and a layer's self time excludes its children.  To bound tracing
-    overhead, only every [LIGER_PROFILE_SPAN_EVERY]-th (default 64) call of
-    a layer additionally emits a Chrome-trace span.
+    Layer scope: {!with_layer} is the telemetry layer's only one.  Each
+    domain keeps one stack of layer frames, pushed whenever the profiler,
+    the training-dynamics streams or both are on.  The profiler times the
+    frames (a layer's self time excludes its children) and tags tape nodes
+    with the innermost one; {!Dynamics} labels its activation samples with
+    the outermost one.  With profiling off the frames are neither timed nor
+    counted, so a dynamics-only run leaves the snapshot empty.  To bound
+    tracing overhead, only every 64th call of a layer additionally emits a
+    Chrome-trace span.
 
     Memory accounting is cooperative: [lib/tensor] calls {!alloc} /
     {!release} with the byte sizes it manages (tape nodes, tensors), and the
@@ -30,14 +35,30 @@
 
 (* ---------------- enablement ---------------- *)
 
-let enabled_flag = Atomic.make false
+(* The subscribers of the layer scope, profiling and dynamics, share one
+   atomic word, one bit each, so the guard of an nn entry point
+   ({!scope_on}) is one load. *)
+let profiling = 1
+let dynamics = 2
+let subscribers = Atomic.make 0
+
+let rec set_subscribed bit flag =
+  let cur = Atomic.get subscribers in
+  let next = if flag then cur lor bit else cur land lnot bit in
+  if not (Atomic.compare_and_set subscribers cur next) then set_subscribed bit flag
+
+let subscribed bit = Atomic.get subscribers land bit <> 0
 
 (** The one branch every instrumented call site pays when profiling is off. *)
-let on () = Atomic.get enabled_flag
+let on () = subscribed profiling
+
+(** Whether any subscriber needs layer frames: the guard of every [lib/nn]
+    entry point (see {!with_layer}). *)
+let scope_on () = Atomic.get subscribers <> 0
 
 let enabled = on
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
+let enable () = set_subscribed profiling true
+let disable () = set_subscribed profiling false
 
 let now () = Unix.gettimeofday ()
 
@@ -141,7 +162,7 @@ let ensure_layers st =
     guarded with [if Profile.on () then ...] so the arguments are never
     computed (or boxed) when profiling is off. *)
 let op (o : op) ~flops ~bytes =
-  if Atomic.get enabled_flag then begin
+  if on () then begin
     let st = Domain.DLS.get state_key in
     if o >= Array.length st.ocount then ensure_ops st;
     st.ocount.(o) <- st.ocount.(o) + 1;
@@ -152,7 +173,7 @@ let op (o : op) ~flops ~bytes =
 (** Like {!op} but also accumulates wall seconds — for coarse ops (optimizer
     step, grad clipping) where a clock read is negligible. *)
 let op_timed (o : op) ~seconds ~flops ~bytes =
-  if Atomic.get enabled_flag then begin
+  if on () then begin
     let st = Domain.DLS.get state_key in
     if o >= Array.length st.ocount then ensure_ops st;
     st.ocount.(o) <- st.ocount.(o) + 1;
@@ -183,24 +204,33 @@ let peak_bytes () = Atomic.get peak_bytes_a
 
 (* ---------------- layer timing ---------------- *)
 
-let span_every =
-  match Sys.getenv_opt "LIGER_PROFILE_SPAN_EVERY" with
-  | Some s -> (match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 64)
-  | None -> 64
+(* one Chrome span per this many calls of a layer *)
+let span_every = 64
 
-(** The layer currently on top of this domain's stack, or [-1].  Used by
-    [Autodiff.push] to tag tape nodes for backward attribution. *)
+(** The layer currently on top of this domain's stack, or [-1] (always [-1]
+    while profiling is off).  Used by [Autodiff.push] and [Batched.push] to
+    tag tape nodes for backward attribution. *)
 let current_layer () =
-  if not (Atomic.get enabled_flag) then -1
+  if not (on ()) then -1
   else
     match (Domain.DLS.get state_key).lstack with
     | [] -> -1
     | fr :: _ -> fr.lf_layer
 
+(** The registered name of the outermost frame on this domain's stack, or
+    [None] outside any layer scope. *)
+let outermost_layer () =
+  let rec last = function
+    | [] -> None
+    | [ fr ] -> Some (!layer_names).(fr.lf_layer)
+    | _ :: tl -> last tl
+  in
+  last (Domain.DLS.get state_key).lstack
+
 (** [add_bwd l dt] attributes [dt] seconds of backward time to layer [l]
     ([-1] = untagged).  Called from [Autodiff.backward] at tag boundaries. *)
 let add_bwd (l : layer) dt =
-  if Atomic.get enabled_flag then begin
+  if on () then begin
     let st = Domain.DLS.get state_key in
     if l < 0 then st.bwd_untagged <- st.bwd_untagged +. dt
     else begin
@@ -209,32 +239,43 @@ let add_bwd (l : layer) dt =
     end
   end
 
-(** [with_layer l f] times [f ()] as one forward call of layer [l]: total
-    and self (children subtracted) seconds, plus a sampled Chrome span every
-    [span_every]-th call.  Call sites use the guard pattern
+(** [with_layer l f] runs [f ()] inside a frame of layer [l].  With
+    profiling on, the frame is one timed forward call: total and self
+    (children subtracted) seconds, plus a sampled Chrome span every
+    [span_every]-th call.  With only dynamics on, the frame is pushed and
+    popped but neither counted nor timed.  Call sites use the guard pattern
 
-    {[ if Profile.on () then Profile.with_layer l (fun () -> impl ...)
+    {[ if Profile.scope_on () then Profile.with_layer l (fun () -> impl ...)
        else impl ... ]}
 
     so the disabled path is a direct call with no closure allocation. *)
 let with_layer (l : layer) f =
-  if not (Atomic.get enabled_flag) then f ()
+  let subs = Atomic.get subscribers in
+  if subs = 0 then f ()
   else begin
     let st = Domain.DLS.get state_key in
-    if l >= Array.length st.lcalls then ensure_layers st;
-    st.lcalls.(l) <- st.lcalls.(l) + 1;
-    let sampled = Span.enabled () && (st.lcalls.(l) - 1) mod span_every = 0 in
-    let fr = { lf_layer = l; lf_start = now (); lf_child = 0.0 } in
+    let timed = subs land profiling <> 0 in
+    let sampled =
+      timed
+      && begin
+           if l >= Array.length st.lcalls then ensure_layers st;
+           st.lcalls.(l) <- st.lcalls.(l) + 1;
+           Span.enabled () && (st.lcalls.(l) - 1) mod span_every = 0
+         end
+    in
+    let fr = { lf_layer = l; lf_start = (if timed then now () else 0.0); lf_child = 0.0 } in
     st.lstack <- fr :: st.lstack;
     let run () =
       let finish () =
-        let dur = now () -. fr.lf_start in
         (match st.lstack with _ :: rest -> st.lstack <- rest | [] -> ());
-        (match st.lstack with
-        | parent :: _ -> parent.lf_child <- parent.lf_child +. dur
-        | [] -> ());
-        st.lfwd_total.(l) <- st.lfwd_total.(l) +. dur;
-        st.lfwd_self.(l) <- st.lfwd_self.(l) +. (dur -. fr.lf_child)
+        if timed then begin
+          let dur = now () -. fr.lf_start in
+          (match st.lstack with
+          | parent :: _ -> parent.lf_child <- parent.lf_child +. dur
+          | [] -> ());
+          st.lfwd_total.(l) <- st.lfwd_total.(l) +. dur;
+          st.lfwd_self.(l) <- st.lfwd_self.(l) +. (dur -. fr.lf_child)
+        end
       in
       match f () with
       | r ->

@@ -295,7 +295,7 @@ let add_bias tape a (p : Param.t) =
 
 (* Saturation sampling for the dynamics streams: scan one activation
    buffer (lanes-major), counting saturated elements and output units dead
-   across every lane, and publish under the ambient nn layer.  Callers
+   across every lane, and publish under the outermost layer scope.  Callers
    gate on [D.on () && D.should_sample ()], so the uninstrumented forward
    path pays one branch per activation node and the instrumented one scans
    every [Dynamics.sample_every]-th call. *)

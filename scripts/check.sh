@@ -108,6 +108,12 @@ LIGER_RUN_ID=ci-dynamics dune exec --no-build bin/liger_cli.exe -- \
 test -f runs/ci-dynamics/metrics.jsonl
 grep -q "dynamics.layer_grad_norm" runs/ci-dynamics/metrics.jsonl || {
   echo "   ERROR: no per-layer gradient stream in the ci-dynamics ledger" >&2; exit 1; }
+# activation samples must carry the nn layer that produced them
+grep -qF "dynamics.saturation{act=tanh,layer=treelstm}" runs/ci-dynamics/metrics.jsonl || {
+  echo "   ERROR: no treelstm saturation samples in the ci-dynamics ledger" >&2; exit 1; }
+if grep -qF "layer=?" runs/ci-dynamics/metrics.jsonl; then
+  echo "   ERROR: dynamics labels without a layer (layer=?) in the ci-dynamics ledger" >&2; exit 1
+fi
 # single-run report + the health gate (--check exits 2 on any FAIL rule)
 dune exec --no-build bin/liger_cli.exe -- report runs/ci-dynamics \
   --history BENCH_history.jsonl --out report.html --check > /dev/null
