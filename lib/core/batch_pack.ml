@@ -195,8 +195,9 @@ let slots btape src (rows : int array array) =
   in
   (nodes, mask)
 
-(** Decoder memory of trace lanes run in lockstep: [states] holds one
-    [lanes × dim] node per step.  An example's memory is its lanes' states
+(** Decoder memory of a batched trace recurrence: [states] holds one
+    [lanes × dim] node per step, every lane included (a finished lane's
+    row carries its last state).  An example's memory is its lanes' states
     in (lane, step) order, over each lane's [n_steps] real steps — the
     order of the unbatched encoders. *)
 let trace_memory btape states ~lane_ex ~n_steps ~n_groups ~dim =

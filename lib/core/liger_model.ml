@@ -277,11 +277,12 @@ let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) 
 (* ===== Batched encoding (flat Bigarray engine; see DESIGN.md) =====
 
    One batched tape encodes a whole mini-batch: trace lanes across all
-   examples run fusion + f3 in lockstep with length-masked padding,
-   statement trees are deduplicated batch-wide by [memo_key] and embedded
-   as one level-packed forest, and f1/f2 pack every composite variable /
-   program state in the batch into single padded recurrences.  Padded
-   lanes/steps/slots carry exactly zero gradient (masked updates,
+   examples run fusion + f3 step by step, each step computing only the
+   lanes whose trace is still running, statement trees are deduplicated
+   batch-wide by [memo_key] and embedded as one level-packed forest, and
+   f1/f2 pack every composite variable / program state in the batch into
+   single live-lane-compacted recurrences.  Finished lanes and padded
+   slots carry exactly zero gradient (untouched rows, masked softmax,
    weight-0 losses), so results match the per-example path. *)
 
 type batch_encoding = {
@@ -390,54 +391,59 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
         Batch_pack.States.embed pack btape ~embedding:t.embedding ~f1:(Option.get t.f1)
           ~f2:(Option.get t.f2)
     in
-    (* --- fusion + trace recurrence f3, trace lanes in lockstep --- *)
+    (* --- fusion + trace recurrence f3 over the lanes still running --- *)
     let k_static = if t.config.use_static && max_s > 0 then 1 else 0 in
     let k_dynamic = if state_vecs = None then 0 else max_c in
     let k_total = k_static + k_dynamic in
+    if max_s > 0 && k_total = 0 then invalid_arg "Liger_model.encode_batch: no feature vectors";
     let h_trace = ref (Rnn_cell.init_state_batch t.f3 btape ~lanes:l_n) in
     let mem_nodes_rev = ref [] in
     for j = 0 to max_s - 1 do
-      let step_valid l = j < n_steps.(l) in
-      let step_mask = Array.init l_n (fun l -> if step_valid l then 1.0 else 0.0) in
+      (* the lanes whose trace has a step [j], in lane order: every gather,
+         mask, fusion and f3 step below has one row per live lane *)
+      let live = Array.of_list (List.filter (fun l -> j < n_steps.(l)) (List.init l_n Fun.id)) in
+      let n_live = Array.length live in
       let cands_rev = ref [] and valid_rev = ref [] in
       if k_static = 1 then begin
-        let idx = Array.init l_n (fun l -> if step_valid l then tree_of.(l).(j) else 0) in
+        let idx = Array.map (fun l -> tree_of.(l).(j)) live in
         cands_rev := Batched.gather_rows btape (Option.get tree_roots) idx :: !cands_rev;
-        valid_rev := Array.init l_n step_valid :: !valid_rev
+        valid_rev := Array.make n_live true :: !valid_rev
       end;
       (match state_vecs with
       | Some sv ->
           for k = 0 to k_dynamic - 1 do
-            let ok l = step_valid l && k < n_conc.(l) in
-            let idx = Array.init l_n (fun l -> if ok l then state_idx.(l).(j).(k) else 0) in
+            let ok l = k < n_conc.(l) in
+            let idx = Array.map (fun l -> if ok l then state_idx.(l).(j).(k) else 0) live in
             cands_rev := Batched.gather_rows btape sv idx :: !cands_rev;
-            valid_rev := Array.init l_n ok :: !valid_rev
+            valid_rev := Array.map ok live :: !valid_rev
           done
       | None -> ());
       let cands = Array.of_list (List.rev !cands_rev) in
       let valid = Array.of_list (List.rev !valid_rev) in
-      if k_total = 0 then invalid_arg "Liger_model.encode_batch: no feature vectors";
-      let cmask = Tensor.zeros l_n k_total in
+      let cmask = Tensor.zeros n_live k_total in
       Array.iteri
         (fun k col ->
-          Array.iteri (fun l ok -> if ok then Tensor.set cmask l k 1.0) col)
+          Array.iteri (fun i ok -> if ok then Tensor.set cmask i k 1.0) col)
         valid;
-      let n_valid = Array.make l_n 0 in
+      let n_valid = Array.make n_live 0 in
       Array.iter
-        (fun col -> Array.iteri (fun l ok -> if ok then n_valid.(l) <- n_valid.(l) + 1) col)
+        (fun col -> Array.iteri (fun i ok -> if ok then n_valid.(i) <- n_valid.(i) + 1) col)
         valid;
       let h_j =
         if k_total = 1 then cands.(0)
         else
           match t.fusion with
           | Some att when j > 0 && t.config.use_attention ->
-              let w, fused = Attention.fuse_batch att btape ~q:!h_trace ~mask:cmask cands in
+              let q =
+                if n_live = l_n then !h_trace else Batched.gather_rows btape !h_trace live
+              in
+              let w, fused = Attention.fuse_batch att btape ~q ~mask:cmask cands in
               if t.config.use_static then begin
                 let wv = Batched.value w in
-                for l = 0 to l_n - 1 do
-                  if step_valid l && n_valid.(l) > 1 then begin
+                for i = 0 to n_live - 1 do
+                  if n_valid.(i) > 1 then begin
                     stats.static_weight_sum <-
-                      stats.static_weight_sum +. Tensor.get wv l 0;
+                      stats.static_weight_sum +. Tensor.get wv i 0;
                     stats.fused_steps <- stats.fused_steps + 1
                   end
                 done
@@ -445,7 +451,7 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
               fused
           | _ -> snd (Attention.fuse_uniform_batch btape ~mask:cmask cands)
       in
-      h_trace := Rnn_cell.step_batch ~mask:step_mask t.f3 btape ~h:!h_trace ~x:h_j;
+      h_trace := Rnn_cell.step_live t.f3 btape ~h:!h_trace ~live ~x:h_j;
       mem_nodes_rev := !h_trace :: !mem_nodes_rev
     done;
     (* program embedding: max over each example's trace finals; an example

@@ -79,20 +79,31 @@ let step_batch_impl t btape ~state ~x =
   let h = Batched.mul btape o (Batched.tanh_ btape c) in
   { bh = h; bc = c }
 
-(** One batched LSTM step; [?mask] freezes both [h] and [c] on padded lanes
-    (exactly zero gradient through the frozen step). *)
-let step_batch ?mask t btape ~state ~x =
-  let next =
-    if P.scope_on () then P.with_layer layer (fun () -> step_batch_impl t btape ~state ~x)
-    else step_batch_impl t btape ~state ~x
-  in
+let step_masked_impl ?mask t btape ~state ~x =
   match mask with
-  | None -> next
+  | None -> step_batch_impl t btape ~state ~x
   | Some m ->
-      {
-        bh = Batched.select_rows btape ~mask:m next.bh state.bh;
-        bc = Batched.select_rows btape ~mask:m next.bc state.bc;
-      }
+      if Array.length m <> Batched.lanes state.bh then
+        invalid_arg "Lstm.step_batch: mask length mismatch";
+      let live = Rnn_cell.live_lanes m in
+      if live = [||] then state
+      else if Array.length live = Array.length m then step_batch_impl t btape ~state ~x
+      else
+        let rows n = Batched.gather_rows btape n live in
+        let next =
+          step_batch_impl t btape ~state:{ bh = rows state.bh; bc = rows state.bc } ~x:(rows x)
+        in
+        {
+          bh = Batched.merge_rows btape state.bh ~idx:live next.bh;
+          bc = Batched.merge_rows btape state.bc ~idx:live next.bc;
+        }
+
+(** One batched LSTM step; with [?mask] only the live lanes are computed,
+    as in {!Rnn_cell.step_batch}: padded lanes keep both [h] and [c]
+    bit-for-bit and their inputs receive exactly zero gradient. *)
+let step_batch ?mask t btape ~state ~x =
+  if P.scope_on () then P.with_layer layer (fun () -> step_masked_impl ?mask t btape ~state ~x)
+  else step_masked_impl ?mask t btape ~state ~x
 
 let run_batch t btape ~lanes steps =
   let state = ref (init_state_batch t btape ~lanes) in

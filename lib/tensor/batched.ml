@@ -9,11 +9,13 @@
     a batch of B lanes costs far fewer than B unbatched passes.
 
     Padding and masking conventions (shared with [lib/nn] and DESIGN.md):
-    - Variable-length sequences are padded to the longest lane; each step
-      takes a [mask : float array] with 1.0 for live lanes, 0.0 for padded
-      ones.  Recurrences use {!select_rows} ([m⊙new + (1-m)⊙old]) so padded
-      lanes carry their last real state forward and receive {e exactly} zero
-      gradient (the mask multiplies the gradient, not just the value).
+    - Variable-length sequences run as many steps as the longest lane; each
+      step takes a [mask : float array] with 1.0 for live lanes, 0.0 for
+      finished ones.  Recurrences compact: they {!gather_rows} the live
+      lanes, step only those, and write them back with {!merge_rows}, so a
+      finished lane costs no cell work, carries its last real state forward
+      bit-for-bit, and its padded inputs receive {e exactly} zero gradient
+      (they are never read).
     - Ragged candidate sets use {!masked_softmax_rows}: masked slots get
       weight 0 and zero gradient; a row with a single valid slot gets weight
       1 with zero gradient into its score (softmax Jacobian [w - w²] is 0),
@@ -122,8 +124,8 @@ let op_vstack = P.register_op "bad.vstack"
 let op_vstack_b = P.register_op "bad.vstack.bwd"
 let op_gather = P.register_op "bad.gather_rows"
 let op_gather_b = P.register_op "bad.gather_rows.bwd"
-let op_select = P.register_op "bad.select_rows"
-let op_select_b = P.register_op "bad.select_rows.bwd"
+let op_merge = P.register_op "bad.merge_rows"
+let op_merge_b = P.register_op "bad.merge_rows.bwd"
 let op_group_sum = P.register_op "bad.group_sum"
 let op_group_sum_b = P.register_op "bad.group_sum.bwd"
 let op_group_max = P.register_op "bad.group_max"
@@ -1041,43 +1043,56 @@ let stack_to_cols tape a ~lanes:l =
   done;
   n
 
-(** Per-lane blend [m⊙a + (1-m)⊙b] with a constant 0/1 mask — the masked
-    recurrence update.  Gradient into [a] is exactly zero where [mask] is 0
-    (and vice versa), which is what keeps padded lanes gradient-silent. *)
-let select_rows tape ~(mask : float array) a b =
-  check_same "select_rows" a b;
+(** [merge_rows tape a ~idx b] is [a] with row [idx.(i)] replaced by row [i]
+    of [b] — the write-back of a recurrence step computed on its live lanes
+    only.  [idx] must be strictly increasing rows of [a], one per row of
+    [b].  Pure data movement: every output row is a bit-for-bit copy, and
+    backward routes each row's gradient to whichever input supplied it. *)
+let merge_rows tape a ~(idx : int array) b =
   let l = lanes a and d = dim a in
-  if Array.length mask <> l then invalid_arg "Batched.select_rows: mask length mismatch";
-  if P.on () then P.op op_select ~flops:(fi (3 * l * d)) ~bytes:(fbytes (l * d));
-  let rec n =
+  let n = Array.length idx in
+  if dim b <> d then invalid_arg "Batched.merge_rows: dim mismatch";
+  if lanes b <> n then invalid_arg "Batched.merge_rows: idx length mismatch";
+  Array.iteri
+    (fun i r ->
+      if r < 0 || r >= l || (i > 0 && r <= idx.(i - 1)) then
+        invalid_arg "Batched.merge_rows: idx must be strictly increasing rows of a")
+    idx;
+  if P.on () then P.op op_merge ~flops:0.0 ~bytes:(fbytes (l * d));
+  (* [route f] calls [f i src r] for every output row [i], where row [r]
+     of node [src] supplies it *)
+  let route f =
+    let k = ref 0 in
+    for i = 0 to l - 1 do
+      if !k < n && Array.unsafe_get idx !k = i then begin
+        f i b !k;
+        incr k
+      end
+      else f i a i
+    done
+  in
+  let rec node =
     lazy
       (push tape l d (fun () ->
-           if P.on () then P.op op_select_b ~flops:(fi (4 * l * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let m = Array.unsafe_get mask i in
-             let base = i * d in
-             for j = 0 to d - 1 do
-               let gi = BA.unsafe_get g (base + j) in
-               BA.unsafe_set ag (base + j) (BA.unsafe_get ag (base + j) +. (m *. gi));
-               BA.unsafe_set bg (base + j)
-                 (BA.unsafe_get bg (base + j) +. ((1.0 -. m) *. gi))
-             done
-           done))
+           if P.on () then P.op op_merge_b ~flops:(fi (l * d)) ~bytes:0.0;
+           let g = (Lazy.force node).grad.Tensor.data in
+           route (fun i src r ->
+               let sg = src.grad.Tensor.data in
+               let dst = r * d and base = i * d in
+               for j = 0 to d - 1 do
+                 BA.unsafe_set sg (dst + j)
+                   (BA.unsafe_get sg (dst + j) +. BA.unsafe_get g (base + j))
+               done)))
   in
-  let n = Lazy.force n in
-  let v = n.value.Tensor.data in
-  let av = a.value.Tensor.data and bv = b.value.Tensor.data in
-  for i = 0 to l - 1 do
-    let m = Array.unsafe_get mask i in
-    let base = i * d in
-    for j = 0 to d - 1 do
-      BA.unsafe_set v (base + j)
-        ((m *. BA.unsafe_get av (base + j)) +. ((1.0 -. m) *. BA.unsafe_get bv (base + j)))
-    done
-  done;
-  n
+  let node = Lazy.force node in
+  let v = node.value.Tensor.data in
+  route (fun i src r ->
+      let sv = src.value.Tensor.data in
+      let dst = i * d and base = r * d in
+      for j = 0 to d - 1 do
+        BA.unsafe_set v (dst + j) (BA.unsafe_get sv (base + j))
+      done);
+  node
 
 (* ------------------------------------------------------------------ *)
 (* Group (segment) reductions                                          *)

@@ -29,7 +29,7 @@ echo "   ok: BENCH_parallel.json written, record appended to BENCH_history.jsonl
 # would create alternating slow/fast records inside one run shape and
 # soften the throughput gate below.  No --metrics-out: the snapshot must
 # land in the run directory by default.
-echo "== profiled batched train smoke: per-layer/per-op accounting validates"
+echo "== profiled batched train smoke: per-layer/per-op accounting validates, FLOP budget"
 rm -rf runs/ci-profile
 LIGER_RUN_ID=ci-profile dune exec --no-build bin/liger_cli.exe -- \
   train -n 16 --epochs 3 --batch 16 --profile > /dev/null 2>&1
@@ -37,6 +37,21 @@ dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-profile/metri
   | grep -q "profile section" || {
     echo "   ERROR: profile section missing from runs/ci-profile/metrics.json" >&2; exit 1; }
 echo "   ok: runs/ci-profile/metrics.json has a consistent profile section"
+# FLOP budget for exactly this run.  The count comes from tensor shapes,
+# not timing, so it repeats exactly across runs and at LIGER_JOBS 1 and 2.
+# Masked recurrences step only their live lanes: 120,887,821 FLOPs, where
+# running every lane in lockstep to the longest one counted 167,836,257.
+# Exceeding the budget means padded work came back.
+FLOPS_BUDGET=120887821
+flops=$(sed -n 's/.*"profile.total_flops": *\([0-9][0-9]*\)[,}]*$/\1/p' \
+  runs/ci-profile/metrics.json | head -n 1)
+test -n "$flops" || {
+  echo "   ERROR: no integer profile.total_flops in runs/ci-profile/metrics.json" >&2; exit 1; }
+if [ "$flops" -gt "$FLOPS_BUDGET" ]; then
+  echo "   ERROR: profile.total_flops $flops exceeds the budget $FLOPS_BUDGET" >&2
+  exit 1
+fi
+echo "   ok: profile.total_flops $flops within the budget $FLOPS_BUDGET"
 
 # Batch size 1 is the default of `liger train` and of every experiment:
 # one-lane tapes on the batched engine, for LiGer and for a baseline.

@@ -144,6 +144,38 @@ let test_saturation_gauges () =
   Alcotest.(check (option (float 1e-9))) "dead fraction" (Some 0.5)
     (gauge "dynamics.dead_units" [ ("act", "tanh"); ("layer", "lstm") ])
 
+(* A masked recurrence step samples only its live lanes: the padded
+   lane's stale input would saturate the gates, but the gauges must equal
+   those of the live lane stepped alone.  [fresh] restarts the sampler,
+   so the step's first fused activation (the GRU's sigmoid gates) is the
+   one scanned. *)
+let test_padded_lanes_not_sampled () =
+  let open Liger_tensor in
+  let module Rnn_cell = Liger_nn.Rnn_cell in
+  let store = Param.create_store ~seed:6 () in
+  let cell = Rnn_cell.create store "cell" ~dim_in:3 ~dim_hidden:4 in
+  let gauges ?mask x =
+    fresh ();
+    let lanes = Array.length x / 3 in
+    let btape = Batched.tape () in
+    let h = Rnn_cell.init_state_batch cell btape ~lanes in
+    let x = Batched.const_arr btape ~rows:lanes ~cols:3 x in
+    ignore (Rnn_cell.step_batch ?mask cell btape ~h ~x);
+    Batched.discard btape;
+    List.map
+      (fun metric -> gauge metric [ ("act", "sigmoid"); ("layer", "rnn_cell") ])
+      [ "dynamics.saturation"; "dynamics.dead_units" ]
+  in
+  let live = [| 0.1; -0.2; 0.05 |] and stale = [| 80.0; -80.0; 80.0 |] in
+  let alone = gauges live in
+  if List.mem None alone then Alcotest.fail "the live lane alone left no sample";
+  let pp = Fmt.(Dump.list (Dump.option float)) in
+  if gauges (Array.append live stale) = alone then
+    Alcotest.failf "the stale input does not move the unmasked gauges %a" pp alone;
+  let masked = gauges ~mask:[| 1.0; 0.0 |] (Array.append live stale) in
+  if masked <> alone then
+    Alcotest.failf "masked step sampled %a, the live lane alone %a" pp masked pp alone
+
 (* ------------------------------------------------------------------ *)
 (* Attribution pins: the labels one real batched step produces          *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +512,8 @@ let () =
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
           Alcotest.test_case "embedding drift and churn" `Quick test_observe_embeddings;
           Alcotest.test_case "saturation gauges" `Quick test_saturation_gauges;
+          Alcotest.test_case "padded lanes are not sampled" `Quick
+            test_padded_lanes_not_sampled;
           Alcotest.test_case "LiGer batch-16 step labels" `Quick test_pin_liger_b16;
           Alcotest.test_case "code2vec batch-4 step labels" `Quick test_pin_code2vec_b4;
         ] );
