@@ -423,9 +423,8 @@ let predict_cmd =
     let blended = Feedback.blended meth result in
     let enc = Common.default_enc_config in
     let ex = Common.encode_example enc vocab meth blended (Common.Name meth.Ast.mname) in
-    let tape = Autodiff.tape () in
-    let toks = Liger_model.predict_name model tape ex in
-    Autodiff.discard tape;
+    let ids = (Liger_model.predict_name_ids_batch model [| ex |]).(0) in
+    let toks = List.map (Vocab.name vocab) ids in
     Printf.printf "method is named: %s\npredicted name:  %s (%s)\n" meth.Ast.mname
       (Subtoken.join toks)
       (String.concat " " toks)

@@ -41,14 +41,13 @@ let () =
 
   Printf.printf "%-28s %-28s\n" "gold name" "predicted sub-tokens";
   Printf.printf "%s\n" (String.make 56 '-');
-  List.iteri
-    (fun i (ex : Common.enc_example) ->
-      if i < 12 then begin
-        let predicted =
-          match wrapper.Train.predict ex with
-          | Train.Subtokens toks -> String.concat " " toks
-          | Train.Class _ -> "?"
-        in
-        Printf.printf "%-28s %-28s\n" ex.Common.meth.Ast.mname predicted
-      end)
-    corpus.Pipeline.test
+  let shown = List.filteri (fun i _ -> i < 12) corpus.Pipeline.test in
+  List.iter2
+    (fun (ex : Common.enc_example) (prediction, _) ->
+      let predicted =
+        match prediction with
+        | Train.Subtokens toks -> String.concat " " toks
+        | Train.Class _ -> "?"
+      in
+      Printf.printf "%-28s %-28s\n" ex.Common.meth.Ast.mname predicted)
+    shown (Train.predictions wrapper shown)

@@ -152,24 +152,16 @@ let () =
   List.iter (fun (_, b, l) -> Common.register_example enc vocab b l) raw;
   Vocab.freeze vocab;
   let examples = List.map (fun (m, b, l) -> Common.encode_example enc vocab m b l) raw in
-  let model =
-    Liger_model.create
+  let wrapper, model =
+    Liger_eval.Zoo.liger
       ~config:{ Liger_model.default_config with Liger_model.dim = 12 }
-      vocab (Liger_model.Classify 2)
+      ~vocab (Liger_model.Classify 2)
   in
-  let opt = Optimizer.adam ~lr:3e-3 () in
-  let arr = Array.of_list examples in
-  for _epoch = 1 to 8 do
-    Rng.shuffle rng arr;
-    Array.iter
-      (fun ex ->
-        let tape = Autodiff.tape () in
-        let loss, _ = Liger_model.loss model tape ex in
-        Autodiff.backward tape loss;
-        ignore (Optimizer.clip_grads (Liger_model.store model) ~max_norm:5.0);
-        Optimizer.step opt (Liger_model.store model))
-      arr
-  done;
+  (* no validation split: every epoch is kept, the last one wins *)
+  ignore
+    (Liger_eval.Train.fit
+       ~options:{ Liger_eval.Train.default_options with Liger_eval.Train.epochs = 8 }
+       rng wrapper ~train:examples ~valid:[]);
   (* embed the three pristine programs *)
   let embed m =
     let r = Feedback.generate ~budget rng m in

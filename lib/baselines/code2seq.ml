@@ -95,68 +95,14 @@ let target_ids t (ex : Common.enc_example) =
   | Common.Name name -> List.map (Vocab.id t.vocab) (Subtoken.split name)
   | Common.Class c -> [ c ]
 
-let sum_embeddings t tape ids =
-  match ids with
-  | [] -> Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0)
-  | first :: rest ->
-      List.fold_left
-        (fun acc id -> Autodiff.add tape acc (Embedding_layer.embed_id t.embedding tape id))
-        (Embedding_layer.embed_id t.embedding tape first)
-        rest
+(* ===== Encoding (flat Bigarray engine) =====
 
-let encode_path t tape (p : enc_path) =
-  let left = sum_embeddings t tape p.left in
-  let right = sum_embeddings t tape p.right in
-  let path =
-    Rnn_cell.last t.path_rnn tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) p.path)
-  in
-  Linear.forward_tanh t.combine tape (Autodiff.concat tape [ left; path; right ])
-
-(** Encode a method: memory = the encoded paths; the "program embedding"
-    handed to the decoder is their mean. *)
-let encode t tape (ex : Common.enc_example) =
-  let encoded = List.map (encode_path t tape) (paths_of t ex) in
-  match encoded with
-  | [] ->
-      let z = Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0) in
-      (z, [| z |])
-  | _ ->
-      let memory = Array.of_list encoded in
-      (Autodiff.mean_pool tape memory, memory)
-
-let loss t tape (ex : Common.enc_example) =
-  let program_embedding, memory = encode t tape ex in
-  match (t.task, t.decoder, t.classifier) with
-  | Liger_model.Naming, Some dec, _ ->
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:(target_ids t ex)
-  | Liger_model.Classify _, _, Some cls -> (
-      let logits = Linear.forward cls tape program_embedding in
-      match ex.Common.target_ids with
-      | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-      | _ -> invalid_arg "Code2seq.loss: classification target must be one class")
-  | _ -> invalid_arg "Code2seq.loss: task/head mismatch"
-
-let predict_name t tape (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Code2seq.predict_name: not a naming model"
-  | Some dec ->
-      let program_embedding, memory = encode t tape ex in
-      List.map (Vocab.name t.vocab) (Decoder.decode dec tape ~memory ~program_embedding)
-
-let predict_class t tape (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Code2seq.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _ = encode t tape ex in
-      Tensor.argmax (Autodiff.value (Linear.forward cls tape program_embedding))
-
-(* ===== Batched encoding (flat Bigarray engine) =====
-
-   Paths across the batch are lanes: terminal sub-token embeddings sum per
-   path with [group_sum], node types run through one masked path-RNN
-   recurrence, and the combined path vectors pool into their example with
-   [group_sum] and a per-example 1/n scale (the mean). *)
+   A method's memory is its encoded paths; the "program embedding" handed
+   to the decoder is their mean.  Paths across the batch are lanes:
+   terminal sub-token embeddings sum per path with [group_sum], node types
+   run through one masked path-RNN recurrence, and the combined path
+   vectors pool into their example with [group_sum] and a per-example 1/n
+   scale (the mean).  A path-less method attends over one zero slot. *)
 
 let encode_batch t btape (exs : Common.enc_example array) =
   let g_n = Array.length exs in
@@ -167,7 +113,7 @@ let encode_batch t btape (exs : Common.enc_example array) =
   in
   let p_n = Array.length paths in
   if p_n = 0 then begin
-    (* every memory is the single zero slot of the unbatched path-less case *)
+    (* every memory is the single zero slot of a path-less method *)
     let z = Batched.zeros btape ~rows:g_n ~cols:d in
     let mask = Tensor.zeros g_n 1 in
     Tensor.fill mask 1.0;
@@ -214,7 +160,7 @@ let encode_batch t btape (exs : Common.enc_example array) =
         (Batched.group_sum btape encoded ~groups:path_ex ~n_groups:g_n)
         (Batched.const_arr btape ~rows:g_n ~cols:d inv_n)
     in
-    (* a path-less example attends over one zero slot, as unbatched *)
+    (* a path-less example attends over one zero slot *)
     let src =
       if Array.exists (fun r -> r = [||]) rows then
         Batched.vstack btape [ encoded; Batched.zeros btape ~rows:1 ~cols:d ]
@@ -226,8 +172,7 @@ let encode_batch t btape (exs : Common.enc_example array) =
     (program_embedding, memory, mask)
   end
 
-(** Batched training loss: per-example losses as a [G×1] node on [btape];
-    per lane equal to {!loss} up to float reassociation. *)
+(** Training loss: per-example losses as a [G×1] node on [btape]. *)
 let loss_batch t btape (exs : Common.enc_example array) =
   let program_embedding, memory, memory_mask = encode_batch t btape exs in
   match (t.task, t.decoder, t.classifier) with
@@ -240,7 +185,7 @@ let loss_batch t btape (exs : Common.enc_example array) =
         exs ~who:"Code2seq.loss_batch"
   | _ -> invalid_arg "Code2seq.loss_batch: task/head mismatch"
 
-(** Batched greedy naming prediction; one sub-token list per example. *)
+(** Greedy naming prediction; one sub-token list per example. *)
 let predict_name_batch t exs =
   match t.decoder with
   | None -> invalid_arg "Code2seq.predict_name_batch: not a naming model"
@@ -250,7 +195,7 @@ let predict_name_batch t exs =
           Decoder.decode_batch dec btape ~memory ~memory_mask ~program_embedding
           |> Array.map (List.map (Vocab.name t.vocab)))
 
-(** Batched class prediction; one class id per example. *)
+(** Class prediction; one class id per example. *)
 let predict_class_batch t exs =
   match t.classifier with
   | None -> invalid_arg "Code2seq.predict_class_batch: not a classification model"

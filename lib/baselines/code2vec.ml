@@ -92,51 +92,19 @@ let contexts_of t (ex : Common.enc_example) =
             Hashtbl.add t.cache ex.Common.uid cs);
       cs
 
-let code_vector t tape (ex : Common.enc_example) =
-  let contexts = contexts_of t ex in
-  let embed id = Embedding_layer.embed_id t.embedding tape id in
-  let vecs =
-    List.map
-      (fun c ->
-        Linear.forward_tanh t.combine tape
-          (Autodiff.concat tape [ embed c.left; embed c.path; embed c.right ]))
-      contexts
-  in
-  match vecs with
-  | [] -> Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0)
-  | _ ->
-      let vecs = Array.of_list vecs in
-      let scores =
-        Array.map (fun v -> Autodiff.matvec tape t.attention_vec v) vecs
-      in
-      let w = Autodiff.softmax tape (Autodiff.concat tape (Array.to_list scores)) in
-      Autodiff.weighted_sum tape w vecs
-
 let target_of t (ex : Common.enc_example) =
   match (ex.Common.label, t.n_classes) with
   | Common.Class c, Some _ -> c
   | Common.Name name, None -> Vocab.id t.labels name
   | _ -> invalid_arg "Code2vec: task/label mismatch"
 
-let loss t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  fst (Autodiff.softmax_cross_entropy tape logits (target_of t ex))
-
-(** Predicted sub-tokens: the argmax whole-name label, split. *)
-let predict_name t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  let label = Tensor.argmax (Autodiff.value logits) in
-  Liger_lang.Subtoken.split (Vocab.name t.labels label)
-
-let predict_class t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  Tensor.argmax (Autodiff.value logits)
-
-(* ===== Batched encoding (flat Bigarray engine) =====
+(* ===== Encoding (flat Bigarray engine) =====
 
    Contexts across the batch are lanes of one combine GEMM and one scoring
-   GEMM; each example's scores are laid out slot-major and turned into one
-   masked softmax row, which weights that example's context vectors. *)
+   GEMM against the global attention vector; each example's scores are
+   laid out slot-major and turned into one masked softmax row, which
+   weights that example's context vectors into its code vector.  A method
+   without contexts gets the zero vector. *)
 
 let code_vectors t btape (exs : Common.enc_example array) =
   let g_n = Array.length exs in
@@ -170,8 +138,7 @@ let code_vectors t btape (exs : Common.enc_example array) =
     Batched.weighted_sum btape w slots
   end
 
-(** Batched training loss: per-example losses as a [G×1] node on [btape];
-    per lane equal to {!loss} up to float reassociation. *)
+(** Training loss: per-example losses as a [G×1] node on [btape]. *)
 let loss_batch t btape (exs : Common.enc_example array) =
   let logits = Linear.forward_batch t.out btape (code_vectors t btape exs) in
   fst
@@ -183,11 +150,12 @@ let predict_labels t exs =
   Batch_pack.infer exs (fun btape ->
       Batch_pack.argmax_rows (Linear.forward_batch t.out btape (code_vectors t btape exs)))
 
-(** Batched {!predict_name}: one sub-token list per example. *)
+(** Predicted sub-tokens: the argmax whole-name label, split; one list per
+    example. *)
 let predict_name_batch t exs =
   Array.map
     (fun label -> Liger_lang.Subtoken.split (Vocab.name t.labels label))
     (predict_labels t exs)
 
-(** Batched {!predict_class}: one class id per example. *)
+(** Class prediction; one class id per example. *)
 let predict_class_batch t exs = predict_labels t exs

@@ -46,129 +46,14 @@ let create ?(dim = 16) ?(seed = 11) vocab (task : Liger_model.task) =
 let store t = t.store
 let num_params t = Param.num_params t.store
 
-let embed_value t tape (tokens : int array) =
-  if Array.length tokens = 1 then Embedding_layer.embed_id t.embedding tape tokens.(0)
-  else
-    Rnn_cell.last t.f1 tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) (Array.to_list tokens))
-
-let embed_state t tape ~var_name_ids (vars : int array array) =
-  let inputs =
-    List.mapi
-      (fun i tokens ->
-        let name_id =
-          if i < Array.length var_name_ids then var_name_ids.(i) else Vocab.unk_id
-        in
-        Autodiff.concat tape
-          [ Embedding_layer.embed_id t.embedding tape name_id; embed_value t tape tokens ])
-      (Array.to_list vars)
-  in
-  Rnn_cell.last t.f2 tape inputs
-
-(* Embed the k-th concrete trace of an encoded path. *)
-let encode_concrete t tape ~var_name_ids (tr : Common.enc_trace) k =
-  let h = ref (Rnn_cell.init_state t.trace_rnn tape) in
-  let mem = ref [] in
-  Array.iter
-    (fun (step : Common.enc_step) ->
-      let x = embed_state t tape ~var_name_ids step.Common.var_tokens.(k) in
-      h := Rnn_cell.step t.trace_rnn tape ~h:!h ~x;
-      mem := !h :: !mem)
-    tr.Common.steps;
-  (List.rev !mem, !h)
-
-(** Encode every concrete trace the view exposes; program embedding is the
-    max-pool over trace embeddings. *)
-let encode t tape ?(view = Common.full_view) (ex : Common.enc_example) =
-  let var_name_ids = ex.Common.var_name_ids in
-  let mems = ref [] and finals = ref [] in
-  Array.iter
-    (fun tr ->
-      for k = 0 to Common.select_concrete view tr - 1 do
-        let mem, final = encode_concrete t tape ~var_name_ids tr k in
-        mems := mem :: !mems;
-        finals := final :: !finals
-      done)
-    (Common.select_traces view ex);
-  let finals = Array.of_list (List.rev !finals) in
-  let program_embedding =
-    if Array.length finals = 0 then
-      Autodiff.const tape (Array.make (Rnn_cell.dim_hidden t.trace_rnn) 0.0)
-    else Autodiff.max_pool tape finals
-  in
-  (program_embedding, Array.of_list (List.concat (List.rev !mems)))
-
-let loss t tape ?view (ex : Common.enc_example) =
-  let program_embedding, memory = encode t tape ?view ex in
-  match (t.task, t.decoder, t.classifier) with
-  | Liger_model.Naming, Some dec, _ ->
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:ex.Common.target_ids
-  | Liger_model.Classify _, _, Some cls -> (
-      let logits = Linear.forward cls tape program_embedding in
-      match ex.Common.target_ids with
-      | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-      | _ -> invalid_arg "Dypro.loss: classification target must be one class")
-  | _ -> invalid_arg "Dypro.loss: task/head mismatch"
-
-let predict_name t tape ?view (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Dypro.predict_name: not a naming model"
-  | Some dec ->
-      let program_embedding, memory = encode t tape ?view ex in
-      List.map (Vocab.name t.vocab) (Decoder.decode dec tape ~memory ~program_embedding)
-
-let predict_class t tape ?view (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Dypro.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _ = encode t tape ?view ex in
-      Tensor.argmax (Autodiff.value (Linear.forward cls tape program_embedding))
-
-(** The program embedding vector itself (frozen; for probing). *)
-let embed_program t ?view (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let program_embedding, _ = encode t tape ?view ex in
-  let v = Array.copy (Autodiff.value program_embedding) in
-  Autodiff.discard tape;
-  v
-
-(** Frozen per-statement embeddings (same contract as
-    {!Liger_core.Liger_model.statement_embeddings}): per statement id, the
-    mean of every trace-RNN state produced while executing that statement,
-    over all concrete traces the view exposes. *)
-let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (tr : Common.enc_trace) ->
-      for k = 0 to Common.select_concrete view tr - 1 do
-        let mem, _ = encode_concrete t tape ~var_name_ids:ex.Common.var_name_ids tr k in
-        List.iteri
-          (fun j h ->
-            let sid = tr.Common.steps.(j).Common.memo_key lsr 1 in
-            let v = Autodiff.value h in
-            match Hashtbl.find_opt tbl sid with
-            | Some (sum, n) ->
-                Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
-                Hashtbl.replace tbl sid (sum, n + 1)
-            | None -> Hashtbl.add tbl sid (Array.copy v, 1))
-          mem
-      done)
-    (Common.select_traces view ex);
-  Autodiff.discard tape;
-  Hashtbl.fold
-    (fun sid (sum, n) acc ->
-      (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ===== Batched encoding (flat Bigarray engine) =====
+(* ===== Encoding (flat Bigarray engine) =====
 
    One lane of the trace GRU per (trace, concrete execution) pair across
-   the batch, grouped by example in the unbatched order.  Every distinct
-   (variable names, state) pair is embedded once by {!Batch_pack.States};
-   lanes pool into their example with [group_max], and the decoder memory
-   keeps the unbatched (trace, execution, step) order.  The result is a
+   the batch, grouped by example in (trace, execution) order.  Every
+   distinct (variable names, state) pair is embedded once by
+   {!Batch_pack.States}; lanes pool into their example with [group_max]
+   (the max-pool over trace embeddings), and the decoder memory keeps the
+   (trace, execution, step) order.  The result is a
    {!Liger_model.batch_encoding}. *)
 
 let encode_batch t btape ~view (exs : Common.enc_example array) =
@@ -228,8 +113,7 @@ let encode_batch t btape ~view (exs : Common.enc_example array) =
     }
   end
 
-(** Batched training loss: per-example losses as a [G×1] node on [btape];
-    per lane equal to {!loss} up to float reassociation. *)
+(** Training loss: per-example losses as a [G×1] node on [btape]. *)
 let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
   let enc = encode_batch t btape ~view exs in
   match (t.task, t.decoder, t.classifier) with
@@ -243,22 +127,52 @@ let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example arra
         exs ~who:"Dypro.loss_batch"
   | _ -> invalid_arg "Dypro.loss_batch: task/head mismatch"
 
-(** Batched greedy naming prediction; one sub-token list per example. *)
+(* one gradient-free forward over [exs]: [f] reads the encoding *)
+let infer t ~view exs f =
+  Batch_pack.infer exs (fun btape -> f btape (encode_batch t btape ~view exs))
+
+(** Program embeddings (frozen; for probing and the drift probe): one
+    forward over the batch, one vector per example. *)
+let embed_programs t ?(view = Common.full_view) exs =
+  infer t ~view exs (fun _ enc ->
+      Array.init (Array.length exs) (fun g -> Batched.row_value enc.Liger_model.benc_prog g))
+
+(** Frozen program and per-statement embeddings, one forward over the
+    batch (same contract as {!Liger_core.Liger_model.embed_statements}):
+    per statement id, the mean of every trace-RNN state produced while
+    executing that statement, over all concrete traces the view exposes. *)
+let embed_statements t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  let sids ex =
+    Array.concat
+      (List.concat_map
+         (fun (tr : Common.enc_trace) ->
+           let row =
+             Array.map (fun (s : Common.enc_step) -> s.Common.memo_key lsr 1) tr.Common.steps
+           in
+           List.init (Common.select_concrete view tr) (fun _ -> row))
+         (Array.to_list (Common.select_traces view ex)))
+  in
+  infer t ~view exs (fun _ enc ->
+      Array.mapi
+        (fun g ex ->
+          ( Batched.row_value enc.Liger_model.benc_prog g,
+            Batch_pack.statement_means enc.Liger_model.benc_mem g (sids ex) ))
+        exs)
+
+(** Greedy naming prediction; one sub-token list per example. *)
 let predict_name_batch t ?(view = Common.full_view) exs =
   match t.decoder with
   | None -> invalid_arg "Dypro.predict_name_batch: not a naming model"
   | Some dec ->
-      Batch_pack.infer exs (fun btape ->
-          let enc = encode_batch t btape ~view exs in
+      infer t ~view exs (fun btape enc ->
           Decoder.decode_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
             ~program_embedding:enc.benc_prog
           |> Array.map (List.map (Vocab.name t.vocab)))
 
-(** Batched class prediction; one class id per example. *)
+(** Class prediction; one class id per example. *)
 let predict_class_batch t ?(view = Common.full_view) exs =
   match t.classifier with
   | None -> invalid_arg "Dypro.predict_class_batch: not a classification model"
   | Some cls ->
-      Batch_pack.infer exs (fun btape ->
-          let enc = encode_batch t btape ~view exs in
+      infer t ~view exs (fun btape enc ->
           Batch_pack.argmax_rows (Linear.forward_batch cls btape enc.benc_prog))

@@ -75,7 +75,7 @@ module States = struct
       the state's fixed order), adding it if no equal state was added
       before.  [~names] gives the variable-name token per position, used
       only by a packer created with names; positions past its end use the
-      unknown token, as the unbatched encoder does. *)
+      unknown token. *)
   let add t ?(names = [||]) (vars : int array array) =
     let names = if t.names then names else [||] in
     let memo =
@@ -198,8 +198,7 @@ let slots btape src (rows : int array array) =
 (** Decoder memory of a batched trace recurrence: [states] holds one
     [lanes × dim] node per step, every lane included (a finished lane's
     row carries its last state).  An example's memory is its lanes' states
-    in (lane, step) order, over each lane's [n_steps] real steps — the
-    order of the unbatched encoders. *)
+    in (lane, step) order, over each lane's [n_steps] real steps. *)
 let trace_memory btape states ~lane_ex ~n_steps ~n_groups ~dim =
   match states with
   | [] -> ([| Batched.zeros btape ~rows:n_groups ~cols:dim |], Tensor.zeros n_groups 1)
@@ -214,6 +213,26 @@ let trace_memory btape states ~lane_ex ~n_steps ~n_groups ~dim =
         done
       done;
       slots btape all (Array.map (fun rs -> Array.of_list (List.rev rs)) rows_rev)
+
+(** [statement_means memory g sids]: per statement id, the mean of lane
+    [g]'s memory slots that execute it, where [sids.(m)] is the statement
+    id of slot [m] (slots past [sids] are not read).  Returns [(sid,
+    vector)] pairs in statement-id order. *)
+let statement_means (memory : Batched.node array) g (sids : int array) =
+  let tbl = Hashtbl.create 16 in
+  Array.iteri
+    (fun m sid ->
+      let v = Batched.row_value memory.(m) g in
+      match Hashtbl.find_opt tbl sid with
+      | Some (sum, n) ->
+          Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
+          Hashtbl.replace tbl sid (sum, n + 1)
+      | None -> Hashtbl.add tbl sid (v, 1))
+    sids;
+  Hashtbl.fold
+    (fun sid (sum, n) acc -> (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
+    tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (** [flatten items] concatenates per-example item arrays into one array
     of lanes; returns it with each example's lane indices (its rows) and

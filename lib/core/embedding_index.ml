@@ -37,17 +37,13 @@ let nearest t ?(k = 5) query =
   |> List.filteri (fun i _ -> i < k)
 
 (** Index every example of a corpus under its label/name using a trained
-    model's program embeddings. *)
+    model's program embeddings (one forward over the whole corpus). *)
 let of_examples model examples ~key_of =
-  let dim =
-    match examples with
-    | [] -> invalid_arg "Embedding_index.of_examples: empty"
-    | ex :: _ -> Array.length (Liger_model.embed_program model ex)
-  in
-  let t = create ~dim in
-  List.iter
-    (fun ex -> add t ~key:(key_of ex) (Liger_model.embed_program model ex))
-    examples;
+  if examples = [] then invalid_arg "Embedding_index.of_examples: empty";
+  let exs = Array.of_list examples in
+  let vectors = Liger_model.embed_programs model exs in
+  let t = create ~dim:(Array.length vectors.(0)) in
+  Array.iteri (fun i ex -> add t ~key:(key_of ex) vectors.(i)) exs;
   t
 
 (** Retrieve nearest programs to a fresh example. *)

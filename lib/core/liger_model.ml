@@ -100,190 +100,28 @@ let store t = t.store
 let vocab t = t.vocab
 let num_params t = Param.num_params t.store
 
-(* TreeLSTM over an interned tree. *)
-let rec itree_state t tape (tree : Common.itree) =
-  let cell = Option.get t.treelstm in
-  match tree with
-  | Common.ILeaf id -> Treelstm.node_state cell tape (Embedding_layer.embed_id t.embedding tape id) []
-  | Common.INode (id, children) ->
-      Treelstm.node_state cell tape
-        (Embedding_layer.embed_id t.embedding tape id)
-        (List.map (itree_state t tape) children)
-
-(* Embedding of one variable's value: a single token embeds directly
-   (primitive types), composites run through f1 (Equation 3). *)
-let embed_variable t tape (tokens : int array) =
-  if Array.length tokens = 1 then Embedding_layer.embed_id t.embedding tape tokens.(0)
-  else
-    let f1 = Option.get t.f1 in
-    Rnn_cell.last f1 tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) (Array.to_list tokens))
-
-(* Embedding of one program state: f2 over the fixed-order variables. *)
-let embed_state t tape (vars : int array array) =
-  let f2 = Option.get t.f2 in
-  Rnn_cell.last f2 tape (List.map (embed_variable t tape) (Array.to_list vars))
-
 (** Per-encode diagnostics: average fusion attention allocated to the static
     feature vector (§6.1.2 reports ~0.598). *)
 type stats = { mutable static_weight_sum : float; mutable fused_steps : int }
+
+let new_stats () = { static_weight_sum = 0.0; fused_steps = 0 }
 
 let mean_static_weight s =
   if s.fused_steps = 0 then Float.nan
   else s.static_weight_sum /. float_of_int s.fused_steps
 
-(* Encode one blended trace; returns (per-step H^e_{i,j} list, final H^e_i). *)
-let encode_trace t tape ~view ~tree_memo ~stats (tr : Common.enc_trace) =
-  let n_concrete = Common.select_concrete view tr in
-  let h_trace = ref (Rnn_cell.init_state t.f3 tape) in
-  let mem = ref [] in
-  Array.iteri
-    (fun j (step : Common.enc_step) ->
-      let static_vec =
-        if t.config.use_static then
-          Some
-            (match Hashtbl.find_opt tree_memo step.Common.memo_key with
-            | Some h -> h
-            | None ->
-                let h = fst (itree_state t tape step.Common.tree) in
-                Hashtbl.add tree_memo step.Common.memo_key h;
-                h)
-        else None
-      in
-      let dyn_vecs =
-        if t.config.use_dynamic then
-          List.init n_concrete (fun k -> embed_state t tape step.Common.var_tokens.(k))
-        else []
-      in
-      let candidates =
-        Array.of_list (Option.to_list static_vec @ dyn_vecs)
-      in
-      let h_j =
-        if Array.length candidates = 1 then candidates.(0)
-        else
-          match t.fusion with
-          | Some att when j > 0 && t.config.use_attention ->
-              let w, fused = Attention.fuse att tape ~q:!h_trace candidates in
-              if t.config.use_static then begin
-                stats.static_weight_sum <- stats.static_weight_sum +. (Autodiff.value w).(0);
-                stats.fused_steps <- stats.fused_steps + 1
-              end;
-              fused
-          | _ -> snd (Attention.fuse_uniform tape candidates)
-      in
-      h_trace := Rnn_cell.step t.f3 tape ~h:!h_trace ~x:h_j;
-      mem := !h_trace :: !mem)
-    tr.Common.steps;
-  (List.rev !mem, !h_trace)
+(* ===== Encoding (flat Bigarray engine; see DESIGN.md) =====
 
-(** Encode a whole program under a view; returns the program embedding H_P,
-    the decoder memory {H^e_{i,j}} and fusion statistics. *)
-let encode t tape ?(view = Common.full_view) (ex : Common.enc_example) =
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-  let tree_memo = Hashtbl.create 32 in
-  let traces = Common.select_traces view ex in
-  let mems, finals =
-    Array.fold_left
-      (fun (mems, finals) tr ->
-        let mem, final = encode_trace t tape ~view ~tree_memo ~stats tr in
-        (mem :: mems, final :: finals))
-      ([], []) traces
-  in
-  let finals = Array.of_list (List.rev finals) in
-  let program_embedding =
-    if Array.length finals = 0 then Autodiff.const tape (Array.make t.config.dim 0.0)
-    else Autodiff.max_pool tape finals
-  in
-  let memory = Array.of_list (List.concat (List.rev mems)) in
-  (program_embedding, memory, stats)
-
-(** Training loss of one example (teacher-forced NLL for naming,
-    cross-entropy for classification). *)
-let loss t tape ?view (ex : Common.enc_example) =
-  let program_embedding, memory, stats = encode t tape ?view ex in
-  let l =
-    match (t.task, t.decoder, t.classifier) with
-    | Naming, Some dec, _ ->
-        Decoder.loss dec tape ~memory ~program_embedding ~target_ids:ex.Common.target_ids
-    | Classify _, _, Some cls -> (
-        let logits = Linear.forward cls tape program_embedding in
-        match ex.Common.target_ids with
-        | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-        | _ -> invalid_arg "Liger_model.loss: classification target must be one class")
-    | _ -> invalid_arg "Liger_model.loss: task/head mismatch"
-  in
-  (l, stats)
-
-(** Predict sub-token ids (naming) — greedy decoding. *)
-let predict_name_ids t tape ?view (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Liger_model.predict_name_ids: not a naming model"
-  | Some dec ->
-      let program_embedding, memory, _ = encode t tape ?view ex in
-      Decoder.decode dec tape ~memory ~program_embedding
-
-(** Predict sub-tokens as strings. *)
-let predict_name t tape ?view ex =
-  List.map (Vocab.name t.vocab) (predict_name_ids t tape ?view ex)
-
-(** Predict a class id (classification). *)
-let predict_class t tape ?view (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Liger_model.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _, _ = encode t tape ?view ex in
-      let logits = Linear.forward cls tape program_embedding in
-      Tensor.argmax (Autodiff.value logits)
-
-(** The program embedding vector itself (for downstream use / examples). *)
-let embed_program t ?view (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let program_embedding, _, _ = encode t tape ?view ex in
-  let v = Array.copy (Autodiff.value program_embedding) in
-  Autodiff.discard tape;
-  v
-
-(** Frozen per-statement embeddings for the probing readouts
-    ({!Liger_eval.Probe}): for each statement id, the mean of every step
-    embedding H^e_{i,j} whose blended-trace step executes that statement,
-    over all traces the view exposes.  Returns [(sid, vector)] pairs in
-    statement-id order. *)
-let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-  let tree_memo = Hashtbl.create 32 in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (tr : Common.enc_trace) ->
-      let mem, _ = encode_trace t tape ~view ~tree_memo ~stats tr in
-      List.iteri
-        (fun j h ->
-          let sid = tr.Common.steps.(j).Common.memo_key lsr 1 in
-          let v = Autodiff.value h in
-          match Hashtbl.find_opt tbl sid with
-          | Some (sum, n) ->
-              Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
-              Hashtbl.replace tbl sid (sum, n + 1)
-          | None -> Hashtbl.add tbl sid (Array.copy v, 1))
-        mem)
-    (Common.select_traces view ex);
-  Autodiff.discard tape;
-  Hashtbl.fold
-    (fun sid (sum, n) acc ->
-      (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ===== Batched encoding (flat Bigarray engine; see DESIGN.md) =====
-
-   One batched tape encodes a whole mini-batch: trace lanes across all
-   examples run fusion + f3 step by step, each step computing only the
-   lanes whose trace is still running, statement trees are deduplicated
-   batch-wide by [memo_key] and embedded as one level-packed forest, and
-   f1/f2 pack every composite variable / program state in the batch into
-   single live-lane-compacted recurrences.  Finished lanes and padded
-   slots carry exactly zero gradient (untouched rows, masked softmax,
-   weight-0 losses), so results match the per-example path. *)
+   One tape encodes a whole mini-batch (a single example is a batch of
+   one): trace lanes across all examples run fusion + f3 step by step,
+   each step computing only the lanes whose trace is still running,
+   statement trees are deduplicated batch-wide by [memo_key] and embedded
+   as one level-packed forest, and f1/f2 pack every composite variable /
+   program state in the batch into single live-lane-compacted
+   recurrences.  Finished lanes and padded slots carry exactly zero
+   gradient (untouched rows, masked softmax, weight-0 losses), and every
+   lane is computed from its own rows alone, so an example's results do
+   not depend on the rest of its batch. *)
 
 type batch_encoding = {
   benc_prog : Batched.node;          (* G × d program embeddings *)
@@ -316,7 +154,7 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
   let d = t.config.dim in
   let g_n = Array.length exs in
   if g_n = 0 then invalid_arg "Liger_model.encode_batch: empty batch";
-  (* Trace lanes, grouped by example in order (= unbatched memory order). *)
+  (* Trace lanes, grouped by example in order (= decoder memory order). *)
   let lane_ex_rev = ref [] and lane_tr_rev = ref [] in
   Array.iteri
     (fun g ex ->
@@ -455,7 +293,7 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
       mem_nodes_rev := !h_trace :: !mem_nodes_rev
     done;
     (* program embedding: max over each example's trace finals; an example
-       with no traces gets an exactly-zero row (matches the zeros const). *)
+       with no traces gets an exactly-zero row *)
     let benc_prog = Batched.group_max btape !h_trace ~groups:lane_ex ~n_groups:g_n in
     (* decoder memory: per example, its lanes' steps in (trace, step) order *)
     let benc_mem, benc_mem_mask =
@@ -465,11 +303,11 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
     { benc_prog; benc_mem; benc_mem_mask }
   end
 
-(** Batched training loss over a mini-batch: per-example losses as a [G×1]
-    node on [btape], plus fusion statistics.  Per-lane results match {!loss}
-    on each example up to float reassociation. *)
+(** Training loss over a mini-batch (teacher-forced NLL for naming,
+    cross-entropy for classification): per-example losses as a [G×1] node
+    on [btape], plus fusion statistics. *)
 let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
+  let stats = new_stats () in
   let enc = encode_batch t btape ~view ~stats exs in
   let losses =
     match (t.task, t.decoder, t.classifier) with
@@ -485,35 +323,65 @@ let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example arra
   in
   (losses, stats)
 
-(** Batched program embeddings: one forward over a [G]-lane batch, one
-    vector per example.  This is the serving entry point ([liger serve]):
-    the batched forward deduplicates trees/states and gathers exact rows,
-    so each lane's vector is bitwise identical whether the example is
-    embedded alone or inside a larger batch — the property the request
-    coalescer's equality test pins down. *)
+(* one gradient-free forward over [exs]: [f] reads the encoding *)
+let infer t ~view ?(stats = new_stats ()) exs f =
+  Batch_pack.infer exs (fun btape -> f btape (encode_batch t btape ~view ~stats exs))
+
+(** Program embeddings: one forward over a [G]-lane batch, one vector per
+    example.  This is the serving entry point ([liger serve]): the forward
+    deduplicates trees/states and gathers exact rows, so each lane's
+    vector is bitwise identical whether the example is embedded alone or
+    inside a larger batch — the property the request coalescer's equality
+    test pins down. *)
 let embed_programs t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  Batch_pack.infer exs (fun btape ->
-      let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-      let enc = encode_batch t btape ~view ~stats exs in
+  infer t ~view exs (fun _ enc ->
       Array.init (Array.length exs) (fun g -> Batched.row_value enc.benc_prog g))
 
-(** Batched greedy naming prediction; one id list per example. *)
+(** The program embedding of one example (a one-lane {!embed_programs}). *)
+let embed_program t ?view ex = (embed_programs t ?view [| ex |]).(0)
+
+(** Fusion statistics of one forward over [exs] (§6.1.2's attention
+    inspection). *)
+let fusion_stats t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  let stats = new_stats () in
+  ignore (infer t ~view ~stats exs (fun _ _ -> [||]));
+  stats
+
+(** Frozen program and per-statement embeddings for the probing readouts
+    ({!Liger_eval.Probe}), one forward over the batch.  Per example: its
+    program embedding, and for each statement id the mean of every step
+    embedding H^e_{i,j} whose blended-trace step executes that statement,
+    over all traces the view exposes, as [(sid, vector)] pairs in
+    statement-id order.  The step embeddings are the decoder memory, laid
+    out per example in (trace, step) order. *)
+let embed_statements t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  let sids ex =
+    Array.concat
+      (List.map
+         (fun (tr : Common.enc_trace) ->
+           Array.map (fun (s : Common.enc_step) -> s.Common.memo_key lsr 1) tr.Common.steps)
+         (Array.to_list (Common.select_traces view ex)))
+  in
+  infer t ~view exs (fun _ enc ->
+      Array.mapi
+        (fun g ex ->
+          ( Batched.row_value enc.benc_prog g,
+            Batch_pack.statement_means enc.benc_mem g (sids ex) ))
+        exs)
+
+(** Greedy naming prediction; one id list per example. *)
 let predict_name_ids_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
   match t.decoder with
   | None -> invalid_arg "Liger_model.predict_name_ids_batch: not a naming model"
   | Some dec ->
-      Batch_pack.infer exs (fun btape ->
-          let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-          let enc = encode_batch t btape ~view ~stats exs in
+      infer t ~view exs (fun btape enc ->
           Decoder.decode_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
             ~program_embedding:enc.benc_prog)
 
-(** Batched class prediction; one class id per example. *)
+(** Class prediction; one class id per example. *)
 let predict_class_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
   match t.classifier with
   | None -> invalid_arg "Liger_model.predict_class_batch: not a classification model"
   | Some cls ->
-      Batch_pack.infer exs (fun btape ->
-          let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-          let enc = encode_batch t btape ~view ~stats exs in
+      infer t ~view exs (fun btape enc ->
           Batch_pack.argmax_rows (Linear.forward_batch cls btape enc.benc_prog))

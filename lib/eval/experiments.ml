@@ -131,15 +131,13 @@ let task_of ctx = function
       ignore ctx;
       Liger_model.Naming
 
-(* mean fusion-attention weight on the static dimension over a split *)
+(* mean fusion-attention weight on the static dimension over a split: the
+   mean over examples of each example's own mean, from a one-lane forward *)
 let measure_attention model view examples =
   let sum = ref 0.0 and n = ref 0 in
   List.iter
     (fun ex ->
-      let tape = Autodiff.tape () in
-      let _, _, stats = Liger_model.encode model tape ~view ex in
-      Autodiff.discard tape;
-      let w = Liger_model.mean_static_weight stats in
+      let w = Liger_model.mean_static_weight (Liger_model.fusion_stats model ~view [| ex |]) in
       if Float.is_finite w then begin
         sum := !sum +. w;
         incr n

@@ -19,67 +19,78 @@ open Liger_nn
 open Liger_core
 module Probing = Liger_dataset.Probing
 
-(** A frozen encoder: everything the probe may see of a model. *)
+(** A frozen encoder: everything the probe may see of a model.  [e_embed]
+    embeds a batch in one forward: per example, its program embedding and
+    its per-statement [(sid, vector)] pairs. *)
 type embedder = {
   e_name : string;
-  e_program : Common.enc_example -> float array;
-  e_statements : Common.enc_example -> (int * float array) list;
+  e_embed : Common.enc_example array -> (float array * (int * float array) list) array;
 }
 
 let of_liger ?view (model : Liger_model.t) =
-  {
-    e_name = "LiGer";
-    e_program = (fun ex -> Liger_model.embed_program model ?view ex);
-    e_statements = (fun ex -> Liger_model.statement_embeddings model ?view ex);
-  }
+  { e_name = "LiGer"; e_embed = Liger_model.embed_statements model ?view }
 
 let of_dypro ?view (model : Liger_baselines.Dypro.t) =
-  {
-    e_name = "DYPRO";
-    e_program = (fun ex -> Liger_baselines.Dypro.embed_program model ?view ex);
-    e_statements = (fun ex -> Liger_baselines.Dypro.statement_embeddings model ?view ex);
-  }
+  { e_name = "DYPRO"; e_embed = Liger_baselines.Dypro.embed_statements model ?view }
 
-(* (probe vector, class) pairs of one task over a split.  Statements the
-   encoded traces never execute have no vector and contribute nothing. *)
-let task_data emb task examples =
+(* examples per embedding forward *)
+let chunk = 16
+
+(* Every example of a split embedded once (one forward per chunk), with
+   its probe labels. *)
+let embed_split emb examples =
   List.concat_map
-    (fun (ex : Common.enc_example) ->
-      let prog = emb.e_program ex in
-      let stmts = emb.e_statements ex in
-      Liger_dataset.Probing.label_method ex.Common.meth
-      |> List.filter_map (fun (l : Probing.example) ->
-             if l.Probing.p_task <> task then None
-             else
-               match List.assoc_opt l.Probing.p_sid stmts with
-               | Some v -> Some (Array.append prog v, l.Probing.p_class)
-               | None -> None))
-    examples
+    (fun c ->
+      List.map2
+        (fun (ex : Common.enc_example) e -> (Probing.label_method ex.Common.meth, e))
+        (Array.to_list c)
+        (Array.to_list (emb.e_embed c)))
+    (Train.chunk_list chunk examples)
 
-(* Train one linear readout; returns the trained predictor. *)
+(* (probe vector, class) pairs of one task over an embedded split.
+   Statements the encoded traces never execute have no vector and
+   contribute nothing. *)
+let task_data task embedded =
+  List.concat_map
+    (fun (labels, (prog, stmts)) ->
+      List.filter_map
+        (fun (l : Probing.example) ->
+          if l.Probing.p_task <> task then None
+          else
+            match List.assoc_opt l.Probing.p_sid stmts with
+            | Some v -> Some (Array.append prog v, l.Probing.p_class)
+            | None -> None)
+        labels)
+    embedded
+
+(* Train one linear readout (one Adam step per example); returns the
+   trained predictor. *)
 let fit_readout ?(epochs = 40) ?(lr = 0.02) rng ~classes train =
   let dim_in = match train with (v, _) :: _ -> Array.length v | [] -> 1 in
   let store = Param.create_store ~seed:(Rng.int rng 1_000_000) () in
   let lin = Linear.create store "probe" ~dim_in ~dim_out:classes in
+  let logits tape v =
+    Linear.forward_batch lin tape (Batched.const_arr tape ~rows:1 ~cols:dim_in v)
+  in
   let opt = Optimizer.adam ~lr () in
   let arr = Array.of_list train in
   for _ = 1 to epochs do
     Rng.shuffle rng arr;
     Array.iter
       (fun (v, c) ->
-        let tape = Autodiff.tape () in
-        let logits = Linear.forward lin tape (Autodiff.const tape v) in
-        let loss = fst (Autodiff.softmax_cross_entropy tape logits c) in
-        Autodiff.backward tape loss;
+        let tape = Batched.tape () in
+        let loss, _ =
+          Batched.softmax_xent_rows tape (logits tape v) ~targets:[| c |] ~weights:[| 1.0 |]
+        in
+        Batched.backward tape loss;
         let norm = Optimizer.clip_grads store ~max_norm:5.0 in
         if Float.is_finite norm then Optimizer.step opt store)
       arr
   done;
   fun v ->
-    let tape = Autodiff.tape () in
-    let logits = Linear.forward lin tape (Autodiff.const tape v) in
-    let c = Tensor.argmax (Autodiff.value logits) in
-    Autodiff.discard tape;
+    let tape = Batched.tape () in
+    let c = Tensor.argmax (Batched.row_value (logits tape v) 0) in
+    Batched.discard tape;
     c
 
 type row = {
@@ -95,11 +106,12 @@ type report = { model : string; rows : row list }
 (** Probe a frozen encoder over all tasks.  Tasks with no train or no test
     examples (a degenerate corpus) are omitted rather than reported as 0. *)
 let probe ?epochs ?lr rng emb ~train ~test : report =
+  let train = embed_split emb train and test = embed_split emb test in
   let rows =
     List.filter_map
       (fun task ->
-        let tr = task_data emb task train in
-        let te = task_data emb task test in
+        let tr = task_data task train in
+        let te = task_data task test in
         if tr = [] || te = [] then None
         else begin
           let classes = Probing.classes task in

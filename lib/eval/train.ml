@@ -15,11 +15,11 @@ module Health = Liger_obs.Health
 
 type prediction = Subtokens of string list | Class of int
 
-(** Mini-batch hooks on the flat-Bigarray batched engine.  {!fit} takes
-    one optimizer step per chunk of [options.batch_size] examples on the
-    averaged per-example losses, and {!predictions} runs one batched
-    forward pass per chunk; batch size 1 is a one-lane tape.  Every model
-    {!fit} and {!predictions} accept must have them. *)
+(** Mini-batch hooks on the {!Batched} engine.  {!fit} takes one
+    optimizer step per chunk of [options.batch_size] examples on the
+    averaged per-example losses, and {!predictions} runs one forward pass
+    per chunk; batch size 1 is a one-lane tape.  Every model {!fit} and
+    {!predictions} accept must have them. *)
 type batched = {
   train_loss_batch : Batched.tape -> Common.enc_example array -> Batched.node;
       (* G examples -> G×1 per-example losses *)
@@ -29,15 +29,25 @@ type batched = {
 type model = {
   name : string;
   store : Param.store;
-  train_loss : Autodiff.tape -> Common.enc_example -> Autodiff.node;
-      (* per-example reference loss on the [Autodiff] tape, for the
-         batched-equivalence tests; [fit] does not use it *)
-  predict : Common.enc_example -> prediction;
+  train_loss : Batched.tape -> Common.enc_example -> Batched.node;
+      (* one example's 1×1 loss: the one-lane [train_loss_batch]; [fit]
+         does not use it *)
   batched : batched option;  (* required by [fit] and [predictions] *)
-  embed : (Common.enc_example -> float array) option;
-      (* program-embedding extractor; enables the dynamics drift probe
-         (models without a single-vector embedding leave it [None]) *)
+  embed : (Common.enc_example array -> float array array) option;
+      (* program embeddings, one forward per call; enables the dynamics
+         drift probe (models without a single-vector embedding leave it
+         [None]) *)
 }
+
+(** The model record over its batched hooks. *)
+let make ~name ~store ?embed hooks =
+  {
+    name;
+    store;
+    train_loss = (fun tape ex -> hooks.train_loss_batch tape [| ex |]);
+    batched = Some hooks;
+    embed;
+  }
 
 type options = {
   epochs : int;
@@ -87,8 +97,8 @@ let batched_hooks model =
   | None -> invalid_arg ("Train: model " ^ model.name ^ " has no batched hooks")
 
 (** Prediction/gold pairs over a split, in input order.  Chunks of
-    [?batch] examples (default 1: one-lane tapes) each run one batched
-    forward pass, on the {!Liger_parallel.Parallel} pool. *)
+    [?batch] examples (default 1: one-lane tapes) each run one forward
+    pass, on the {!Liger_parallel.Parallel} pool. *)
 let predictions ?(batch = 1) model examples =
   Obs.Span.with_ ~name:"train.predictions"
     ~args:(fun () ->
@@ -128,9 +138,9 @@ type history = {
                            so best-epoch selection carried no information *)
 }
 
-(** Forward and backward of one optimizer step's chunk on a fresh batched
-    tape: the gradient of the chunk's mean loss accumulates into the
-    model's parameters.  Returns the per-example losses. *)
+(** Forward and backward of one optimizer step's chunk on a fresh tape:
+    the gradient of the chunk's mean loss accumulates into the model's
+    parameters.  Returns the per-example losses. *)
 let backward_chunk hooks chunk =
   let btape = Batched.tape () in
   let per_ex = hooks.train_loss_batch btape chunk in
@@ -165,7 +175,8 @@ let fit_inner ~options ~hooks rng model ~train ~valid =
   let skipped = ref 0 in
   (* dynamics drift probe: a frozen set of up to 16 examples (validation
      preferred — the probe should not move just because it was trained on)
-     re-embedded after every epoch to measure embedding-space drift *)
+     re-embedded in one forward after every epoch to measure
+     embedding-space drift *)
   let probe =
     match model.embed with
     | Some _ when Dynamics.on () ->
@@ -176,7 +187,7 @@ let fit_inner ~options ~hooks rng model ~train ~valid =
   let observe_probe () =
     match model.embed with
     | Some embed when Dynamics.on () && Array.length probe >= 2 ->
-        Dynamics.observe_embeddings ~id:model.name (Array.map embed probe)
+        Dynamics.observe_embeddings ~id:model.name (embed probe)
     | _ -> ()
   in
   (* leave a breadcrumb per firing health rule so a postmortem shows when

@@ -15,8 +15,9 @@
                        return values; the return-value slicer preserves
                        returned values;
     5. [autodiff]    — backprop gradients match central finite differences
-                       on randomly shaped model fragments (ignores the
-                       program: the random shapes come from the seed);
+                       on randomly shaped, multi-lane model fragments
+                       (ignores the program: the random shapes come from
+                       the seed);
     6. [absint]      — every concrete state observed by the interpreter
                        lies inside the abstract interpreter's interval ×
                        parity envelope at that statement;
@@ -249,26 +250,31 @@ let check_analysis ~seed (m : Ast.meth) =
 (* ------------------------------------------------------------------ *)
 
 (* Finite differences in float64 with eps = 1e-5 leave ~1e-6 of truncation
-   and cancellation noise on O(1) values, so the relative tolerance is 5e-3
-   — the fragments below stack several nonlinearities, which amplifies the
-   noise beyond what a single layer needs (2e-3 in test_nn.ml). *)
+   and cancellation noise on O(1) values, so the default relative
+   tolerance is 5e-3 — the fragments below stack several nonlinearities,
+   which amplifies the noise beyond what a single layer needs (the layer
+   tests pass a tighter [~tol]). *)
 let fd_eps = 1e-5
 let fd_tol = 5e-3
 
-let grad_check store build =
-  let tape = Autodiff.tape () in
+(** [grad_check ?tol store build] compares the backward gradient of every
+    parameter entry in [store] with its central finite difference, where
+    [build] records a 1×1 loss on a fresh tape from scratch each call.  A
+    mismatch beyond [tol] relative to [1 + |numeric|] fails with the first
+    offending entry.  Inputs whose gradient matters are parameters too. *)
+let grad_check ?(tol = fd_tol) store build =
+  let tape = Batched.tape () in
   let loss = build tape in
-  Autodiff.backward tape loss;
+  Batched.backward tape loss;
   let grads =
     Param.fold store ~init:[] (fun acc p ->
         (p.Param.name, Tensor.to_array p.Param.grad) :: acc)
   in
   Param.zero_grads store;
   let eval () =
-    let tape = Autodiff.tape () in
-    let l = build tape in
-    let v = Autodiff.scalar_value l in
-    Autodiff.discard tape;
+    let tape = Batched.tape () in
+    let v = Batched.scalar_value (build tape) in
+    Batched.discard tape;
     v
   in
   let bad = ref None in
@@ -286,7 +292,7 @@ let grad_check store build =
               let down = eval () in
               Tensor.set_idx value i orig;
               let numeric = (up -. down) /. (2.0 *. fd_eps) in
-              if Float.abs (analytic.(i) -. numeric) > fd_tol *. (1.0 +. Float.abs numeric)
+              if Float.abs (analytic.(i) -. numeric) > tol *. (1.0 +. Float.abs numeric)
               then
                 bad :=
                   Some
@@ -305,65 +311,90 @@ let rec rand_tree rng depth =
   else
     Encode.Node (label, List.init (Rng.int_range rng 1 3) (fun _ -> rand_tree rng (depth - 1)))
 
-(* A randomly shaped fragment touching one of the layer families; loss is
-   always sum(y*y) over the final vector so it is a scalar. *)
+(* A randomly shaped fragment touching one of the layer families, over
+   1-3 lanes; recurrences get ragged lengths (masked steps), attention a
+   random validity mask.  The loss is sum(y*y) over the final node, a
+   1×1 scalar. *)
 let check_autodiff ~seed (_ : Ast.meth) =
   let rng = Rng.create seed in
   let store = Param.create_store ~seed:(1 + (seed land 0xFFFF)) () in
+  let lanes = Rng.int_range rng 1 3 in
   let d_in = Rng.int_range rng 2 4 in
   let d_h = Rng.int_range rng 2 4 in
   let steps = Rng.int_range rng 1 3 in
-  let xs = List.init steps (fun _ -> rand_vec rng d_in) in
-  let scalarize tape y = Autodiff.sum tape (Autodiff.mul tape y y) in
+  let lens = Array.init lanes (fun _ -> Rng.int_range rng 1 steps) in
+  let xs = List.init steps (fun _ -> rand_vec rng (lanes * d_in)) in
+  let const tape ~cols a = Batched.const_arr tape ~rows:(Array.length a / cols) ~cols a in
+  let padded tape =
+    List.mapi
+      (fun s x ->
+        (const tape ~cols:d_in x, Some (Array.map (fun n -> if s < n then 1.0 else 0.0) lens)))
+      xs
+  in
+  let scalarize tape y = Batched.sum_all tape (Batched.mul tape y y) in
   let build =
     match Rng.int rng 7 with
     | 0 ->
         let l = Linear.create store "lin" ~dim_in:d_in ~dim_out:d_h in
-        fun tape ->
-          scalarize tape (Linear.forward_tanh l tape (Autodiff.const tape (List.hd xs)))
+        let forward =
+          if Rng.bool rng then Linear.forward_tanh_batch else Linear.forward_sigmoid_batch
+        in
+        fun tape -> scalarize tape (forward l tape (const tape ~cols:d_in (List.hd xs)))
     | 1 ->
         let cell = Rnn_cell.create ~kind:Rnn_cell.Vanilla store "rnn" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Rnn_cell.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Rnn_cell.last_batch cell tape ~lanes (padded tape))
     | 2 ->
         let cell = Rnn_cell.create ~kind:Rnn_cell.Gru store "gru" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Rnn_cell.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Rnn_cell.last_batch cell tape ~lanes (padded tape))
     | 3 ->
         let cell = Lstm.create store "lstm" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Lstm.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Lstm.last_batch cell tape ~lanes (padded tape))
     | 4 ->
         let cell = Treelstm.create store "tree" ~dim_in:d_h ~dim_hidden:d_h in
         let emb = Param.embedding store "emb" 6 d_h in
-        let tree = rand_tree rng 2 in
+        let trees = List.init lanes (fun _ -> rand_tree rng 2) in
         let label_id = function
           | "Assign" -> 0 | "Binop" -> 1 | "x" -> 2 | "y" -> 3 | "+" -> 4 | _ -> 5
         in
         fun tape ->
-          let embed tok = Autodiff.row tape emb (label_id tok) in
-          scalarize tape (Treelstm.embed_tree cell tape ~embed tree)
+          let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
+          scalarize tape (Treelstm.embed_forest cell tape ~embed trees)
     | 5 ->
         let att = Attention.create store "att" ~dim_h:d_in ~dim_q:d_h ~dim_att:d_h in
-        let q = rand_vec rng d_h in
-        let hs = Array.init (Rng.int_range rng 1 3) (fun _ -> rand_vec rng d_in) in
+        let k = Rng.int_range rng 1 3 in
+        let q = rand_vec rng (lanes * d_h) in
+        let hs = Array.init k (fun _ -> rand_vec rng (lanes * d_in)) in
+        (* slot 0 is always valid, the others at random *)
+        let mask = Tensor.zeros lanes k in
+        for i = 0 to lanes - 1 do
+          for j = 0 to k - 1 do
+            if j = 0 || Rng.bool rng then Tensor.set mask i j 1.0
+          done
+        done;
         fun tape ->
-          let q = Autodiff.const tape q in
-          let hs = Array.map (Autodiff.const tape) hs in
-          scalarize tape (snd (Attention.fuse att tape ~q hs))
+          let q = const tape ~cols:d_h q in
+          let hs = Array.map (const tape ~cols:d_in) hs in
+          scalarize tape (snd (Attention.fuse_batch att tape ~q ~mask hs))
     | _ ->
         let vocab = Vocab.create () in
         List.iter (fun t -> ignore (Vocab.add vocab t)) [ "get"; "max"; "sum" ];
         Vocab.freeze vocab;
         let embedding = Embedding_layer.create store "emb" vocab ~dim:d_in in
         let dec = Decoder.create store "dec" embedding ~dim_hidden:d_h ~dim_mem:d_in in
-        let mem = Array.init (Rng.int_range rng 1 2) (fun _ -> rand_vec rng d_in) in
-        let prog = rand_vec rng d_in in
-        let targets = List.init (Rng.int_range rng 1 2) (fun _ -> 4 + Rng.int rng 3) in
+        let k = Rng.int_range rng 1 2 in
+        let mem = Array.init k (fun _ -> rand_vec rng (lanes * d_in)) in
+        let prog = rand_vec rng (lanes * d_in) in
+        let targets =
+          Array.init lanes (fun _ -> List.init (Rng.int_range rng 1 2) (fun _ -> 4 + Rng.int rng 3))
+        in
+        let mask = Tensor.zeros lanes k in
+        Tensor.fill mask 1.0;
         fun tape ->
-          Decoder.loss dec tape
-            ~memory:(Array.map (Autodiff.const tape) mem)
-            ~program_embedding:(Autodiff.const tape prog) ~target_ids:targets
+          Batched.sum_all tape
+            (Decoder.loss_batch dec tape
+               ~memory:(Array.map (const tape ~cols:d_in) mem)
+               ~memory_mask:mask ~program_embedding:(const tape ~cols:d_in prog)
+               ~target_ids:targets)
   in
   grad_check store build
 

@@ -4,8 +4,12 @@
 
     Score of a candidate [h] against a context [q] is
     [v . tanh(W (h ++ q) + b)]; weights are the softmax of scores and the
-    result is the weighted sum.  [fuse] returns the weights too — §6.1.2
-    inspects them to show the symbolic dimension receives ~0.6. *)
+    result is the weighted sum.  {!fuse_batch} returns the weights too —
+    §6.1.2 inspects them to show the symbolic dimension receives ~0.6.
+
+    Every entry point works on [lanes × dim] nodes: candidates are K slot
+    nodes with a [lanes × K] validity mask, and each lane attends only over
+    its own valid slots. *)
 
 open Liger_tensor
 module P = Liger_obs.Profile
@@ -23,55 +27,12 @@ let create store name ~dim_h ~dim_q ~dim_att =
     v = Param.zeros store (name ^ ".v") 1 dim_att;
   }
 
-let score_impl t tape ~q h =
-  Autodiff.matvec tape t.v (Linear.forward_tanh t.proj tape (Autodiff.concat tape [ h; q ]))
-
-(** Raw attention score (1-dim node) of candidate [h] given context [q]. *)
-let score t tape ~q h =
-  if P.scope_on () then P.with_layer layer (fun () -> score_impl t tape ~q h)
-  else score_impl t tape ~q h
-
-let weights_impl t tape ~q hs =
-  let scores = Array.to_list (Array.map (score t tape ~q) hs) in
-  Autodiff.softmax tape (Autodiff.concat tape scores)
-
-(** Softmax-normalized weights over candidates (a vector node of length
-    [|hs|]).  Profiled frames nest (weights > score); the profiler's
-    self-time column stays double-count-free. *)
-let weights t tape ~q hs =
-  if P.scope_on () then P.with_layer layer (fun () -> weights_impl t tape ~q hs)
-  else weights_impl t tape ~q hs
-
-let fuse_impl t tape ~q hs =
-  let w = weights t tape ~q hs in
-  (w, Autodiff.weighted_sum tape w hs)
-
-(** Weighted sum of candidates; returns [(weights, fused)]. *)
-let fuse t tape ~q hs =
-  if P.scope_on () then P.with_layer layer (fun () -> fuse_impl t tape ~q hs)
-  else fuse_impl t tape ~q hs
-
-let fuse_uniform_impl tape hs =
-  let k = Array.length hs in
-  if k = 0 then invalid_arg "Attention.fuse_uniform: empty";
-  let w = Autodiff.const tape (Array.make k (1.0 /. float_of_int k)) in
-  (w, Autodiff.weighted_sum tape w hs)
-
-(** Fixed uniform fusion — the "remove attention" ablation (§6.3.3), which
-    "evenly distribute[s] the weights across all traces in a blended
-    trace". *)
-let fuse_uniform tape hs =
-  if P.scope_on () then P.with_layer layer (fun () -> fuse_uniform_impl tape hs)
-  else fuse_uniform_impl tape hs
-
-(* --- batched (lanes × dim) variants --- *)
-
-(* The batched scorer splits the projection by column blocks of the same
-   weight: [W·(h ++ q) = W_h·h + W_q·q].  Candidates are vstacked
-   slot-major and pushed through [W_h] in one GEMM; the query goes through
-   [W_q] once per call at [lanes] rows (instead of being tiled to
-   [K·lanes]); the two meet in a broadcast add.  Same math as the
-   unbatched [W (h ++ q)] up to float reassociation. *)
+(* The scorer splits the projection by column blocks of the same weight:
+   [W·(h ++ q) = W_h·h + W_q·q].  Candidates are vstacked slot-major and
+   pushed through [W_h] in one GEMM; the query goes through [W_q] once per
+   call at [lanes] rows (instead of being tiled to [K·lanes]); the two
+   meet in a broadcast add.  Same math as [W (h ++ q)] up to float
+   reassociation. *)
 
 let project_batch_impl t btape hs =
   Batched.matmul_nt_slice btape (Batched.vstack btape (Array.to_list hs)) t.proj.Linear.w
@@ -123,8 +84,8 @@ let weights_batch_impl t btape ?hproj ~q ~mask hs =
 
 (** Masked softmax weights over candidate slots ([mask : lanes×K], 1.0 =
     valid).  A lane with one valid slot gets weight 1 with exactly zero
-    gradient into its score (softmax Jacobian), so it behaves like the
-    unbatched single-candidate bypass. *)
+    gradient into its score (softmax Jacobian): a lone candidate passes
+    through unchanged. *)
 let weights_batch t btape ?hproj ~q ~mask hs =
   if P.scope_on () then
     P.with_layer layer (fun () -> weights_batch_impl t btape ?hproj ~q ~mask hs)
@@ -134,8 +95,8 @@ let fuse_batch_impl t btape ?hproj ~q ~mask hs =
   let w = weights_batch t btape ?hproj ~q ~mask hs in
   (w, Batched.weighted_sum btape w hs)
 
-(** Batched {!fuse} over candidate slots with a validity mask; returns
-    [(weights : lanes×K, fused : lanes×dim)].  Pass [?hproj] (from
+(** Attention-weighted fusion of candidate slots with a validity mask;
+    returns [(weights : lanes×K, fused : lanes×dim)].  Pass [?hproj] (from
     {!project_batch}) to reuse the candidate-side projection across
     calls. *)
 let fuse_batch t btape ?hproj ~q ~mask hs =
@@ -164,8 +125,10 @@ let fuse_uniform_batch_impl btape ~(mask : Tensor.t) hs =
   let w = Batched.const_arr btape ~rows:l ~cols:k warr in
   (w, Batched.weighted_sum btape w hs)
 
-(** Batched uniform fusion over the valid slots of each lane (the "remove
-    attention" ablation, and step 0 where no trace context exists yet). *)
+(** Fixed uniform fusion over the valid slots of each lane — the "remove
+    attention" ablation (§6.3.3), which "evenly distribute[s] the weights
+    across all traces in a blended trace", and step 0, where no trace
+    context exists yet. *)
 let fuse_uniform_batch btape ~mask hs =
   if P.scope_on () then P.with_layer layer (fun () -> fuse_uniform_batch_impl btape ~mask hs)
   else fuse_uniform_batch_impl btape ~mask hs

@@ -7,7 +7,7 @@
     sub-token's embedding concatenated with the context vector, and emits a
     distribution over the vocabulary.  Training uses teacher forcing;
     inference is greedy (the corpus names are short, beam search buys
-    nothing at our scale). *)
+    nothing at our scale).  One lane per example throughout. *)
 
 open Liger_tensor
 open Liger_trace
@@ -38,103 +38,6 @@ let create ?(kind = Rnn_cell.Gru) ?(max_len = 8) store name embedding ~dim_hidde
     max_len;
   }
 
-let init_impl t tape ~program_embedding = Linear.forward_tanh t.bridge tape program_embedding
-
-let init t tape ~program_embedding =
-  if P.scope_on () then P.with_layer layer (fun () -> init_impl t tape ~program_embedding)
-  else init_impl t tape ~program_embedding
-
-let step_impl t tape ~memory ~h ~prev_id =
-  let context = snd (Attention.fuse t.att tape ~q:h memory) in
-  let x = Autodiff.concat tape [ Embedding_layer.embed_id t.embedding tape prev_id; context ] in
-  let h' = Rnn_cell.step t.cell tape ~h ~x in
-  let logits = Linear.forward t.out tape (Autodiff.concat tape [ h'; context ]) in
-  (h', logits)
-
-let step t tape ~memory ~h ~prev_id =
-  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~memory ~h ~prev_id)
-  else step_impl t tape ~memory ~h ~prev_id
-
-(** Teacher-forced negative log-likelihood of [target_ids] (without the
-    terminating [eos], which is appended here).  Returns the summed loss
-    node. *)
-let loss_impl t tape ~memory ~program_embedding ~target_ids =
-  let targets = target_ids @ [ Vocab.eos_id ] in
-  let h = ref (init t tape ~program_embedding) in
-  let prev = ref Vocab.sos_id in
-  let total = ref (Autodiff.scalar tape 0.0) in
-  List.iter
-    (fun target ->
-      let h', logits = step t tape ~memory ~h:!h ~prev_id:!prev in
-      let nll, _ = Autodiff.softmax_cross_entropy tape logits target in
-      total := Autodiff.add tape !total nll;
-      h := h';
-      prev := target)
-    targets;
-  !total
-
-let loss t tape ~memory ~program_embedding ~target_ids =
-  if P.scope_on () then
-    P.with_layer layer (fun () -> loss_impl t tape ~memory ~program_embedding ~target_ids)
-  else loss_impl t tape ~memory ~program_embedding ~target_ids
-
-(** Beam-search decoding with beam width [k]: keeps the [k] most probable
-    partial sequences, scores by summed log-probability with a mild length
-    normalization.  Returns the best sequence's token ids (eos excluded).
-    [k = 1] degenerates to greedy decoding. *)
-let decode_beam ?(k = 3) t tape ~memory ~program_embedding =
-  let h0 = init t tape ~program_embedding in
-  (* beam entries: (neg log prob, finished, tokens rev, hidden, prev id) *)
-  let initial = (0.0, false, [], h0, Vocab.sos_id) in
-  let beam = ref [ initial ] in
-  for _ = 1 to t.max_len do
-    let expanded =
-      List.concat_map
-        (fun ((nll, finished, toks, h, prev) as entry) ->
-          if finished then [ entry ]
-          else begin
-            let h', logits = step t tape ~memory ~h ~prev_id:prev in
-            let probs = Tensor.softmax (Autodiff.value logits) in
-            (* top-k successor tokens of this entry *)
-            let indexed = Array.mapi (fun i p -> (p, i)) probs in
-            Array.sort (fun (a, _) (b, _) -> compare b a) indexed;
-            List.init (min k (Array.length indexed)) (fun j ->
-                let p, id = indexed.(j) in
-                let nll' = nll -. log (Stdlib.max 1e-12 p) in
-                if id = Vocab.eos_id then (nll', true, toks, h', id)
-                else (nll', false, id :: toks, h', id))
-          end)
-        !beam
-    in
-    let score (nll, _, toks, _, _) =
-      nll /. float_of_int (1 + List.length toks)  (* length-normalized *)
-    in
-    let sorted = List.sort (fun a b -> compare (score a) (score b)) expanded in
-    beam := List.filteri (fun i _ -> i < k) sorted
-  done;
-  match !beam with
-  | (_, _, toks, _, _) :: _ -> List.rev toks
-  | [] -> []
-
-(** Greedy decoding; returns predicted token ids (eos excluded). *)
-let decode t tape ~memory ~program_embedding =
-  let h = ref (init t tape ~program_embedding) in
-  let prev = ref Vocab.sos_id in
-  let out = ref [] in
-  (try
-     for _ = 1 to t.max_len do
-       let h', logits = step t tape ~memory ~h:!h ~prev_id:!prev in
-       let id = Tensor.argmax (Autodiff.value logits) in
-       if id = Vocab.eos_id then raise Exit;
-       out := id :: !out;
-       h := h';
-       prev := id
-     done
-   with Exit -> ());
-  List.rev !out
-
-(* --- batched (one lane per example) variants --- *)
-
 let init_batch_impl t btape ~program_embedding =
   Linear.forward_tanh_batch t.bridge btape program_embedding
 
@@ -164,7 +67,9 @@ let step_batch t ?hproj btape ~memory ~memory_mask ~h ~prev_ids =
         step_batch_impl t ?hproj btape ~memory ~memory_mask ~h ~prev_ids)
   else step_batch_impl t ?hproj btape ~memory ~memory_mask ~h ~prev_ids
 
-(** Batched teacher-forced loss: per-example summed NLL as a [G×1] node.
+(** Teacher-forced negative log-likelihood of each lane's [target_ids]
+    (without the terminating [eos], which is appended here): per-example
+    summed NLL as a [G×1] node.
     Lanes run in lockstep to the longest target; steps past a lane's own
     [eos] carry weight 0 in the cross-entropy, contributing exactly zero
     loss and zero gradient (the decoder state keeps stepping, but nothing
@@ -194,8 +99,7 @@ let loss_batch t btape ~memory ~memory_mask ~program_embedding ~target_ids =
   done;
   !total
 
-(** Batched greedy decoding; one predicted id list per lane (eos excluded),
-    identical per lane to {!decode}. *)
+(** Greedy decoding; one predicted id list per lane (eos excluded). *)
 let decode_batch t btape ~memory ~memory_mask ~program_embedding =
   let g_lanes = Batched.lanes program_embedding in
   let h = ref (init_batch t btape ~program_embedding) in

@@ -19,33 +19,19 @@ let create store name vocab ~dim =
 
 let dim t = t.dim
 
-let embed_id_impl t tape i =
-  let i = if i < 0 || i >= Param.rows t.table then Vocab.unk_id else i in
-  Autodiff.row tape t.table i
-
-(** Embedding of a token id. *)
-let embed_id t tape i =
-  if P.scope_on () then P.with_layer layer (fun () -> embed_id_impl t tape i)
-  else embed_id_impl t tape i
-
-(** Embedding of a token string; unseen tokens use the [unk] row (pure
-    lookup — never grows the vocabulary, even unfrozen). *)
-let embed t tape tok = embed_id t tape (Vocab.lookup t.vocab tok)
-
 let vocab_size t = Vocab.size t.vocab
-
-(* --- batched --- *)
 
 let embed_ids_impl t btape ids =
   let rows = Param.rows t.table in
   let clamp i = if i < 0 || i >= rows then Vocab.unk_id else i in
   Batched.rows_of_param btape t.table (Array.map clamp ids)
 
-(** Batched embedding lookup: one lane per id (out-of-range ids fall back to
-    [unk], as in {!embed_id}). *)
+(** Embedding lookup: one lane per id; out-of-range ids (tokens unseen at
+    training time) fall back to the [unk] row. *)
 let embed_ids t btape ids =
   if P.scope_on () then P.with_layer layer (fun () -> embed_ids_impl t btape ids)
   else embed_ids_impl t btape ids
 
-(** Batched lookup of token strings; unseen tokens use the [unk] row. *)
+(** Lookup of token strings; unseen tokens use the [unk] row (pure lookup —
+    never grows the vocabulary, even unfrozen). *)
 let embed_batch t btape toks = embed_ids t btape (Array.map (Vocab.lookup t.vocab) toks)

@@ -14,16 +14,8 @@ let create store name ~dim_in ~dim_out =
   }
 
 (* layer-scope wrappers branch before building the closure, so the
-   disabled path is a direct call with no allocation *)
-let forward t tape x =
-  if P.scope_on () then P.with_layer layer (fun () -> Autodiff.affine tape ~w:t.w ~b:t.b x)
-  else Autodiff.affine tape ~w:t.w ~b:t.b x
-
-let forward_tanh t tape x = Autodiff.tanh_ tape (forward t tape x)
-
-let forward_sigmoid t tape x = Autodiff.sigmoid tape (forward t tape x)
-
-(* --- batched (lanes × dim) variants; semantics per lane identical --- *)
+   disabled path is a direct call with no allocation; every entry point
+   takes a [lanes × dim_in] node *)
 
 let forward_batch t btape x =
   if P.scope_on () then P.with_layer layer (fun () -> Batched.affine btape ~w:t.w ~b:t.b x)

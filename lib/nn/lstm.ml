@@ -13,8 +13,6 @@ type t = {
   c0 : Param.t;
 }
 
-type state = { h : Autodiff.node; c : Autodiff.node }
-
 let create store name ~dim_in ~dim_hidden =
   {
     gates =
@@ -25,40 +23,7 @@ let create store name ~dim_in ~dim_hidden =
     c0 = Param.vector store (name ^ ".c0") dim_hidden;
   }
 
-let init_state t tape =
-  { h = Autodiff.of_param tape t.h0; c = Autodiff.of_param tape t.c0 }
-
-let step_impl t tape ~state ~x =
-  let d = t.dim_hidden in
-  let xh = Autodiff.concat tape [ x; state.h ] in
-  let pre = Linear.forward t.gates tape xh in
-  let i = Autodiff.sigmoid tape (Autodiff.slice tape pre 0 d) in
-  let f = Autodiff.sigmoid tape (Autodiff.slice tape pre d d) in
-  let o = Autodiff.sigmoid tape (Autodiff.slice tape pre (2 * d) d) in
-  let u = Autodiff.tanh_ tape (Autodiff.slice tape pre (3 * d) d) in
-  let c =
-    Autodiff.add tape (Autodiff.mul tape f state.c) (Autodiff.mul tape i u)
-  in
-  let h = Autodiff.mul tape o (Autodiff.tanh_ tape c) in
-  { h; c }
-
-let step t tape ~state ~x =
-  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~state ~x)
-  else step_impl t tape ~state ~x
-
-let run t tape xs =
-  let state = ref (init_state t tape) in
-  List.map
-    (fun x ->
-      state := step t tape ~state:!state ~x;
-      !state.h)
-    xs
-
-let last t tape xs =
-  match List.rev (run t tape xs) with [] -> (init_state t tape).h | h :: _ -> h
-
-(* --- batched (lanes × dim) variants --- *)
-
+(* [lanes × dim_hidden] hidden and cell states *)
 type bstate = { bh : Batched.node; bc : Batched.node }
 
 let init_state_batch t btape ~lanes =

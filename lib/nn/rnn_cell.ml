@@ -5,9 +5,9 @@
     gradients), so every construction site accepts either kind and the
     models default to GRU — a capacity-comparable substitution documented in
     DESIGN.md.  Both share the same interface: parameters are created under
-    a name prefix; [step] maps (hidden, input) to the next hidden state;
-    [run] folds a sequence and returns every intermediate state (the
-    decoder's attention needs them all). *)
+    a name prefix; {!step_batch} maps (hidden, input) to the next hidden
+    state, one lane per sequence; {!run_batch} folds padded sequences and
+    returns every intermediate state. *)
 
 open Liger_tensor
 module P = Liger_obs.Profile
@@ -47,50 +47,6 @@ let create ?(kind = Gru) store name ~dim_in ~dim_hidden =
   { spec; dim_hidden; h0 }
 
 let dim_hidden t = t.dim_hidden
-
-(** The learned initial hidden state. *)
-let init_state t tape = Autodiff.of_param tape t.h0
-
-let step_impl t tape ~h ~x =
-  match t.spec with
-  | Svanilla { wx; wh; b } ->
-      Autodiff.tanh_ tape
-        (Autodiff.add tape
-           (Autodiff.add tape (Autodiff.matvec tape wx x) (Autodiff.matvec tape wh h))
-           (Autodiff.of_param tape b))
-  | Sgru { gates; cand } ->
-      let d = t.dim_hidden in
-      let xh = Autodiff.concat tape [ x; h ] in
-      let rz = Linear.forward_sigmoid gates tape xh in
-      let r = Autodiff.slice tape rz 0 d in
-      let z = Autodiff.slice tape rz d d in
-      let x_rh = Autodiff.concat tape [ x; Autodiff.mul tape r h ] in
-      let h_tilde = Linear.forward_tanh cand tape x_rh in
-      (* h' = (1-z) * h + z * h~ *)
-      Autodiff.add tape
-        (Autodiff.mul tape (Autodiff.one_minus tape z) h)
-        (Autodiff.mul tape z h_tilde)
-
-(** One recurrence step. *)
-let step t tape ~h ~x =
-  if P.scope_on () then P.with_layer layer (fun () -> step_impl t tape ~h ~x)
-  else step_impl t tape ~h ~x
-
-(** Fold over a sequence of input nodes starting from the learned initial
-    state; returns the hidden state after each input (length = |xs|). *)
-let run t tape xs =
-  let h = ref (init_state t tape) in
-  List.map
-    (fun x ->
-      h := step t tape ~h:!h ~x;
-      !h)
-    xs
-
-(** Final state of a sequence (initial state when the sequence is empty). *)
-let last t tape xs =
-  match List.rev (run t tape xs) with [] -> init_state t tape | h :: _ -> h
-
-(* --- batched (lanes × dim) variants --- *)
 
 (** Learned initial state broadcast over [lanes] rows. *)
 let init_state_batch t btape ~lanes = Batched.of_param btape ~lanes t.h0
@@ -154,7 +110,7 @@ let step_batch ?mask t btape ~h ~x =
 
 (** Fold over padded step inputs [(x, mask)] starting from the broadcast
     initial state; returns the state after each step.  A lane whose masks
-    are all 0.0 ends at the initial state, matching {!last} on []. *)
+    are all 0.0 ends at the initial state, as an empty sequence does. *)
 let run_batch t btape ~lanes steps =
   let h = ref (init_state_batch t btape ~lanes) in
   List.map

@@ -39,59 +39,6 @@ let create store name ~dim_in ~dim_hidden =
     dim_hidden;
   }
 
-(* (h, c) of one node given its label embedding and children states *)
-let node_state_impl t tape x children =
-  let d = t.dim_hidden in
-  let zeros = Autodiff.const tape (Array.make d 0.0) in
-  let h_sum =
-    List.fold_left (fun acc (h, _) -> Autodiff.add tape acc h) zeros children
-  in
-  let wxx = Autodiff.matvec tape t.wx x in
-  let uhh = Autodiff.matvec tape t.uh h_sum in
-  let bias = Autodiff.of_param tape t.b in
-  let gate off =
-    Autodiff.add tape
-      (Autodiff.add tape (Autodiff.slice tape wxx (off * d) d)
-         (Autodiff.slice tape uhh (off * d) d))
-      (Autodiff.slice tape bias (off * d) d)
-  in
-  let i = Autodiff.sigmoid tape (gate 0) in
-  let o = Autodiff.sigmoid tape (gate 1) in
-  let u = Autodiff.tanh_ tape (gate 2) in
-  let f_base =
-    Autodiff.add tape
-      (Autodiff.slice tape wxx (3 * d) d)
-      (Autodiff.slice tape bias (3 * d) d)
-  in
-  let forget_term =
-    List.fold_left
-      (fun acc (h_k, c_k) ->
-        let f_k =
-          Autodiff.sigmoid tape (Autodiff.add tape f_base (Autodiff.matvec tape t.uf h_k))
-        in
-        Autodiff.add tape acc (Autodiff.mul tape f_k c_k))
-      zeros children
-  in
-  let c = Autodiff.add tape (Autodiff.mul tape i u) forget_term in
-  let h = Autodiff.mul tape o (Autodiff.tanh_ tape c) in
-  (h, c)
-
-let node_state t tape x children =
-  if P.scope_on () then P.with_layer layer (fun () -> node_state_impl t tape x children)
-  else node_state_impl t tape x children
-
-(** Embed a tree: [embed] supplies the vector of a label (leaf token or AST
-    node type); returns the root's hidden state. *)
-let embed_tree t tape ~embed tree =
-  let rec go = function
-    | Encode.Leaf tok -> node_state t tape (embed tok) []
-    | Encode.Node (label, children) ->
-        node_state t tape (embed label) (List.map go children)
-  in
-  fst (go tree)
-
-(* --- batched: level-grouped packing over a forest --- *)
-
 (* Core over a pre-flattened forest.  [children.(i)] must reference only
    indices < i (post-order flattening guarantees this); [embed] maps an
    array of labels to a [|labels| × dim_in] batched node. *)

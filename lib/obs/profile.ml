@@ -208,8 +208,7 @@ let peak_bytes () = Atomic.get peak_bytes_a
 let span_every = 64
 
 (** The layer currently on top of this domain's stack, or [-1] (always [-1]
-    while profiling is off).  Used by [Autodiff.push] and [Batched.push] to
-    tag tape nodes for backward attribution. *)
+    while profiling is off).  Used by [Batched.push] to tag tape nodes for backward attribution. *)
 let current_layer () =
   if not (on ()) then -1
   else
@@ -228,7 +227,7 @@ let outermost_layer () =
   last (Domain.DLS.get state_key).lstack
 
 (** [add_bwd l dt] attributes [dt] seconds of backward time to layer [l]
-    ([-1] = untagged).  Called from [Autodiff.backward] at tag boundaries. *)
+    ([-1] = untagged).  Called from [Batched.backward] at tag boundaries. *)
 let add_bwd (l : layer) dt =
   if on () then begin
     let st = Domain.DLS.get state_key in

@@ -1,511 +1,9 @@
-(** Tape-based reverse-mode automatic differentiation over vectors.
+(** {!Batched}'s [tape], [length] and [backward] under their former names.
 
-    The computation graph is recorded on a {!tape}: every operation pushes a
-    node holding its value, a gradient buffer and a backward closure.
-    {!backward} seeds the loss gradient and replays the closures in reverse
-    creation order, accumulating into input nodes and ultimately into the
-    {!Param.t} gradients that operations such as {!matvec} and {!row}
-    reference.
+    {!Batched} is the only autodiff engine.  This alias exists only for
+    perfbench's traced step loop ([perfbench/train_wl.ml]), which calls
+    these three functions on one-lane tapes; nothing else uses it. *)
 
-    All intermediate quantities are vectors ([float array]); scalars are
-    length-1 vectors.  This granularity matches the models in this repo
-    (recurrent nets over modest hidden sizes) and keeps the tape small.
-
-    {2 Profiling}
-
-    When {!Liger_obs.Profile} is enabled, every op records a count, its
-    analytic FLOPs and the bytes of its output node.  Conventions (tests and
-    DESIGN.md depend on these): an op's bytes are [16 * len] of its output
-    (value + grad arrays, 8 bytes per float each); [axpy]-style updates
-    count 2 FLOPs per element (multiply + add); a transcendental application
-    counts 1.  Nodes are tagged with {!Liger_obs.Profile.current_layer} at
-    creation so {!backward} can attribute backward time to the layer whose
-    forward created each node, reading the clock only at tag boundaries
-    (consecutive same-layer nodes share one timed segment). *)
-
-module P = Liger_obs.Profile
-
-type node = {
-  value : float array;
-  grad : float array;
-  back : unit -> unit;  (* propagate this node's grad into its inputs *)
-  tag : int;            (* layer id at creation time; -1 = outside any layer *)
-}
-
-type tape = {
-  mutable nodes : node list;  (* newest first: already reverse topological *)
-  mutable n_ops : int;
-  mutable alloc_bytes : int;  (* profiled bytes attributed to this tape's nodes *)
-}
-
-let tape () = { nodes = []; n_ops = 0; alloc_bytes = 0 }
-
-let length t = t.n_ops
-
-let value n = n.value
-let grad n = n.grad
-let dim n = Array.length n.value
-
-let scalar_value n =
-  if Array.length n.value <> 1 then invalid_arg "Autodiff.scalar_value: not a scalar";
-  n.value.(0)
-
-let push tape value back =
-  let tag = if P.on () then P.current_layer () else -1 in
-  let n = { value; grad = Array.make (Array.length value) 0.0; back; tag } in
-  tape.nodes <- n :: tape.nodes;
-  tape.n_ops <- tape.n_ops + 1;
-  if P.on () then begin
-    let b = 16 * Array.length value in
-    tape.alloc_bytes <- tape.alloc_bytes + b;
-    P.alloc b
-  end;
-  n
-
-let no_back () = ()
-
-(* profiled op ids — registration is idempotent and happens once at module
-   initialisation, so the hot path is array indexing *)
-let op_const = P.register_op "ad.const"
-let op_of_param = P.register_op "ad.of_param"
-let op_of_param_b = P.register_op "ad.of_param.bwd"
-let op_row = P.register_op "ad.row"
-let op_row_b = P.register_op "ad.row.bwd"
-let op_add = P.register_op "ad.add"
-let op_add_b = P.register_op "ad.add.bwd"
-let op_sub = P.register_op "ad.sub"
-let op_sub_b = P.register_op "ad.sub.bwd"
-let op_mul = P.register_op "ad.mul"
-let op_mul_b = P.register_op "ad.mul.bwd"
-let op_scale = P.register_op "ad.scale"
-let op_scale_b = P.register_op "ad.scale.bwd"
-let op_unary = P.register_op "ad.unary"
-let op_unary_b = P.register_op "ad.unary.bwd"
-let op_matvec = P.register_op "ad.matvec"
-let op_matvec_b = P.register_op "ad.matvec.bwd"
-let op_concat = P.register_op "ad.concat"
-let op_concat_b = P.register_op "ad.concat.bwd"
-let op_slice = P.register_op "ad.slice"
-let op_slice_b = P.register_op "ad.slice.bwd"
-let op_one_minus = P.register_op "ad.one_minus"
-let op_one_minus_b = P.register_op "ad.one_minus.bwd"
-let op_dot = P.register_op "ad.dot"
-let op_dot_b = P.register_op "ad.dot.bwd"
-let op_sum = P.register_op "ad.sum"
-let op_sum_b = P.register_op "ad.sum.bwd"
-let op_softmax = P.register_op "ad.softmax"
-let op_softmax_b = P.register_op "ad.softmax.bwd"
-let op_wsum = P.register_op "ad.weighted_sum"
-let op_wsum_b = P.register_op "ad.weighted_sum.bwd"
-let op_max_pool = P.register_op "ad.max_pool"
-let op_max_pool_b = P.register_op "ad.max_pool.bwd"
-let op_xent = P.register_op "ad.softmax_xent"
-let op_xent_b = P.register_op "ad.softmax_xent.bwd"
-
-let fbytes len = float_of_int (16 * len)
-
-(** A leaf holding a copy of [a]; gradients stop here. *)
-let const tape a =
-  if P.on () then P.op op_const ~flops:0.0 ~bytes:(fbytes (Array.length a));
-  push tape (Array.copy a) no_back
-
-let scalar tape x = const tape [| x |]
-
-(** View a vector-shaped parameter (bias, initial state) as a node; backward
-    accumulates into the parameter's gradient. *)
-let of_param tape (p : Param.t) =
-  if p.Param.value.Tensor.rows <> 1 then
-    invalid_arg "Autodiff.of_param: parameter is not a vector";
-  let v = Tensor.to_array p.Param.value in
-  let d = Array.length v in
-  if P.on () then P.op op_of_param ~flops:0.0 ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_of_param_b ~flops:(float_of_int (2 * d)) ~bytes:0.0;
-           Tensor.axpy_buf 1.0 (Lazy.force n).grad p.Param.grad.Tensor.data))
-  in
-  Lazy.force n
-
-(** [row tape p i] is row [i] of parameter matrix [p] (embedding lookup);
-    backward accumulates only into that row. *)
-let row tape (p : Param.t) i =
-  let cols = Param.cols p in
-  if i < 0 || i >= Param.rows p then invalid_arg "Autodiff.row: index out of range";
-  let base = i * cols in
-  let v = Array.init cols (fun j -> Tensor.get_idx p.Param.value (base + j)) in
-  if P.on () then P.op op_row ~flops:0.0 ~bytes:(fbytes cols);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_row_b ~flops:(float_of_int cols) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           let pg = p.Param.grad.Tensor.data in
-           for j = 0 to cols - 1 do
-             Bigarray.Array1.unsafe_set pg (base + j)
-               (Bigarray.Array1.unsafe_get pg (base + j) +. Array.unsafe_get g j)
-           done))
-  in
-  Lazy.force n
-
-let check_same name a b =
-  if Array.length a.value <> Array.length b.value then
-    invalid_arg
-      (Printf.sprintf "Autodiff.%s: dim mismatch (%d vs %d)" name
-         (Array.length a.value) (Array.length b.value))
-
-let add tape a b =
-  check_same "add" a b;
-  let v = Array.mapi (fun i x -> x +. b.value.(i)) a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_add ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_add_b ~flops:(float_of_int (4 * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Tensor.axpy 1.0 g a.grad;
-           Tensor.axpy 1.0 g b.grad))
-  in
-  Lazy.force n
-
-let sub tape a b =
-  check_same "sub" a b;
-  let v = Array.mapi (fun i x -> x -. b.value.(i)) a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_sub ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_sub_b ~flops:(float_of_int (4 * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Tensor.axpy 1.0 g a.grad;
-           Tensor.axpy (-1.0) g b.grad))
-  in
-  Lazy.force n
-
-(** Elementwise (Hadamard) product. *)
-let mul tape a b =
-  check_same "mul" a b;
-  let v = Array.mapi (fun i x -> x *. b.value.(i)) a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_mul ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_mul_b ~flops:(float_of_int (4 * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           for i = 0 to Array.length g - 1 do
-             a.grad.(i) <- a.grad.(i) +. (g.(i) *. b.value.(i));
-             b.grad.(i) <- b.grad.(i) +. (g.(i) *. a.value.(i))
-           done))
-  in
-  Lazy.force n
-
-let scale tape c a =
-  let v = Array.map (fun x -> c *. x) a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_scale ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_scale_b ~flops:(float_of_int (2 * d)) ~bytes:0.0;
-           Tensor.axpy c (Lazy.force n).grad a.grad))
-  in
-  Lazy.force n
-
-let neg tape a = scale tape (-1.0) a
-
-(** Elementwise unary op given the function and its derivative expressed in
-    terms of the {e output} value (cheap for tanh/sigmoid). *)
-let unary_from_out tape f df_out a =
-  let v = Array.map f a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_unary ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_unary_b ~flops:(float_of_int (3 * d)) ~bytes:0.0;
-           let out = Lazy.force n in
-           for i = 0 to Array.length out.grad - 1 do
-             a.grad.(i) <- a.grad.(i) +. (out.grad.(i) *. df_out out.value.(i))
-           done))
-  in
-  Lazy.force n
-
-let tanh_ tape a = unary_from_out tape Stdlib.tanh (fun y -> 1.0 -. (y *. y)) a
-
-let sigmoid tape a =
-  unary_from_out tape (fun x -> 1.0 /. (1.0 +. exp (-.x))) (fun y -> y *. (1.0 -. y)) a
-
-let relu tape a =
-  unary_from_out tape (fun x -> if x > 0.0 then x else 0.0)
-    (fun y -> if y > 0.0 then 1.0 else 0.0) a
-
-(** [matvec tape p x] is [p * x] for a parameter matrix [p].  Profiled at
-    [2rc] forward FLOPs and [4rc] backward ([matvec_t_acc] + [outer_acc]). *)
-let matvec tape (p : Param.t) x =
-  if dim x <> Param.cols p then
-    invalid_arg
-      (Printf.sprintf "Autodiff.matvec(%s): expected dim %d, got %d" p.Param.name
-         (Param.cols p) (dim x));
-  let rows = Param.rows p and cols = Param.cols p in
-  let v = Array.make rows 0.0 in
-  Tensor.matvec p.Param.value x.value v;
-  if P.on () then P.op op_matvec ~flops:(float_of_int (2 * rows * cols)) ~bytes:(fbytes rows);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then
-             P.op op_matvec_b ~flops:(float_of_int (4 * rows * cols)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Tensor.matvec_t_acc p.Param.value g x.grad;
-           Tensor.outer_acc g x.value p.Param.grad))
-  in
-  Lazy.force n
-
-(** [affine tape ~w ~b x] is [w*x + b]. *)
-let affine tape ~w ~b x = add tape (matvec tape w x) (of_param tape b)
-
-let concat tape xs =
-  (match xs with [] -> invalid_arg "Autodiff.concat: empty" | _ -> ());
-  let total = List.fold_left (fun acc x -> acc + dim x) 0 xs in
-  let v = Array.make total 0.0 in
-  let off = ref 0 in
-  List.iter
-    (fun x ->
-      Array.blit x.value 0 v !off (dim x);
-      off := !off + dim x)
-    xs;
-  if P.on () then P.op op_concat ~flops:0.0 ~bytes:(fbytes total);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_concat_b ~flops:(float_of_int total) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           let off = ref 0 in
-           List.iter
-             (fun x ->
-               let d = dim x in
-               for i = 0 to d - 1 do
-                 x.grad.(i) <- x.grad.(i) +. g.(!off + i)
-               done;
-               off := !off + d)
-             xs))
-  in
-  Lazy.force n
-
-(** [slice tape a off len] is the contiguous sub-vector [a[off .. off+len-1]];
-    backward adds into the corresponding window of [a]. *)
-let slice tape a off len =
-  if off < 0 || len <= 0 || off + len > dim a then
-    invalid_arg "Autodiff.slice: window out of range";
-  let v = Array.sub a.value off len in
-  if P.on () then P.op op_slice ~flops:0.0 ~bytes:(fbytes len);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_slice_b ~flops:(float_of_int len) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           for i = 0 to len - 1 do
-             a.grad.(off + i) <- a.grad.(off + i) +. g.(i)
-           done))
-  in
-  Lazy.force n
-
-(** [one_minus tape a] is [1 - a] elementwise (GRU update gates). *)
-let one_minus tape a =
-  let v = Array.map (fun x -> 1.0 -. x) a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_one_minus ~flops:(float_of_int d) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_one_minus_b ~flops:(float_of_int (2 * d)) ~bytes:0.0;
-           Tensor.axpy (-1.0) (Lazy.force n).grad a.grad))
-  in
-  Lazy.force n
-
-let dot tape a b =
-  check_same "dot" a b;
-  let d = dim a in
-  let v = [| Tensor.dot a.value b.value |] in
-  if P.on () then P.op op_dot ~flops:(float_of_int (2 * d)) ~bytes:(fbytes 1);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_dot_b ~flops:(float_of_int (4 * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.(0) in
-           Tensor.axpy g b.value a.grad;
-           Tensor.axpy g a.value b.grad))
-  in
-  Lazy.force n
-
-let sum tape a =
-  let d = dim a in
-  let v = [| Array.fold_left ( +. ) 0.0 a.value |] in
-  if P.on () then P.op op_sum ~flops:(float_of_int d) ~bytes:(fbytes 1);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_sum_b ~flops:(float_of_int d) ~bytes:0.0;
-           let g = (Lazy.force n).grad.(0) in
-           for i = 0 to Array.length a.grad - 1 do
-             a.grad.(i) <- a.grad.(i) +. g
-           done))
-  in
-  Lazy.force n
-
-(** Softmax over a whole vector node. *)
-let softmax tape a =
-  let v = Tensor.softmax a.value in
-  let d = Array.length v in
-  if P.on () then P.op op_softmax ~flops:(float_of_int (4 * d)) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_softmax_b ~flops:(float_of_int (4 * d)) ~bytes:0.0;
-           let out = Lazy.force n in
-           let g = out.grad and y = out.value in
-           let s = ref 0.0 in
-           for i = 0 to Array.length g - 1 do
-             s := !s +. (g.(i) *. y.(i))
-           done;
-           for i = 0 to Array.length g - 1 do
-             a.grad.(i) <- a.grad.(i) +. (y.(i) *. (g.(i) -. !s))
-           done))
-  in
-  Lazy.force n
-
-(** [weighted_sum tape w vs] is [sum_i w.(i) * vs.(i)] where [w] is a vector
-    node of the same length as the array of equal-dim vector nodes [vs]. *)
-let weighted_sum tape w vs =
-  let k = Array.length vs in
-  if dim w <> k then invalid_arg "Autodiff.weighted_sum: weight length mismatch";
-  if k = 0 then invalid_arg "Autodiff.weighted_sum: empty";
-  let d = dim vs.(0) in
-  let v = Array.make d 0.0 in
-  Array.iteri
-    (fun i x ->
-      if dim x <> d then invalid_arg "Autodiff.weighted_sum: ragged vectors";
-      Tensor.axpy w.value.(i) x.value v)
-    vs;
-  if P.on () then P.op op_wsum ~flops:(float_of_int (2 * k * d)) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_wsum_b ~flops:(float_of_int (4 * k * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Array.iteri
-             (fun i x ->
-               w.grad.(i) <- w.grad.(i) +. Tensor.dot g x.value;
-               Tensor.axpy w.value.(i) g x.grad)
-             vs))
-  in
-  Lazy.force n
-
-(** Elementwise max over a nonempty array of equal-dim vectors; gradients are
-    routed to the argmax input per coordinate (ties go to the earliest). *)
-let max_pool tape vs =
-  let k = Array.length vs in
-  if k = 0 then invalid_arg "Autodiff.max_pool: empty";
-  let d = dim vs.(0) in
-  let v = Array.make d neg_infinity in
-  let who = Array.make d 0 in
-  Array.iteri
-    (fun i x ->
-      if dim x <> d then invalid_arg "Autodiff.max_pool: ragged vectors";
-      for j = 0 to d - 1 do
-        if x.value.(j) > v.(j) then begin
-          v.(j) <- x.value.(j);
-          who.(j) <- i
-        end
-      done)
-    vs;
-  if P.on () then P.op op_max_pool ~flops:(float_of_int (k * d)) ~bytes:(fbytes d);
-  let rec n =
-    lazy
-      (push tape v (fun () ->
-           if P.on () then P.op op_max_pool_b ~flops:(float_of_int d) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           for j = 0 to d - 1 do
-             let x = vs.(who.(j)) in
-             x.grad.(j) <- x.grad.(j) +. g.(j)
-           done))
-  in
-  Lazy.force n
-
-let mean_pool tape vs =
-  let k = Array.length vs in
-  if k = 0 then invalid_arg "Autodiff.mean_pool: empty";
-  let acc = ref vs.(0) in
-  for i = 1 to k - 1 do
-    acc := add tape !acc vs.(i)
-  done;
-  scale tape (1.0 /. float_of_int k) !acc
-
-(** [softmax_cross_entropy tape logits target] returns the scalar loss
-    [-log softmax(logits).(target)] and the probability vector (a plain
-    array, for metrics). *)
-let softmax_cross_entropy tape logits target =
-  let probs = Tensor.softmax logits.value in
-  let d = Array.length probs in
-  if target < 0 || target >= d then
-    invalid_arg "Autodiff.softmax_cross_entropy: bad target";
-  let loss = -.log (Stdlib.max 1e-12 probs.(target)) in
-  if P.on () then P.op op_xent ~flops:(float_of_int (4 * d)) ~bytes:(fbytes 1);
-  let rec n =
-    lazy
-      (push tape [| loss |] (fun () ->
-           if P.on () then P.op op_xent_b ~flops:(float_of_int (3 * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.(0) in
-           for i = 0 to Array.length probs - 1 do
-             let delta = if i = target then 1.0 else 0.0 in
-             logits.grad.(i) <- logits.grad.(i) +. (g *. (probs.(i) -. delta))
-           done))
-  in
-  (Lazy.force n, probs)
-
-let release_tape tape =
-  if tape.alloc_bytes > 0 then begin
-    P.release tape.alloc_bytes;
-    tape.alloc_bytes <- 0
-  end
-
-(** Seed [loss]'s gradient with 1 and replay the tape backwards.  The tape is
-    cleared afterwards so it can be reused for the next example.  When
-    profiling, backward time is attributed to the layer that created each
-    node; the clock is read only when the layer tag changes along the
-    tape. *)
-let backward tape loss =
-  if Array.length loss.grad <> 1 then
-    invalid_arg "Autodiff.backward: loss must be a scalar";
-  loss.grad.(0) <- 1.0;
-  (if P.on () then begin
-     match tape.nodes with
-     | [] -> ()
-     | first :: _ ->
-         let cur = ref first.tag in
-         let t0 = ref (P.now ()) in
-         List.iter
-           (fun n ->
-             if n.tag <> !cur then begin
-               let t = P.now () in
-               P.add_bwd !cur (t -. !t0);
-               cur := n.tag;
-               t0 := t
-             end;
-             n.back ())
-           tape.nodes;
-         P.add_bwd !cur (P.now () -. !t0)
-   end
-   else List.iter (fun n -> n.back ()) tape.nodes);
-  release_tape tape;
-  tape.nodes <- [];
-  tape.n_ops <- 0
-
-(** Drop the recorded graph without propagating (e.g. after inference). *)
-let discard tape =
-  release_tape tape;
-  tape.nodes <- [];
-  tape.n_ops <- 0
+let tape = Batched.tape
+let length = Batched.length
+let backward = Batched.backward

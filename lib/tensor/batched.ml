@@ -1,12 +1,19 @@
-(** Tape-based reverse-mode autodiff over {e batched} matrices.
+(** Tape-based reverse-mode automatic differentiation over {e batched}
+    matrices: the only autodiff engine.
 
-    The per-example engine ({!Autodiff}) records vector nodes; this engine
-    records [lanes × dim] matrix nodes, where each row ("lane") carries one
-    independent example/trace/state of a padded batch.  Semantics per lane
-    are identical to the unbatched ops — the equivalence tests in
-    [test/test_batched.ml] hold every layer to that within float tolerance —
-    but the work runs through the {!Tensor} GEMM kernels and flat loops, so
-    a batch of B lanes costs far fewer than B unbatched passes.
+    The computation graph is recorded on a {!tape}: every op pushes a
+    [lanes × dim] matrix node holding its value, a gradient buffer and a
+    backward closure, where each row ("lane") carries one independent
+    example/trace/state of a padded batch.  {!backward} seeds the loss
+    gradient and replays the closures in reverse creation order,
+    accumulating into input nodes and ultimately into the {!Param.t}
+    gradients.  A single example is a one-lane batch.  Each lane is
+    computed from its own rows alone, so a lane's forward values are
+    bitwise the same whether it runs alone or inside a larger batch
+    ([test/test_batched.ml] holds every layer and model to that, and
+    checks every backward against finite differences); the work runs
+    through the {!Tensor} GEMM kernels and flat loops, so a batch of B
+    lanes costs far fewer than B one-lane passes.
 
     Padding and masking conventions (shared with [lib/nn] and DESIGN.md):
     - Variable-length sequences run as many steps as the longest lane; each
@@ -18,8 +25,8 @@
       (they are never read).
     - Ragged candidate sets use {!masked_softmax_rows}: masked slots get
       weight 0 and zero gradient; a row with a single valid slot gets weight
-      1 with zero gradient into its score (softmax Jacobian [w - w²] is 0),
-      matching the unbatched single-candidate bypass.
+      1 with zero gradient into its score (softmax Jacobian [w - w²] is 0):
+      a lone candidate passes through unchanged.
     - Cross-level packing (tokens → variables → states → traces) is built
       from {!vstack} + {!gather_rows} + the group reductions {!group_sum} /
       {!group_max}.
@@ -29,9 +36,18 @@
     consequently node values are only valid until {!backward}/{!discard} —
     copy out what you need first.
 
-    Profiling mirrors {!Autodiff}: ops are registered as [bad.*], bytes are
-    [16 * lanes * dim] of the output node, GEMM counts [2mnk] forward FLOPs
-    and [2mnk] per backward GEMM (4mnk for the usual dX+dW pair). *)
+    {2 Profiling}
+
+    When {!Liger_obs.Profile} is enabled, every op records a count, its
+    analytic FLOPs and the bytes of its output node.  Conventions (tests and
+    DESIGN.md depend on these): ops are registered as [bad.*]; an op's
+    bytes are [16 * lanes * dim] of its output node (value + grad buffers,
+    8 bytes per float each); GEMM counts [2mnk] forward FLOPs and [2mnk]
+    per backward GEMM (4mnk for the usual dX+dW pair); a transcendental
+    application counts 1.  Nodes are tagged with
+    {!Liger_obs.Profile.current_layer} at creation so {!backward} can
+    attribute backward time to the layer whose forward created each node,
+    reading the clock only at tag boundaries. *)
 
 module P = Liger_obs.Profile
 module D = Liger_obs.Dynamics
@@ -102,7 +118,8 @@ let take_aux tape n_elts =
   tape.aux <- b :: tape.aux;
   b
 
-(* profiled op ids, mirroring the ad.* registry *)
+(* profiled op ids — registration is idempotent and happens once at module
+   initialisation, so the hot path is array indexing *)
 let op_const = P.register_op "bad.const"
 let op_of_param = P.register_op "bad.of_param"
 let op_of_param_b = P.register_op "bad.of_param.bwd"
@@ -239,7 +256,7 @@ let rows_of_param tape (p : Param.t) (ids : int array) =
 (* ------------------------------------------------------------------ *)
 
 (** [matmul_nt tape x p] is [X · W^T] for parameter matrix [W : out×in] and
-    [X : lanes×in], the batched counterpart of {!Autodiff.matvec}.  Backward
+    [X : lanes×in] (one matrix-vector product per lane).  Backward
     runs the two sibling GEMMs [dX += dY·W] and [dW += dY^T·X]. *)
 let matmul_nt tape x (p : Param.t) =
   let l = lanes x and k = dim x in
@@ -1141,9 +1158,9 @@ let group_sum tape a ~(groups : int array) ~n_groups =
   n
 
 (** [group_max tape a ~groups ~n_groups]: per-group, per-column elementwise
-    max, gradients routed to the winning row (ties to the earliest lane, as
-    in {!Autodiff.max_pool}).  Empty groups produce zero rows with no
-    gradient — matching the unbatched "no traces → zero embedding" case. *)
+    max, gradients routed to the winning row (ties go to the earliest
+    lane).  Empty groups produce zero rows with no gradient: an example
+    with no traces gets a zero embedding. *)
 let group_max tape a ~(groups : int array) ~n_groups =
   let l = lanes a and d = dim a in
   if Array.length groups <> l then invalid_arg "Batched.group_max: groups length mismatch";
@@ -1418,8 +1435,9 @@ let release_tape tape =
 
 (** Seed the scalar loss gradient and replay the tape in reverse, then
     release every node buffer back to the pool (node values become invalid).
-    Backward time is attributed to forward layers exactly as in
-    {!Autodiff.backward}. *)
+    When profiling, backward time is attributed to the layer that created
+    each node; the clock is read only when the layer tag changes along the
+    tape. *)
 let backward tape loss =
   if lanes loss <> 1 || dim loss <> 1 then
     invalid_arg "Batched.backward: loss must be 1x1";

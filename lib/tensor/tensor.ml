@@ -133,7 +133,7 @@ let check_same_shape name a b =
          b.rows b.cols)
 
 (* ------------------------------------------------------------------ *)
-(* In-place kernels on raw float arrays (per-example autodiff nodes).  *)
+(* In-place kernels on raw float arrays.                               *)
 (* ------------------------------------------------------------------ *)
 
 (** [axpy a x y] computes [y <- a*x + y] elementwise over raw arrays. *)
@@ -143,15 +143,6 @@ let axpy a x y =
   for i = 0 to n - 1 do
     Array.unsafe_set y i
       ((a *. Array.unsafe_get x i) +. Array.unsafe_get y i)
-  done
-
-(** [axpy_buf a x y] computes [y <- a*x + y] from a raw array into a
-    bigarray buffer (gradient accumulation into parameter storage). *)
-let axpy_buf a (x : float array) (y : buf) =
-  let n = Array.length x in
-  if A.dim y <> n then invalid_arg "Tensor.axpy_buf: length mismatch";
-  for i = 0 to n - 1 do
-    A.unsafe_set y i ((a *. Array.unsafe_get x i) +. A.unsafe_get y i)
   done
 
 (** [matvec m x out] computes [out <- m * x] where [x] has length [m.cols]
@@ -169,26 +160,7 @@ let matvec m x out =
     Array.unsafe_set out i !acc
   done
 
-(** [matvec_t_acc m g x_grad] accumulates [x_grad += m^T * g]; the transpose
-    product needed to backpropagate through {!matvec}. *)
-let matvec_t_acc m g x_grad =
-  if Array.length g <> m.rows then invalid_arg "Tensor.matvec_t_acc: bad g";
-  if Array.length x_grad <> m.cols then
-    invalid_arg "Tensor.matvec_t_acc: bad x_grad";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let gi = Array.unsafe_get g i in
-    if gi <> 0.0 then begin
-      let base = i * cols in
-      for j = 0 to cols - 1 do
-        Array.unsafe_set x_grad j
-          (Array.unsafe_get x_grad j +. (gi *. A.unsafe_get data (base + j)))
-      done
-    end
-  done
-
-(** [outer_acc g x m_grad] accumulates [m_grad += g x^T]; the weight gradient
-    of {!matvec}. *)
+(** [outer_acc g x m_grad] accumulates [m_grad += g x^T]. *)
 let outer_acc g x m_grad =
   let rows = Array.length g and cols = Array.length x in
   if A.dim m_grad.data <> rows * cols then

@@ -173,7 +173,7 @@ test -f runs/ci-probe/probe_accuracy.txt
 grep -q "live-after" runs/ci-probe/probe_accuracy.txt
 echo "   ok: runs/ci-probe/probe_accuracy.txt written (uploaded as a CI artifact)"
 
-echo "== serve smoke: save a model, build the index twice, drive every endpoint"
+echo "== serve smoke: save a model, build the index twice, predict, search, drive every endpoint"
 rm -rf runs/ci-serve-model runs/ci-serve-index runs/ci-serve runs/ci-serve.port
 dune exec --no-build bin/liger_cli.exe -- train -n 16 --epochs 1 --batch 16 \
   --save runs/ci-serve-model > /dev/null 2>&1
@@ -183,6 +183,14 @@ dune exec --no-build bin/liger_cli.exe -- index --model runs/ci-serve-model \
 dune exec --no-build bin/liger_cli.exe -- index --model runs/ci-serve-model \
   --out runs/ci-serve-index --generate 8 --seed 7 | grep -q "embedded 0," || {
     echo "   ERROR: index rebuild re-embedded unchanged methods" >&2; exit 1; }
+# the one-example inference commands: a one-lane forward of the saved
+# model, and semantic search over a briefly trained encoder of its own
+dune exec --no-build bin/liger_cli.exe -- predict examples/minijava/sum_to.mj \
+  --model runs/ci-serve-model | grep -q "predicted name:" || {
+    echo "   ERROR: liger predict printed no predicted name" >&2; exit 1; }
+dune exec --no-build bin/liger_cli.exe -- similar examples/minijava/sum_to.mj -n 20 -k 3 \
+  | grep -Eq '^  -?[0-9]+[.][0-9]+  [A-Za-z]' || {
+    echo "   ERROR: liger similar printed no neighbour" >&2; exit 1; }
 # run the built binary directly so $! is the server itself, not a dune wrapper
 LIGER_RUN_ID=ci-serve LIGER_METRICS_EVERY=1 ./_build/default/bin/liger_cli.exe serve \
   --model runs/ci-serve-model --index runs/ci-serve-index \

@@ -1,12 +1,13 @@
-(* Batched-engine equivalence suite: the contract is that every lib/nn
-   layer's *_batch variant computes, per lane, the same function as its
-   unbatched counterpart (within float-reassociation tolerance), that
-   padded lanes and masked slots receive EXACTLY zero gradient, and that
-   the GEMM kernels agree with a naive reference bitwise-deterministically
-   across parallel schedules.  Ends with full-model loss_batch vs loss and
-   predict_batch vs predict for all four models, pinned forward bits of a
-   ragged batch, and Train.fit determinism across pool sizes at batch 3
-   and at batch 1. *)
+(* Batched-engine suite.  The contract: every lib/nn layer and every
+   model computes each lane from that lane's rows alone, so a G-lane batch
+   gives, per lane, bitwise the forward values of G one-lane batches and
+   the same parameter gradients up to float reassociation (within 1e-9);
+   padded lanes and masked slots receive EXACTLY zero gradient; every
+   backward matches central finite differences; and the GEMM kernels agree
+   with a naive reference bitwise-deterministically across parallel
+   schedules.  Ends with full-model loss_batch and predict_batch per lane
+   for all four models, pinned forward bits of a ragged batch, and
+   Train.fit determinism across pool sizes at batch 3 and at batch 1. *)
 
 open Liger_tensor
 open Liger_nn
@@ -24,6 +25,16 @@ let check_close ?(tol = 1e-6) name expected actual =
         Alcotest.failf "%s[%d]: expected %.9g got %.9g" name i e a)
     expected
 
+(* bitwise equality of two value rows *)
+let check_bits name expected actual =
+  if Array.length expected <> Array.length actual then
+    Alcotest.failf "%s: length %d vs %d" name (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun i e ->
+      if Int64.bits_of_float e <> Int64.bits_of_float actual.(i) then
+        Alcotest.failf "%s[%d]: %.17g vs %.17g (not bitwise equal)" name i e actual.(i))
+    expected
+
 let store_grads store =
   Param.fold store ~init:[] (fun acc p ->
       (p.Param.name, Tensor.to_array p.Param.grad) :: acc)
@@ -32,13 +43,6 @@ let check_grads ?(tol = 1e-6) tag expected actual =
   List.iter
     (fun (name, e) -> check_close ~tol (tag ^ "/grad " ^ name) e (List.assoc name actual))
     expected
-
-(* Unbatched reference loss: sum over lanes of sum(y_l .* y_l), all on one
-   tape so one backward accumulates every lane's parameter gradient. *)
-let sq_loss_unbatched tape ys =
-  List.fold_left
-    (fun acc y -> Autodiff.add tape acc (Autodiff.sum tape (Autodiff.mul tape y y)))
-    (Autodiff.scalar tape 0.0) ys
 
 let sq_loss_batched btape y = Batched.sum_all btape (Batched.mul btape y y)
 
@@ -272,44 +276,49 @@ let test_bufpool_reuse () =
   if v1 <> v2 then Alcotest.failf "bufpool reuse changed a result: %.17g vs %.17g" v1 v2
 
 (* ------------------------------------------------------------------ *)
-(* Per-layer batched-vs-unbatched equivalence (shared parameter store)  *)
+(* Per-layer lane independence: G lanes ≡ G one-lane batches            *)
 (* ------------------------------------------------------------------ *)
 
 let lanes = 3
 
-(* Runs the unbatched builder (one tape, all lanes), snapshots loss+grads,
-   zeroes, runs the batched builder, and compares. *)
-let equivalence ?(tol = 1e-6) name store ~unbatched ~batched =
-  let tape = Autodiff.tape () in
-  let loss = unbatched tape in
-  let expected = Autodiff.scalar_value loss in
-  Autodiff.backward tape loss;
+(* [build btape ls] records the layer's output rows for the test lanes
+   [ls] (in order).  Each lane alone is run, and its row and the gradient
+   of [loss] over it accumulated; then all lanes at once.  Every row of the
+   G-lane run must equal its one-lane row bitwise, and the G-lane gradient
+   must match the sum of the one-lane gradients within [tol]. *)
+let lane_equivalence ?(tol = 1e-9) ?(loss = sq_loss_batched) name store build =
+  let run ls =
+    let btape = Batched.tape () in
+    let y = build btape ls in
+    let rows = Array.init (Array.length ls) (Batched.row_value y) in
+    Batched.backward btape (loss btape y);
+    rows
+  in
+  Param.zero_grads store;
+  let singles = Array.init lanes (fun l -> (run [| l |]).(0)) in
   let eg = store_grads store in
   Param.zero_grads store;
-  let btape = Batched.tape () in
-  let bloss = batched btape in
-  let actual = Batched.scalar_value bloss in
-  Batched.backward btape bloss;
+  let rows = run (Array.init lanes Fun.id) in
   let ag = store_grads store in
   Param.zero_grads store;
-  check_close ~tol (name ^ "/loss") [| expected |] [| actual |];
+  Array.iteri (fun l e -> check_bits (Printf.sprintf "%s/lane %d" name l) e rows.(l)) singles;
   check_grads ~tol name eg ag
+
+(* the rows [ls] of per-lane arrays [xs], as one [|ls| × cols] leaf *)
+let lanes_of btape ~cols xs ls =
+  Batched.const_arr btape ~rows:(Array.length ls) ~cols
+    (Array.concat (List.map (fun l -> xs.(l)) (Array.to_list ls)))
 
 let test_linear_equiv () =
   let store = Param.create_store ~seed:31 () in
   let layer = Linear.create store "lin" ~dim_in:4 ~dim_out:3 in
   let rng = Rng.create 32 in
   let xs = Array.init lanes (fun _ -> rand_arr rng 4) in
-  equivalence "linear" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (Array.to_list
-           (Array.map (fun x -> Linear.forward_tanh layer tape (Autodiff.const tape x)) xs)))
-    ~batched:(fun btape ->
-      let x =
-        Batched.const_arr btape ~rows:lanes ~cols:4 (Array.concat (Array.to_list xs))
-      in
-      sq_loss_batched btape (Linear.forward_tanh_batch layer btape x))
+  lane_equivalence "linear" store (fun btape ls ->
+      let x = lanes_of btape ~cols:4 xs ls in
+      Batched.concat_cols btape
+        [ Linear.forward_tanh_batch layer btape x; Linear.forward_sigmoid_batch layer btape x;
+          Linear.forward_batch layer btape x ])
 
 let test_embedding_equiv () =
   let v = Vocab.create () in
@@ -319,36 +328,25 @@ let test_embedding_equiv () =
   let emb = Embedding_layer.create store "emb" v ~dim:5 in
   let ids = [| 4; 6; 4 |] in
   (* duplicate id: scatter-add must accumulate *)
-  equivalence "embedding" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (Array.to_list (Array.map (fun i -> Embedding_layer.embed_id emb tape i) ids)))
-    ~batched:(fun btape ->
-      sq_loss_batched btape (Embedding_layer.embed_ids emb btape ids))
+  lane_equivalence "embedding" store (fun btape ls ->
+      Embedding_layer.embed_ids emb btape (Array.map (fun l -> ids.(l)) ls))
+
+(* three steps; lane 1 stops after one and lane 2 after two, so the masked
+   steps compact non-adjacent live lanes *)
+let lens = [| 3; 1; 2 |]
+
+let ragged_steps btape ~cols xs ls =
+  List.init (Array.length xs) (fun s ->
+      ( lanes_of btape ~cols xs.(s) ls,
+        Some (Array.map (fun l -> if s < lens.(l) then 1.0 else 0.0) ls) ))
 
 let rnn_equiv kind name =
   let store = Param.create_store ~seed:34 () in
   let cell = Rnn_cell.create ~kind store "cell" ~dim_in:3 ~dim_hidden:4 in
   let rng = Rng.create 35 in
-  let steps = 3 in
-  let xs = Array.init steps (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
-  equivalence name store
-    ~unbatched:(fun tape ->
-      let finals =
-        List.init lanes (fun l ->
-            let inputs = List.init steps (fun s -> Autodiff.const tape xs.(s).(l)) in
-            match List.rev (Rnn_cell.run cell tape inputs) with
-            | h :: _ -> h
-            | [] -> assert false)
-      in
-      sq_loss_unbatched tape finals)
-    ~batched:(fun btape ->
-      let step s =
-        ( Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list xs.(s))),
-          None )
-      in
-      let h = Rnn_cell.last_batch cell btape ~lanes (List.init steps step) in
-      sq_loss_batched btape h)
+  let xs = Array.init 3 (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
+  lane_equivalence name store (fun btape ls ->
+      Rnn_cell.last_batch cell btape ~lanes:(Array.length ls) (ragged_steps btape ~cols:3 xs ls))
 
 let test_gru_equiv () = rnn_equiv Rnn_cell.Gru "rnn_cell.gru"
 let test_vanilla_equiv () = rnn_equiv Rnn_cell.Vanilla "rnn_cell.vanilla"
@@ -357,22 +355,9 @@ let test_lstm_equiv () =
   let store = Param.create_store ~seed:36 () in
   let cell = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:4 in
   let rng = Rng.create 37 in
-  let steps = 3 in
-  let xs = Array.init steps (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
-  equivalence "lstm" store
-    ~unbatched:(fun tape ->
-      let finals =
-        List.init lanes (fun l ->
-            let inputs = List.init steps (fun s -> Autodiff.const tape xs.(s).(l)) in
-            Lstm.last cell tape inputs)
-      in
-      sq_loss_unbatched tape finals)
-    ~batched:(fun btape ->
-      let step s =
-        ( Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list xs.(s))),
-          None )
-      in
-      sq_loss_batched btape (Lstm.last_batch cell btape ~lanes (List.init steps step)))
+  let xs = Array.init 3 (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
+  lane_equivalence "lstm" store (fun btape ls ->
+      Lstm.last_batch cell btape ~lanes:(Array.length ls) (ragged_steps btape ~cols:3 xs ls))
 
 (* perturb the zero-initialised scorer direction so attention gradients are
    not trivially zero through the projection *)
@@ -383,69 +368,50 @@ let kick_attention_v store name =
     Tensor.set_idx p.Param.value i (Rng.uniform rng (-0.5) 0.5)
   done
 
+(* lane [l]'s validity row of a [lanes × k] mask, for the lanes [ls] *)
+let mask_rows (mask : float array array) ls =
+  Tensor.of_rows (Array.map (fun l -> mask.(l)) ls)
+
 let test_attention_equiv () =
   let store = Param.create_store ~seed:38 () in
   let att = Attention.create store "att" ~dim_h:4 ~dim_q:3 ~dim_att:5 in
   kick_attention_v store "att.v";
   let rng = Rng.create 39 in
-  let k = 3 in
   let qs = Array.init lanes (fun _ -> rand_arr rng 3) in
-  let hs = Array.init k (fun _ -> Array.init lanes (fun _ -> rand_arr rng 4)) in
-  equivalence "attention" store
-    ~unbatched:(fun tape ->
-      let fused =
-        List.init lanes (fun l ->
-            let q = Autodiff.const tape qs.(l) in
-            let cands = Array.map (fun slot -> Autodiff.const tape slot.(l)) hs in
-            snd (Attention.fuse att tape ~q cands))
-      in
-      sq_loss_unbatched tape fused)
-    ~batched:(fun btape ->
-      let q =
-        Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list qs))
-      in
-      let cands =
-        Array.map
-          (fun slot ->
-            Batched.const_arr btape ~rows:lanes ~cols:4 (Array.concat (Array.to_list slot)))
-          hs
-      in
-      let mask = Tensor.create lanes k in
-      Tensor.fill mask 1.0;
-      sq_loss_batched btape (snd (Attention.fuse_batch att btape ~q ~mask cands)))
+  let hs = Array.init 3 (fun _ -> Array.init lanes (fun _ -> rand_arr rng 4)) in
+  (* lane 1 has one valid slot, lane 2 two *)
+  let mask = [| [| 1.; 1.; 1. |]; [| 1.; 0.; 0. |]; [| 0.; 1.; 1. |] |] in
+  lane_equivalence "attention" store (fun btape ls ->
+      let q = lanes_of btape ~cols:3 qs ls in
+      let cands = Array.map (fun slot -> lanes_of btape ~cols:4 slot ls) hs in
+      let mask = mask_rows mask ls in
+      Batched.concat_cols btape
+        [ snd (Attention.fuse_batch att btape ~q ~mask cands);
+          snd (Attention.fuse_uniform_batch btape ~mask cands) ])
 
 let trees =
   Encode.
-    [
+    [|
       Node ("add", [ Leaf "x"; Node ("mul", [ Leaf "y"; Leaf "two" ]) ]);
       Leaf "lone";
       Node ("neg", [ Node ("abs", [ Leaf "z" ]) ]);
-    ]
+    |]
 
-(* deterministic token -> R^3 so both paths embed identically *)
+(* deterministic token -> R^3 *)
 let tok_vec tok =
   let h = Hashtbl.hash tok in
   Array.init 3 (fun i -> float_of_int (((h lsr (4 * i)) land 15) - 8) /. 8.0)
 
+let embed_tokens btape labels =
+  Batched.const_arr btape ~rows:(Array.length labels) ~cols:3
+    (Array.concat (Array.to_list (Array.map tok_vec labels)))
+
 let test_treelstm_equiv () =
   let store = Param.create_store ~seed:40 () in
   let tl = Treelstm.create store "tl" ~dim_in:3 ~dim_hidden:4 in
-  equivalence ~tol:1e-6 "treelstm" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (List.map
-           (fun tr ->
-             Treelstm.embed_tree tl tape ~embed:(fun tok -> Autodiff.const tape (tok_vec tok)) tr)
-           trees))
-    ~batched:(fun btape ->
-      let roots =
-        Treelstm.embed_forest tl btape
-          ~embed:(fun labels ->
-            Batched.const_arr btape ~rows:(Array.length labels) ~cols:3
-              (Array.concat (Array.to_list (Array.map tok_vec labels))))
-          trees
-      in
-      sq_loss_batched btape roots)
+  lane_equivalence "treelstm" store (fun btape ls ->
+      Treelstm.embed_forest tl btape ~embed:(embed_tokens btape)
+        (List.map (fun l -> trees.(l)) (Array.to_list ls)))
 
 let make_decoder () =
   let v = Vocab.create () in
@@ -460,48 +426,17 @@ let make_decoder () =
 let test_decoder_equiv () =
   let store, dec = make_decoder () in
   let rng = Rng.create 42 in
-  let k = 2 in
-  let mems = Array.init k (fun _ -> Array.init lanes (fun _ -> rand_arr rng 5)) in
+  let mems = Array.init 2 (fun _ -> Array.init lanes (fun _ -> rand_arr rng 5)) in
   let progs = Array.init lanes (fun _ -> rand_arr rng 5) in
-  (* ragged targets: lane 1 finishes earlier, exercising weight-0 steps *)
+  (* ragged targets: lane 1 finishes earlier, exercising weight-0 steps;
+     lane 2 has one memory slot *)
   let targets = [| [ 4; 5 ]; [ 6 ]; [ 5; 4 ] |] in
-  let tape = Autodiff.tape () in
-  let per_lane =
-    List.init lanes (fun l ->
-        let memory = Array.map (fun slot -> Autodiff.const tape slot.(l)) mems in
-        Decoder.loss dec tape ~memory
-          ~program_embedding:(Autodiff.const tape progs.(l))
-          ~target_ids:targets.(l))
-  in
-  let expected = List.map Autodiff.scalar_value per_lane in
-  let total =
-    List.fold_left (fun acc l -> Autodiff.add tape acc l) (Autodiff.scalar tape 0.0) per_lane
-  in
-  Autodiff.backward tape total;
-  let eg = store_grads store in
-  Param.zero_grads store;
-  let btape = Batched.tape () in
-  let memory =
-    Array.map
-      (fun slot ->
-        Batched.const_arr btape ~rows:lanes ~cols:5 (Array.concat (Array.to_list slot)))
-      mems
-  in
-  let mask = Tensor.create lanes k in
-  Tensor.fill mask 1.0;
-  let losses =
-    Decoder.loss_batch dec btape ~memory ~memory_mask:mask
-      ~program_embedding:
-        (Batched.const_arr btape ~rows:lanes ~cols:5 (Array.concat (Array.to_list progs)))
-      ~target_ids:targets
-  in
-  List.iteri
-    (fun l e -> check_close ~tol:1e-6 "decoder/lane loss" [| e |] (Batched.row_value losses l))
-    expected;
-  Batched.backward btape (Batched.sum_all btape losses);
-  let ag = store_grads store in
-  Param.zero_grads store;
-  check_grads ~tol:1e-6 "decoder" eg ag
+  let mask = [| [| 1.; 1. |]; [| 1.; 1. |]; [| 1.; 0. |] |] in
+  lane_equivalence ~loss:Batched.sum_all "decoder" store (fun btape ls ->
+      Decoder.loss_batch dec btape
+        ~memory:(Array.map (fun slot -> lanes_of btape ~cols:5 slot ls) mems)
+        ~memory_mask:(mask_rows mask ls) ~program_embedding:(lanes_of btape ~cols:5 progs ls)
+        ~target_ids:(Array.map (fun l -> targets.(l)) ls))
 
 (* ------------------------------------------------------------------ *)
 (* Masking: padded lanes and dead slots get EXACTLY zero gradient       *)
@@ -589,45 +524,15 @@ let test_xent_zero_weight_rows () =
     g
 
 (* ------------------------------------------------------------------ *)
-(* Finite-difference gradcheck directly on the batched path            *)
+(* Finite-difference gradchecks ({!Liger_fuzz.Oracle.grad_check})      *)
 (* ------------------------------------------------------------------ *)
-
-let bgrad_check ?(eps = 1e-5) ?(tol = 2e-3) store build =
-  let btape = Batched.tape () in
-  let loss = build btape in
-  Batched.backward btape loss;
-  let grads = store_grads store in
-  Param.zero_grads store;
-  let eval () =
-    let bt = Batched.tape () in
-    let l = build bt in
-    let v = Batched.scalar_value l in
-    Batched.discard bt;
-    v
-  in
-  Param.iter store (fun p ->
-      let analytic = List.assoc p.Param.name grads in
-      let value = p.Param.value in
-      Array.iteri
-        (fun i _ ->
-          let orig = Tensor.get_idx value i in
-          Tensor.set_idx value i (orig +. eps);
-          let up = eval () in
-          Tensor.set_idx value i (orig -. eps);
-          let down = eval () in
-          Tensor.set_idx value i orig;
-          let numeric = (up -. down) /. (2.0 *. eps) in
-          if Float.abs (analytic.(i) -. numeric) > tol *. (1.0 +. Float.abs numeric) then
-            Alcotest.failf "%s[%d]: analytic %.6g numeric %.6g" p.Param.name i analytic.(i)
-              numeric)
-        analytic)
 
 let test_batched_gru_gradcheck () =
   let store = Param.create_store ~seed:61 () in
   let cell = Rnn_cell.create store "cell" ~dim_in:3 ~dim_hidden:4 in
   let rng = Rng.create 62 in
   let x1 = rand_arr rng 6 and x2 = rand_arr rng 6 in
-  bgrad_check store (fun btape ->
+  Testutil.grad_check store (fun btape ->
       let steps =
         [
           (Batched.const_arr btape ~rows:2 ~cols:3 x1, None);
@@ -647,11 +552,11 @@ let test_compacted_step_gradcheck () =
   in
   let store = Param.create_store ~seed:68 () in
   let gru = Rnn_cell.create store "gru" ~dim_in:3 ~dim_hidden:4 in
-  bgrad_check store (fun btape ->
+  Testutil.grad_check store (fun btape ->
       sq_loss_batched btape (Rnn_cell.last_batch gru btape ~lanes:3 (steps btape)));
   let store = Param.create_store ~seed:69 () in
   let lstm = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:4 in
-  bgrad_check store (fun btape ->
+  Testutil.grad_check store (fun btape ->
       sq_loss_batched btape (Lstm.last_batch lstm btape ~lanes:3 (steps btape)))
 
 let test_batched_attention_gradcheck () =
@@ -664,7 +569,7 @@ let test_batched_attention_gradcheck () =
   let rng = Rng.create 64 in
   let q = rand_arr rng 4 in
   let slots = Array.init 3 (fun _ -> rand_arr rng 6) in
-  bgrad_check store (fun btape ->
+  Testutil.grad_check store (fun btape ->
       let qn = Batched.const_arr btape ~rows:2 ~cols:2 q in
       let cands =
         Array.map (fun s -> Batched.const_arr btape ~rows:2 ~cols:3 s) slots
@@ -677,22 +582,16 @@ let test_batched_attention_gradcheck () =
 let test_batched_treelstm_gradcheck () =
   let store = Param.create_store ~seed:65 () in
   let tl = Treelstm.create store "tl" ~dim_in:3 ~dim_hidden:3 in
-  bgrad_check store (fun btape ->
-      let roots =
-        Treelstm.embed_forest tl btape
-          ~embed:(fun labels ->
-            Batched.const_arr btape ~rows:(Array.length labels) ~cols:3
-              (Array.concat (Array.to_list (Array.map tok_vec labels))))
-          trees
-      in
-      sq_loss_batched btape roots)
+  Testutil.grad_check store (fun btape ->
+      sq_loss_batched btape
+        (Treelstm.embed_forest tl btape ~embed:(embed_tokens btape) (Array.to_list trees)))
 
 let test_batched_decoder_gradcheck () =
   let store, dec = make_decoder () in
   let rng = Rng.create 66 in
   let mems = Array.init 2 (fun _ -> rand_arr rng 10) in
   let progs = rand_arr rng 10 in
-  bgrad_check ~tol:5e-3 store (fun btape ->
+  Testutil.grad_check ~tol:5e-3 store (fun btape ->
       let memory = Array.map (fun m -> Batched.const_arr btape ~rows:2 ~cols:5 m) mems in
       let mask = Tensor.create 2 2 in
       Tensor.fill mask 1.0;
@@ -702,6 +601,17 @@ let test_batched_decoder_gradcheck () =
           ~target_ids:[| [ 4 ]; [ 5; 6 ] |]
       in
       Batched.sum_all btape losses)
+
+(* uniform fusion has no parameters of its own: the candidates are
+   parameters here, so the check covers the gradient into them, masked
+   slots included *)
+let test_uniform_fusion_gradcheck () =
+  let store = Param.create_store ~seed:70 () in
+  let slots = Array.init 3 (fun k -> Param.matrix store (Printf.sprintf "slot%d" k) 2 3) in
+  let mask = Tensor.of_rows [| [| 1.; 1.; 1. |]; [| 0.; 1.; 1. |] |] in
+  Testutil.grad_check store (fun btape ->
+      let cands = Array.map (fun p -> Batched.rows_of_param btape p [| 0; 1 |]) slots in
+      sq_loss_batched btape (snd (Attention.fuse_uniform_batch btape ~mask cands)))
 
 (* ------------------------------------------------------------------ *)
 (* Full model and training loop                                        *)
@@ -720,79 +630,78 @@ let small_corpus =
      Liger_dataset.Pipeline.build_naming ~enc_config:enc (Rng.create 4321)
        ~name:"batched-test" ~n:20)
 
+(* The loss of each lane of a LiGer batch and the gradient of their sum,
+   against one-lane batches: values bitwise, gradients within 1e-9. *)
 let test_model_loss_batch_equiv () =
   let corpus = Lazy.force small_corpus in
   let module LM = Liger_core.Liger_model in
   let wrap, model =
     Liger_eval.Zoo.liger ~vocab:corpus.Liger_dataset.Pipeline.vocab LM.Naming
   in
+  let store = wrap.Liger_eval.Train.store in
   let chunk =
     Array.of_list
       (List.filteri (fun i _ -> i < 4) corpus.Liger_dataset.Pipeline.train)
   in
   if Array.length chunk = 0 then Alcotest.fail "empty train split";
-  (* per-example unbatched losses and accumulated grads *)
+  (* one-lane losses through the model record, gradients accumulated *)
   let expected =
     Array.map
       (fun ex ->
-        let tape = Autodiff.tape () in
+        let tape = Batched.tape () in
         let loss = wrap.Liger_eval.Train.train_loss tape ex in
-        let v = Autodiff.scalar_value loss in
-        Autodiff.backward tape loss;
+        let v = Batched.scalar_value loss in
+        Batched.backward tape loss;
         v)
       chunk
   in
-  let eg = store_grads wrap.Liger_eval.Train.store in
-  Param.zero_grads wrap.Liger_eval.Train.store;
+  let eg = store_grads store in
+  Param.zero_grads store;
   let btape = Batched.tape () in
   let losses, _ = LM.loss_batch model btape chunk in
   Array.iteri
     (fun l e ->
-      check_close ~tol:1e-5 "model/lane loss" [| e |] (Batched.row_value losses l))
+      check_bits (Printf.sprintf "model/lane %d loss" l) [| e |] (Batched.row_value losses l))
     expected;
   Batched.backward btape (Batched.sum_all btape losses);
-  let ag = store_grads wrap.Liger_eval.Train.store in
-  Param.zero_grads wrap.Liger_eval.Train.store;
-  check_grads ~tol:1e-5 "model" eg ag
+  let ag = store_grads store in
+  Param.zero_grads store;
+  check_grads ~tol:1e-9 "model" eg ag
 
-(* Per-lane equivalence of a whole model's batched loss against its
-   per-example [Autodiff] loss: for each lane, the lane's loss value and
-   the gradient of that lane's loss alone (the others weighted 0); every
-   gradient entry the example leaves exactly zero must stay exactly zero,
-   so padding and the other lanes leak nothing; finally the gradient of
-   the summed batch loss against the per-example sum. *)
+(* Per-lane independence of a whole model's loss_batch: for each lane, its
+   loss equals the one-lane loss bitwise, and the gradient of that lane's
+   loss alone (the others weighted 0) matches the one-lane gradient within
+   1e-9; every gradient entry the one-lane run leaves exactly zero must
+   stay exactly zero, so padding and the other lanes leak nothing; finally
+   the gradient of the summed batch loss against the sum of the one-lane
+   gradients. *)
 let check_model_lanes name (wrap : Liger_eval.Train.model) chunk =
   let store = wrap.Liger_eval.Train.store in
   let hooks = Option.get wrap.Liger_eval.Train.batched in
   let n = Array.length chunk in
-  let unbatched ex =
-    let tape = Autodiff.tape () in
-    let loss = wrap.Liger_eval.Train.train_loss tape ex in
-    let v = Autodiff.scalar_value loss in
-    Autodiff.backward tape loss;
-    v
-  in
-  let batched weights =
+  let run exs weights =
     let btape = Batched.tape () in
-    let losses = hooks.Liger_eval.Train.train_loss_batch btape chunk in
-    let values = Array.init n (fun g -> (Batched.row_value losses g).(0)) in
+    let losses = hooks.Liger_eval.Train.train_loss_batch btape exs in
+    let k = Array.length exs in
+    let values = Array.init k (fun g -> (Batched.row_value losses g).(0)) in
     Batched.backward btape
       (Batched.sum_all btape
-         (Batched.mul btape losses (Batched.const_arr btape ~rows:n ~cols:1 weights)));
+         (Batched.mul btape losses (Batched.const_arr btape ~rows:k ~cols:1 weights)));
     values
   in
+  let one_lane ex = (run [| ex |] [| 1.0 |]).(0) in
   Param.zero_grads store;
   Array.iteri
     (fun i ex ->
-      let expected = unbatched ex in
+      let expected = one_lane ex in
       let eg = store_grads store in
       Param.zero_grads store;
-      let values = batched (Array.init n (fun g -> if g = i then 1.0 else 0.0)) in
+      let values = run chunk (Array.init n (fun g -> if g = i then 1.0 else 0.0)) in
       let ag = store_grads store in
       Param.zero_grads store;
       let tag = Printf.sprintf "%s/lane %d" name i in
-      check_close ~tol:1e-5 (tag ^ " loss") [| expected |] [| values.(i) |];
-      check_grads ~tol:1e-5 tag eg ag;
+      check_bits (tag ^ " loss") [| expected |] [| values.(i) |];
+      check_grads ~tol:1e-9 tag eg ag;
       List.iter
         (fun (pname, e) ->
           let a = List.assoc pname ag in
@@ -803,13 +712,13 @@ let check_model_lanes name (wrap : Liger_eval.Train.model) chunk =
             e)
         eg)
     chunk;
-  Array.iter (fun ex -> ignore (unbatched ex)) chunk;
+  Array.iter (fun ex -> ignore (one_lane ex)) chunk;
   let eg = store_grads store in
   Param.zero_grads store;
-  ignore (batched (Array.make n 1.0));
+  ignore (run chunk (Array.make n 1.0));
   let ag = store_grads store in
   Param.zero_grads store;
-  check_grads ~tol:1e-5 (name ^ "/batch") eg ag
+  check_grads ~tol:1e-9 (name ^ "/batch") eg ag
 
 (* [k] training examples spread evenly over the range of [size], in
    corpus order, required to differ in [size] so the batch pads *)
@@ -908,8 +817,8 @@ let test_classify_loss_batch_equiv () =
       Liger_eval.Zoo.code2vec ~train task;
     ]
 
-(* [predict_batch] over a batch returns exactly the per-example
-   [predict] results, for every model *)
+(* [predict_batch] over a batch returns exactly the one-lane predictions,
+   for every model *)
 let test_predict_batch_equiv () =
   let corpus = Lazy.force small_corpus in
   let vocab = corpus.Liger_dataset.Pipeline.vocab in
@@ -919,12 +828,12 @@ let test_predict_batch_equiv () =
   in
   List.iter
     (fun (wrap : Liger_eval.Train.model) ->
-      let hooks = Option.get wrap.Liger_eval.Train.batched in
-      let got = hooks.Liger_eval.Train.predict_batch examples in
+      let predict = (Option.get wrap.Liger_eval.Train.batched).Liger_eval.Train.predict_batch in
+      let got = predict examples in
       Array.iteri
         (fun i ex ->
-          if wrap.Liger_eval.Train.predict ex <> got.(i) then
-            Alcotest.failf "%s: batched prediction %d differs from predict"
+          if (predict [| ex |]).(0) <> got.(i) then
+            Alcotest.failf "%s: batched prediction %d differs from its one-lane prediction"
               wrap.Liger_eval.Train.name i)
         examples)
     [
@@ -933,6 +842,54 @@ let test_predict_batch_equiv () =
       Liger_eval.Zoo.code2seq ~train naming;
       Liger_eval.Zoo.code2vec ~train naming;
     ]
+
+(* Finite-difference gradchecks of each model's loss_batch at dimension 2,
+   over a small ragged batch: the summed per-example losses against every
+   parameter entry. *)
+let model_gradcheck (wrap : Liger_eval.Train.model) chunk =
+  let hooks = Option.get wrap.Liger_eval.Train.batched in
+  Testutil.grad_check ~tol:5e-3 wrap.Liger_eval.Train.store (fun btape ->
+      Batched.sum_all btape (hooks.Liger_eval.Train.train_loss_batch btape chunk))
+
+let tiny_liger task =
+  let corpus = Lazy.force small_corpus in
+  fst
+    (Liger_eval.Zoo.liger
+       ~config:{ Liger_core.Liger_model.default_config with Liger_core.Liger_model.dim = 2 }
+       ~vocab:corpus.Liger_dataset.Pipeline.vocab task)
+
+let first_train k =
+  let train = (Lazy.force small_corpus).Liger_dataset.Pipeline.train in
+  Array.of_list (List.filteri (fun i _ -> i < k) train)
+
+let test_liger_naming_gradcheck () = model_gradcheck (tiny_liger naming) (first_train 2)
+
+let test_liger_classify_gradcheck () =
+  let chunk =
+    Array.mapi
+      (fun i (ex : Liger_core.Common.enc_example) ->
+        { ex with Liger_core.Common.label = Liger_core.Common.Class i; target_ids = [ i ] })
+      (first_train 2)
+  in
+  model_gradcheck (tiny_liger (Liger_core.Liger_model.Classify 2)) chunk
+
+let test_dypro_gradcheck () =
+  let corpus = Lazy.force small_corpus in
+  model_gradcheck
+    (fst (Liger_eval.Zoo.dypro ~dim:2 ~vocab:corpus.Liger_dataset.Pipeline.vocab naming))
+    (first_train 2)
+
+let test_code2seq_gradcheck () =
+  let corpus = Lazy.force small_corpus in
+  model_gradcheck
+    (Liger_eval.Zoo.code2seq ~dim:2 ~train:corpus.Liger_dataset.Pipeline.train naming)
+    (static_chunk "code2seq gradcheck")
+
+let test_code2vec_gradcheck () =
+  let corpus = Lazy.force small_corpus in
+  model_gradcheck
+    (Liger_eval.Zoo.code2vec ~dim:2 ~train:corpus.Liger_dataset.Pipeline.train naming)
+    (static_chunk "code2vec gradcheck")
 
 (* ------------------------------------------------------------------ *)
 (* Forward bits pinned across engine changes                           *)
@@ -1086,6 +1043,12 @@ let () =
           Alcotest.test_case "attention (split proj)" `Quick test_batched_attention_gradcheck;
           Alcotest.test_case "treelstm forest" `Quick test_batched_treelstm_gradcheck;
           Alcotest.test_case "decoder" `Slow test_batched_decoder_gradcheck;
+          Alcotest.test_case "uniform fusion" `Quick test_uniform_fusion_gradcheck;
+          Alcotest.test_case "LiGer naming loss_batch" `Slow test_liger_naming_gradcheck;
+          Alcotest.test_case "LiGer classify loss_batch" `Slow test_liger_classify_gradcheck;
+          Alcotest.test_case "DYPRO loss_batch" `Slow test_dypro_gradcheck;
+          Alcotest.test_case "code2seq loss_batch" `Slow test_code2seq_gradcheck;
+          Alcotest.test_case "code2vec loss_batch" `Slow test_code2vec_gradcheck;
         ] );
       ( "model",
         [

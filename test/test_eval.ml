@@ -189,6 +189,37 @@ let test_probe_readout_smoke () =
   Alcotest.(check int) "one line per row" (2 + List.length report.Probe.rows)
     (List.length (String.split_on_char '\n' table))
 
+(* Each example's frozen embeddings do not depend on the rest of its
+   batch, so the probe table is byte-for-byte the same whether a split is
+   embedded in chunks or one example at a time. *)
+let test_probe_batch_independent () =
+  let c = Lazy.force corpus in
+  let vocab = c.Pipeline.vocab in
+  let config = { Liger_model.default_config with Liger_model.dim = 6 } in
+  let _, liger = Zoo.liger ~config ~vocab Liger_model.Naming in
+  let _, dypro = Zoo.dypro ~dim:6 ~vocab Liger_model.Naming in
+  let one_at_a_time (emb : Probe.embedder) =
+    { emb with Probe.e_embed = Array.map (fun ex -> (emb.Probe.e_embed [| ex |]).(0)) }
+  in
+  let table embedders =
+    Probe.render
+      (List.map
+         (fun emb ->
+           Probe.probe ~epochs:3 (Rng.create 3) emb ~train:c.Pipeline.train ~test:c.Pipeline.test)
+         embedders)
+  in
+  if List.length c.Pipeline.train <= Probe.chunk then
+    Alcotest.fail "the train split fits one chunk: nothing is batched";
+  let batched = [ Probe.of_liger liger; Probe.of_dypro dypro ] in
+  let split = Array.of_list c.Pipeline.train in
+  List.iter
+    (fun (emb : Probe.embedder) ->
+      if emb.Probe.e_embed split <> (one_at_a_time emb).Probe.e_embed split then
+        Alcotest.failf "%s: batched embeddings differ from one-lane ones" emb.Probe.e_name)
+    batched;
+  Alcotest.(check string) "probe_accuracy.txt" (table batched)
+    (table (List.map one_at_a_time batched))
+
 let test_report_table2_renders () =
   let scale =
     { Experiments.quick with Experiments.med_n = 40; Experiments.large_n = 40;
@@ -230,5 +261,9 @@ let () =
           Alcotest.test_case "view normalization" `Slow test_view_normalization_hits_cache;
         ] );
       ("report", [ Alcotest.test_case "table2 renders" `Slow test_report_table2_renders ]);
-      ("probe", [ Alcotest.test_case "readout smoke" `Slow test_probe_readout_smoke ]);
+      ( "probe",
+        [
+          Alcotest.test_case "readout smoke" `Slow test_probe_readout_smoke;
+          Alcotest.test_case "table independent of batching" `Slow test_probe_batch_independent;
+        ] );
     ]

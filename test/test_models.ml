@@ -59,6 +59,11 @@ let test_metric_classification () =
 
 let first_example () = List.hd (Lazy.force corpus).Pipeline.train
 
+(* one example's 1×1 loss on a fresh tape *)
+let one_lane_loss model ex =
+  let tape = Batched.tape () in
+  (tape, fst (Liger_model.loss_batch model tape [| ex |]))
+
 let test_liger_loss_finite_and_backprops () =
   let c = Lazy.force corpus in
   let model =
@@ -66,12 +71,10 @@ let test_liger_loss_finite_and_backprops () =
       ~config:{ Liger_model.default_config with Liger_model.dim = 10 }
       c.Pipeline.vocab Liger_model.Naming
   in
-  let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let loss, _ = Liger_model.loss model tape ex in
-  let v = Autodiff.scalar_value loss in
+  let tape, loss = one_lane_loss model (first_example ()) in
+  let v = Batched.scalar_value loss in
   Alcotest.(check bool) "finite positive loss" true (Float.is_finite v && v > 0.0);
-  Autodiff.backward tape loss;
+  Batched.backward tape loss;
   Alcotest.(check bool) "gradients flowed" true (Param.grad_norm (Liger_model.store model) > 0.0)
 
 let test_liger_training_reduces_loss () =
@@ -86,10 +89,9 @@ let test_liger_training_reduces_loss () =
   let epoch_loss () =
     List.fold_left
       (fun acc ex ->
-        let tape = Autodiff.tape () in
-        let loss, _ = Liger_model.loss model tape ex in
-        let v = Autodiff.scalar_value loss in
-        Autodiff.backward tape loss;
+        let tape, loss = one_lane_loss model ex in
+        let v = Batched.scalar_value loss in
+        Batched.backward tape loss;
         ignore (Optimizer.clip_grads (Liger_model.store model) ~max_norm:5.0);
         Optimizer.step opt (Liger_model.store model);
         acc +. v)
@@ -111,13 +113,12 @@ let test_liger_predictions_shape () =
       ~config:{ Liger_model.default_config with Liger_model.dim = 10 }
       c.Pipeline.vocab Liger_model.Naming
   in
-  let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let toks = Liger_model.predict_name model tape ex in
-  Autodiff.discard tape;
+  let toks = (Liger_model.predict_name_ids_batch model [| first_example () |]).(0) in
   Alcotest.(check bool) "bounded length" true (List.length toks <= 8);
   List.iter
-    (fun t -> Alcotest.(check bool) "token nonempty" true (String.length t > 0))
+    (fun t ->
+      Alcotest.(check bool) "token nonempty" true
+        (String.length (Liger_trace.Vocab.name c.Pipeline.vocab t) > 0))
     toks
 
 let test_liger_ablation_configs_run () =
@@ -135,10 +136,9 @@ let test_liger_ablation_configs_run () =
         }
       in
       let model = Liger_model.create ~config c.Pipeline.vocab Liger_model.Naming in
-      let tape = Autodiff.tape () in
-      let loss, _ = Liger_model.loss model tape ex in
-      Alcotest.(check bool) "finite" true (Float.is_finite (Autodiff.scalar_value loss));
-      Autodiff.backward tape loss)
+      let tape, loss = one_lane_loss model ex in
+      Alcotest.(check bool) "finite" true (Float.is_finite (Batched.scalar_value loss));
+      Batched.backward tape loss)
     [ (true, true, true); (false, true, true); (true, false, true); (true, true, false) ]
 
 let test_liger_rejects_empty_config () =
@@ -185,10 +185,7 @@ let test_attention_stats_are_weights () =
       ~config:{ Liger_model.default_config with Liger_model.dim = 8 }
       c.Pipeline.vocab Liger_model.Naming
   in
-  let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let _, _, stats = Liger_model.encode model tape ex in
-  Autodiff.discard tape;
+  let stats = Liger_model.fusion_stats model [| first_example () |] in
   let w = Liger_model.mean_static_weight stats in
   if stats.Liger_model.fused_steps > 0 then
     Alcotest.(check bool) "weight in [0,1]" true (w >= 0.0 && w <= 1.0)
@@ -201,13 +198,10 @@ let test_liger_classification_head () =
       c.Pipeline.vocab (Liger_model.Classify Coset.n_classes)
   in
   let ex = List.hd c.Pipeline.train in
-  let tape = Autodiff.tape () in
-  let loss, _ = Liger_model.loss model tape ex in
-  Alcotest.(check bool) "finite" true (Float.is_finite (Autodiff.scalar_value loss));
-  Autodiff.backward tape loss;
-  let tape = Autodiff.tape () in
-  let cls = Liger_model.predict_class model tape ex in
-  Autodiff.discard tape;
+  let tape, loss = one_lane_loss model ex in
+  Alcotest.(check bool) "finite" true (Float.is_finite (Batched.scalar_value loss));
+  Batched.backward tape loss;
+  let cls = (Liger_model.predict_class_batch model [| ex |]).(0) in
   Alcotest.(check bool) "class in range" true (cls >= 0 && cls < Coset.n_classes)
 
 (* ------------------------------------------------------------------ *)
@@ -215,22 +209,23 @@ let test_liger_classification_head () =
 (* ------------------------------------------------------------------ *)
 
 let smoke_model (wrapper : Train.model) ex =
-  let tape = Autodiff.tape () in
+  let tape = Batched.tape () in
   let loss = wrapper.Train.train_loss tape ex in
   Alcotest.(check bool)
     (wrapper.Train.name ^ " loss finite")
     true
-    (Float.is_finite (Autodiff.scalar_value loss));
-  Autodiff.backward tape loss;
+    (Float.is_finite (Batched.scalar_value loss));
+  Batched.backward tape loss;
   Alcotest.(check bool)
     (wrapper.Train.name ^ " grads flowed")
     true
     (Param.grad_norm wrapper.Train.store > 0.0);
   Param.zero_grads wrapper.Train.store;
-  match wrapper.Train.predict ex with
-  | Train.Subtokens toks ->
+  match (Train.batched_hooks wrapper).Train.predict_batch [| ex |] with
+  | [| Train.Subtokens toks |] ->
       Alcotest.(check bool) "subtoken prediction" true (List.length toks <= 10)
-  | Train.Class c -> Alcotest.(check bool) "class prediction" true (c >= 0)
+  | [| Train.Class c |] -> Alcotest.(check bool) "class prediction" true (c >= 0)
+  | _ -> Alcotest.fail "one prediction per example"
 
 let test_dypro_smoke () =
   let c = Lazy.force corpus in

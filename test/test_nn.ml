@@ -1,134 +1,100 @@
 (* Tests for the NN layer zoo: parameter-space gradient checks for every
-   layer (GRU, LSTM, TreeLSTM, attention, decoder) and small end-to-end
-   learning sanity checks. *)
+   layer entry point (linear, embedding, vanilla RNN, GRU, LSTM, TreeLSTM,
+   attention, decoder) and small end-to-end learning sanity checks. *)
 
 open Liger_tensor
 open Liger_nn
 open Liger_trace
 
-(* Finite-difference check of d(loss)/d(param) for every parameter in the
-   store, where [build] constructs a scalar loss from scratch each call.
-
-   Tolerance: central differences with eps = 1e-5 carry O(eps^2) truncation
-   error plus ~1e-6 of float64 cancellation noise on O(1) values, so analytic
-   and numeric gradients are compared with a RELATIVE tolerance of 2e-3
-   (scaled by 1 + |numeric|).  The decoder stacks a softmax cross-entropy on
-   top of a GRU and needs the looser 5e-3. *)
-let param_grad_check ?(eps = 1e-5) ?(tol = 2e-3) store build =
-  let tape = Autodiff.tape () in
-  let loss = build tape in
-  Autodiff.backward tape loss;
-  let grads =
-    Param.fold store ~init:[] (fun acc p ->
-        (p.Param.name, Tensor.to_array p.Param.grad) :: acc)
-  in
-  Param.zero_grads store;
-  let eval () =
-    let tape = Autodiff.tape () in
-    let l = build tape in
-    let v = Autodiff.scalar_value l in
-    Autodiff.discard tape;
-    v
-  in
-  Param.iter store (fun p ->
-      let analytic = List.assoc p.Param.name grads in
-      let value = p.Param.value in
-      Array.iteri
-        (fun i _ ->
-          let orig = Tensor.get_idx value i in
-          Tensor.set_idx value i (orig +. eps);
-          let up = eval () in
-          Tensor.set_idx value i (orig -. eps);
-          let down = eval () in
-          Tensor.set_idx value i orig;
-          let numeric = (up -. down) /. (2.0 *. eps) in
-          if Float.abs (analytic.(i) -. numeric) > tol *. (1.0 +. Float.abs numeric) then
-            Alcotest.failf "%s[%d]: analytic %.6g numeric %.6g" p.Param.name i
-              analytic.(i) numeric)
-        analytic)
-
 let rand_input rng n = Array.init n (fun _ -> Rng.uniform rng (-1.0) 1.0)
+
+(* a [rows × (|a|/rows)] constant leaf *)
+let const tape ~rows a = Batched.const_arr tape ~rows ~cols:(Array.length a / rows) a
+
+let sq_loss tape y = Batched.sum_all tape (Batched.mul tape y y)
+
+(* three steps over two lanes; lane 1 stops after two (masked step) *)
+let ragged_steps tape xs =
+  List.mapi (fun s x -> (const tape ~rows:2 x, if s < 2 then None else Some [| 1.0; 0.0 |])) xs
 
 (* ------------------------------------------------------------------ *)
 (* Gradient checks                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* both fused activations *)
 let test_linear_grads () =
   let store = Param.create_store ~seed:1 () in
   let layer = Linear.create store "lin" ~dim_in:3 ~dim_out:2 in
   let rng = Rng.create 2 in
-  let x = rand_input rng 3 in
-  param_grad_check store (fun tape ->
-      let y = Linear.forward_tanh layer tape (Autodiff.const tape x) in
-      Autodiff.sum tape (Autodiff.mul tape y y))
+  let x = rand_input rng 6 in
+  Testutil.grad_check store (fun tape ->
+      let x = const tape ~rows:2 x in
+      Batched.add tape
+        (sq_loss tape (Linear.forward_tanh_batch layer tape x))
+        (sq_loss tape (Linear.forward_sigmoid_batch layer tape x)))
 
 let test_slice_one_minus_grads () =
   let store = Param.create_store ~seed:3 () in
   let p = Param.matrix store "p" 1 6 in
-  ignore p;
-  param_grad_check store (fun tape ->
-      let v = Autodiff.of_param tape (Param.find store "p") in
-      let a = Autodiff.slice tape v 0 3 in
-      let b = Autodiff.one_minus tape (Autodiff.slice tape v 3 3) in
-      Autodiff.sum tape (Autodiff.mul tape a b))
+  Testutil.grad_check store (fun tape ->
+      let v = Batched.of_param tape ~lanes:2 p in
+      let a = Batched.slice_cols tape v 0 3 in
+      let b = Batched.one_minus tape (Batched.slice_cols tape v 3 3) in
+      Batched.sum_all tape (Batched.mul tape a b))
 
-let test_vanilla_rnn_grads () =
-  let store = Param.create_store ~seed:4 () in
-  let cell = Rnn_cell.create ~kind:Rnn_cell.Vanilla store "rnn" ~dim_in:3 ~dim_hidden:4 in
-  let rng = Rng.create 5 in
-  let xs = List.init 3 (fun _ -> rand_input rng 3) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Rnn_cell.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+let rnn_grads ~seed kind =
+  let store = Param.create_store ~seed () in
+  let cell = Rnn_cell.create ~kind store "rnn" ~dim_in:3 ~dim_hidden:4 in
+  let rng = Rng.create (seed + 1) in
+  let xs = List.init 3 (fun _ -> rand_input rng 6) in
+  Testutil.grad_check store (fun tape ->
+      sq_loss tape (Rnn_cell.last_batch cell tape ~lanes:2 (ragged_steps tape xs)))
 
-let test_gru_grads () =
-  let store = Param.create_store ~seed:6 () in
-  let cell = Rnn_cell.create ~kind:Rnn_cell.Gru store "gru" ~dim_in:2 ~dim_hidden:3 in
-  let rng = Rng.create 7 in
-  let xs = List.init 3 (fun _ -> rand_input rng 2) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Rnn_cell.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+let test_vanilla_rnn_grads () = rnn_grads ~seed:4 Rnn_cell.Vanilla
+let test_gru_grads () = rnn_grads ~seed:6 Rnn_cell.Gru
 
 let test_lstm_grads () =
   let store = Param.create_store ~seed:8 () in
-  let cell = Lstm.create store "lstm" ~dim_in:2 ~dim_hidden:3 in
+  let cell = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:3 in
   let rng = Rng.create 9 in
-  let xs = List.init 3 (fun _ -> rand_input rng 2) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Lstm.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+  let xs = List.init 3 (fun _ -> rand_input rng 6) in
+  Testutil.grad_check store (fun tape ->
+      sq_loss tape (Lstm.last_batch cell tape ~lanes:2 (ragged_steps tape xs)))
 
 let test_treelstm_grads () =
   let store = Param.create_store ~seed:10 () in
   let cell = Treelstm.create store "tree" ~dim_in:3 ~dim_hidden:3 in
   let emb = Param.embedding store "emb" 5 3 in
-  let tree =
-    Encode.Node
-      ("Assign", [ Encode.Leaf "x"; Encode.Node ("Binop", [ Encode.Leaf "+"; Encode.Leaf "x"; Encode.Leaf "1" ]) ])
+  let trees =
+    [
+      Encode.Node
+        ( "Assign",
+          [
+            Encode.Leaf "x";
+            Encode.Node ("Binop", [ Encode.Leaf "+"; Encode.Leaf "x"; Encode.Leaf "1" ]);
+          ] );
+      Encode.Leaf "x";
+    ]
   in
   let label_id = function
     | "Assign" -> 0 | "x" -> 1 | "Binop" -> 2 | "+" -> 3 | _ -> 4
   in
-  param_grad_check store (fun tape ->
-      let embed tok = Autodiff.row tape emb (label_id tok) in
-      let h = Treelstm.embed_tree cell tape ~embed tree in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+  Testutil.grad_check store (fun tape ->
+      let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
+      sq_loss tape (Treelstm.embed_forest cell tape ~embed trees))
 
 let test_attention_grads () =
   let store = Param.create_store ~seed:11 () in
   let att = Attention.create store "att" ~dim_h:3 ~dim_q:2 ~dim_att:4 in
   let rng = Rng.create 12 in
-  let q = rand_input rng 2 in
-  let hs = Array.init 3 (fun _ -> rand_input rng 3) in
-  param_grad_check store (fun tape ->
-      let q = Autodiff.const tape q in
-      let hs = Array.map (Autodiff.const tape) hs in
-      let _, fused = Attention.fuse att tape ~q hs in
-      Autodiff.sum tape (Autodiff.mul tape fused fused))
+  let q = rand_input rng 4 in
+  let hs = Array.init 3 (fun _ -> rand_input rng 6) in
+  let mask = Tensor.create 2 3 in
+  Tensor.fill mask 1.0;
+  Testutil.grad_check store (fun tape ->
+      let q = const tape ~rows:2 q in
+      let hs = Array.map (const tape ~rows:2) hs in
+      sq_loss tape (snd (Attention.fuse_batch att tape ~q ~mask hs)))
 
 let test_decoder_grads () =
   let store = Param.create_store ~seed:13 () in
@@ -140,24 +106,27 @@ let test_decoder_grads () =
   let rng = Rng.create 14 in
   let mem = Array.init 2 (fun _ -> rand_input rng 3) in
   let prog = rand_input rng 3 in
-  param_grad_check ~tol:5e-3 store (fun tape ->
-      let memory = Array.map (Autodiff.const tape) mem in
-      let program_embedding = Autodiff.const tape prog in
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:[ 4; 5 ])
+  let mask = Tensor.create 1 2 in
+  Tensor.fill mask 1.0;
+  Testutil.grad_check ~tol:5e-3 store (fun tape ->
+      let memory = Array.map (const tape ~rows:1) mem in
+      let program_embedding = const tape ~rows:1 prog in
+      Batched.sum_all tape
+        (Decoder.loss_batch dec tape ~memory ~memory_mask:mask ~program_embedding
+           ~target_ids:[| [ 4; 5 ] |]))
 
-(* The 8th layer: embedding rows are parameters too, and only the rows used
-   in the forward pass should receive gradient. *)
+(* The 8th layer: embedding rows are parameters too; only the rows used
+   in the forward pass receive gradient, a repeated id from both uses. *)
 let test_embedding_grads () =
   let store = Param.create_store ~seed:15 () in
   let vocab = Vocab.create () in
   List.iter (fun t -> ignore (Vocab.id vocab t)) [ "foo"; "bar" ];
   Vocab.freeze vocab;
   let e = Embedding_layer.create store "emb" vocab ~dim:3 in
-  param_grad_check store (fun tape ->
-      let a = Embedding_layer.embed_id e tape 4 in
-      let b = Embedding_layer.embed_id e tape Vocab.unk_id in
-      let y = Autodiff.add tape a b in
-      Autodiff.sum tape (Autodiff.mul tape y y))
+  Testutil.grad_check store (fun tape ->
+      let y = Embedding_layer.embed_ids e tape [| 4; Vocab.unk_id; 4 |] in
+      let w = Batched.const_arr tape ~rows:3 ~cols:3 [| 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9. |] in
+      Batched.sum_all tape (Batched.mul tape (Batched.mul tape y y) w))
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour                                                            *)
@@ -167,21 +136,25 @@ let test_attention_weights_are_distribution () =
   let store = Param.create_store ~seed:15 () in
   let att = Attention.create store "att" ~dim_h:3 ~dim_q:3 ~dim_att:4 in
   let rng = Rng.create 16 in
-  let tape = Autodiff.tape () in
-  let q = Autodiff.const tape (rand_input rng 3) in
-  let hs = Array.init 4 (fun _ -> Autodiff.const tape (rand_input rng 3)) in
-  let w = Attention.weights att tape ~q hs in
-  let sum = Array.fold_left ( +. ) 0.0 (Autodiff.value w) in
+  let tape = Batched.tape () in
+  let q = const tape ~rows:1 (rand_input rng 3) in
+  let hs = Array.init 4 (fun _ -> const tape ~rows:1 (rand_input rng 3)) in
+  let mask = Tensor.create 1 4 in
+  Tensor.fill mask 1.0;
+  let w = Attention.weights_batch att tape ~q ~mask hs in
+  let sum = Array.fold_left ( +. ) 0.0 (Batched.row_value w 0) in
   Alcotest.(check bool) "sums to 1" true (Float.abs (sum -. 1.0) < 1e-9);
-  Autodiff.discard tape
+  Batched.discard tape
 
 let test_fuse_uniform () =
-  let tape = Autodiff.tape () in
-  let hs = [| Autodiff.const tape [| 1.0; 2.0 |]; Autodiff.const tape [| 3.0; 4.0 |] |] in
-  let w, fused = Attention.fuse_uniform tape hs in
-  Alcotest.(check (array (float 1e-9))) "weights" [| 0.5; 0.5 |] (Autodiff.value w);
-  Alcotest.(check (array (float 1e-9))) "mean" [| 2.0; 3.0 |] (Autodiff.value fused);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let hs = [| const tape ~rows:1 [| 1.0; 2.0 |]; const tape ~rows:1 [| 3.0; 4.0 |] |] in
+  let mask = Tensor.create 1 2 in
+  Tensor.fill mask 1.0;
+  let w, fused = Attention.fuse_uniform_batch tape ~mask hs in
+  Alcotest.(check (array (float 1e-9))) "weights" [| 0.5; 0.5 |] (Batched.row_value w 0);
+  Alcotest.(check (array (float 1e-9))) "mean" [| 2.0; 3.0 |] (Batched.row_value fused 0);
+  Batched.discard tape
 
 let test_embedding_unseen_maps_to_unk () =
   let store = Param.create_store ~seed:17 () in
@@ -189,11 +162,12 @@ let test_embedding_unseen_maps_to_unk () =
   ignore (Vocab.id vocab "known");
   Vocab.freeze vocab;
   let e = Embedding_layer.create store "emb" vocab ~dim:4 in
-  let tape = Autodiff.tape () in
-  let unseen = Embedding_layer.embed e tape "never-seen" in
-  let unk = Embedding_layer.embed_id e tape Vocab.unk_id in
-  Alcotest.(check (array (float 0.0))) "same row" (Autodiff.value unk) (Autodiff.value unseen);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let unseen = Embedding_layer.embed_batch e tape [| "never-seen" |] in
+  let unk = Embedding_layer.embed_ids e tape [| Vocab.unk_id |] in
+  Alcotest.(check (array (float 0.0))) "same row" (Batched.row_value unk 0)
+    (Batched.row_value unseen 0);
+  Batched.discard tape
 
 (* A GRU must learn to classify whether a +/-1 sequence has positive sum. *)
 let test_gru_learns_sign_task () =
@@ -210,17 +184,18 @@ let test_gru_learns_sign_task () =
   in
   let encode x = if x > 0 then [| 1.0; 0.0 |] else [| 0.0; 1.0 |] in
   let step train (xs, label) =
-    let tape = Autodiff.tape () in
-    let inputs = List.map (fun x -> Autodiff.const tape (encode x)) xs in
-    let h = Rnn_cell.last cell tape inputs in
-    let logits = Linear.forward out tape h in
-    let loss, probs = Autodiff.softmax_cross_entropy tape logits label in
+    let tape = Batched.tape () in
+    let inputs = List.map (fun x -> (const tape ~rows:1 (encode x), None)) xs in
+    let h = Rnn_cell.last_batch cell tape ~lanes:1 inputs in
+    let logits = Linear.forward_batch out tape h in
+    let loss, _ = Batched.softmax_xent_rows tape logits ~targets:[| label |] ~weights:[| 1.0 |] in
+    let correct = Tensor.argmax (Batched.row_value logits 0) = label in
     if train then begin
-      Autodiff.backward tape loss;
+      Batched.backward tape loss;
       Optimizer.step opt store
     end
-    else Autodiff.discard tape;
-    Tensor.argmax probs = label
+    else Batched.discard tape;
+    correct
   in
   for _ = 1 to 600 do
     ignore (step true (sample ()))
@@ -246,67 +221,25 @@ let test_decoder_learns_constant_sequence () =
   let opt = Optimizer.adam ~lr:0.02 () in
   let mem_raw = [| [| 1.0; 0.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0; 0.0 |] |] in
   let prog_raw = [| 0.5; -0.5; 0.25; 0.0 |] in
+  let memory_mask = Tensor.create 1 2 in
+  Tensor.fill memory_mask 1.0;
   let target = [ List.nth ids 0; List.nth ids 1 ] in
   for _ = 1 to 150 do
-    let tape = Autodiff.tape () in
-    let memory = Array.map (Autodiff.const tape) mem_raw in
-    let program_embedding = Autodiff.const tape prog_raw in
-    let loss = Decoder.loss dec tape ~memory ~program_embedding ~target_ids:target in
-    Autodiff.backward tape loss;
+    let tape = Batched.tape () in
+    let memory = Array.map (const tape ~rows:1) mem_raw in
+    let program_embedding = const tape ~rows:1 prog_raw in
+    let loss =
+      Decoder.loss_batch dec tape ~memory ~memory_mask ~program_embedding ~target_ids:[| target |]
+    in
+    Batched.backward tape loss;
     Optimizer.step opt store
   done;
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem_raw in
-  let program_embedding = Autodiff.const tape prog_raw in
-  let decoded = Decoder.decode dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
-  Alcotest.(check (list int)) "decodes getMax" target decoded
-
-let test_beam_search_matches_greedy_when_k1 () =
-  let store = Param.create_store ~seed:30 () in
-  let vocab = Vocab.create () in
-  List.iter (fun t -> ignore (Vocab.id vocab t)) [ "a"; "b"; "c" ];
-  Vocab.freeze vocab;
-  let embedding = Embedding_layer.create store "emb" vocab ~dim:4 in
-  let dec = Decoder.create store "dec" embedding ~dim_hidden:4 ~dim_mem:3 in
-  let rng = Rng.create 31 in
-  let mem = Array.init 2 (fun _ -> rand_input rng 3) in
-  let prog = rand_input rng 3 in
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem in
-  let program_embedding = Autodiff.const tape prog in
-  let greedy = Decoder.decode dec tape ~memory ~program_embedding in
-  let beam1 = Decoder.decode_beam ~k:1 dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
-  Alcotest.(check (list int)) "k=1 equals greedy" greedy beam1
-
-let test_beam_search_never_worse_nll () =
-  (* after training the toy decoder, beam-3 must reproduce the target at
-     least as reliably as greedy *)
-  let store = Param.create_store ~seed:32 () in
-  let vocab = Vocab.create () in
-  let ids = List.map (Vocab.id vocab) [ "get"; "max"; "noise" ] in
-  Vocab.freeze vocab;
-  let embedding = Embedding_layer.create store "emb" vocab ~dim:6 in
-  let dec = Decoder.create store "dec" embedding ~dim_hidden:6 ~dim_mem:4 in
-  let opt = Optimizer.adam ~lr:0.02 () in
-  let mem_raw = [| [| 1.0; 0.0; 0.0; 0.0 |] |] in
-  let prog_raw = [| 0.5; -0.5; 0.25; 0.0 |] in
-  let target = [ List.nth ids 0; List.nth ids 1 ] in
-  for _ = 1 to 120 do
-    let tape = Autodiff.tape () in
-    let memory = Array.map (Autodiff.const tape) mem_raw in
-    let program_embedding = Autodiff.const tape prog_raw in
-    let loss = Decoder.loss dec tape ~memory ~program_embedding ~target_ids:target in
-    Autodiff.backward tape loss;
-    Optimizer.step opt store
-  done;
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem_raw in
-  let program_embedding = Autodiff.const tape prog_raw in
-  let beam = Decoder.decode_beam ~k:3 dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
-  Alcotest.(check (list int)) "beam decodes the target" target beam
+  let tape = Batched.tape () in
+  let memory = Array.map (const tape ~rows:1) mem_raw in
+  let program_embedding = const tape ~rows:1 prog_raw in
+  let decoded = Decoder.decode_batch dec tape ~memory ~memory_mask ~program_embedding in
+  Batched.discard tape;
+  Alcotest.(check (list int)) "decodes getMax" target decoded.(0)
 
 let test_treelstm_distinguishes_trees () =
   (* different trees must produce different embeddings (no collapse) *)
@@ -322,31 +255,26 @@ let test_treelstm_distinguishes_trees () =
         Hashtbl.add labels tok i;
         i
   in
-  let embed tape tok = Autodiff.row tape emb (label_id tok) in
-  let h_of tree =
-    let tape = Autodiff.tape () in
-    let h = Treelstm.embed_tree cell tape ~embed:(embed tape) tree in
-    let v = Array.copy (Autodiff.value h) in
-    Autodiff.discard tape;
-    v
-  in
   let t1 = Encode.Node ("Binop", [ Encode.Leaf "+"; Encode.Leaf "x"; Encode.Leaf "x" ]) in
   let t2 = Encode.Node ("Binop", [ Encode.Leaf "*"; Encode.Leaf "x"; Encode.Leaf "2" ]) in
-  let d =
-    Array.fold_left ( +. ) 0.0
-      (Array.mapi (fun i a -> Float.abs (a -. (h_of t2).(i))) (h_of t1))
-  in
+  let tape = Batched.tape () in
+  let embed toks = Batched.rows_of_param tape emb (Array.map label_id toks) in
+  let h = Treelstm.embed_forest cell tape ~embed [ t1; t2 ] in
+  let h1 = Batched.row_value h 0 and h2 = Batched.row_value h 1 in
+  Batched.discard tape;
+  let d = Array.fold_left ( +. ) 0.0 (Array.mapi (fun i a -> Float.abs (a -. h2.(i))) h1) in
   Alcotest.(check bool) "embeddings differ" true (d > 1e-6)
 
 let test_rnn_run_lengths () =
   let store = Param.create_store ~seed:22 () in
   let cell = Rnn_cell.create store "gru" ~dim_in:2 ~dim_hidden:3 in
-  let tape = Autodiff.tape () in
-  let xs = List.init 5 (fun _ -> Autodiff.const tape [| 1.0; 0.0 |]) in
-  Alcotest.(check int) "one state per input" 5 (List.length (Rnn_cell.run cell tape xs));
-  let h = Rnn_cell.last cell tape [] in
-  Alcotest.(check int) "empty -> initial state" 3 (Autodiff.dim h);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let xs = List.init 5 (fun _ -> (const tape ~rows:1 [| 1.0; 0.0 |], None)) in
+  Alcotest.(check int) "one state per input" 5
+    (List.length (Rnn_cell.run_batch cell tape ~lanes:1 xs));
+  let h = Rnn_cell.last_batch cell tape ~lanes:2 [] in
+  Alcotest.(check (pair int int)) "empty -> initial state" (2, 3) (Batched.lanes h, Batched.dim h);
+  Batched.discard tape
 
 let () =
   Alcotest.run "nn"
@@ -371,8 +299,6 @@ let () =
           Alcotest.test_case "gru learns sign task" `Slow test_gru_learns_sign_task;
           Alcotest.test_case "decoder learns sequence" `Slow test_decoder_learns_constant_sequence;
           Alcotest.test_case "treelstm distinguishes" `Quick test_treelstm_distinguishes_trees;
-          Alcotest.test_case "beam k=1 is greedy" `Quick test_beam_search_matches_greedy_when_k1;
-          Alcotest.test_case "beam decodes target" `Slow test_beam_search_never_worse_nll;
           Alcotest.test_case "rnn run lengths" `Quick test_rnn_run_lengths;
         ] );
     ]

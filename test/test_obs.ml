@@ -330,15 +330,7 @@ let tiny_model () =
   let open Liger_tensor in
   let store = Param.create_store ~seed:3 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Liger_eval.Train.name = "tiny";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched = Some (Testutil.stub_batched w [| 1.0; 1.0 |]);
-    embed = None;
-  }
+  Liger_eval.Train.make ~name:"tiny" ~store (Testutil.stub_batched w [| 1.0; 1.0 |])
 
 let tiny_example () =
   let meth = Liger_lang.Parser.method_of_string "method f(int n) : int { return n; }" in

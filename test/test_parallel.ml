@@ -222,15 +222,7 @@ let test_eval_scores_determinism () =
 let constant_score_model () =
   let store = Param.create_store ~seed:5 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Train.name = "plateau";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Train.Class 0);
-    batched = Some (Testutil.stub_batched w [| 1.0; 1.0 |]);
-    embed = None;
-  }
+  Train.make ~name:"plateau" ~store (Testutil.stub_batched w [| 1.0; 1.0 |])
 
 let test_plateau_restores_trained_params () =
   let c = build_corpus ~jobs:1 ~seed:55 in
@@ -261,17 +253,7 @@ let test_nan_grad_skips_step () =
   (* simulate a poisoned backward pass *)
   let poison () = Tensor.set_idx w.Param.grad 0 Float.nan in
   let model =
-    {
-      Train.name = "nan-grad";
-      store;
-      train_loss =
-        (fun tape _ex ->
-          poison ();
-          Autodiff.const tape [| 1.0 |]);
-      predict = (fun _ -> Train.Class 0);
-      batched = Some (Testutil.stub_batched ~before:poison w [| 1.0; 1.0 |]);
-      embed = None;
-    }
+    Train.make ~name:"nan-grad" ~store (Testutil.stub_batched ~before:poison w [| 1.0; 1.0 |])
   in
   let c = build_corpus ~jobs:1 ~seed:66 in
   let train = List.filteri (fun i _ -> i < 3) c.Pipeline.train in

@@ -59,11 +59,11 @@ let test_disabled_inert () =
     true (allocated < 256.0);
   Alcotest.(check int) "guarded body ran every time" 3500 !acc;
   (* library code behind the same guard records nothing while disabled *)
-  let tape = Autodiff.tape () in
+  let tape = Batched.tape () in
   let store = Param.create_store ~seed:1 () in
   let w = Param.matrix store "w" 4 6 in
-  let y = Autodiff.matvec tape w (Autodiff.const tape (Array.make 6 1.0)) in
-  Autodiff.backward tape (Autodiff.sum tape y);
+  let y = Batched.matmul_nt tape (Batched.const_arr tape ~rows:1 ~cols:6 (Array.make 6 1.0)) w in
+  Batched.backward tape (Batched.sum_all tape y);
   let s = P.snapshot () in
   Alcotest.(check int) "no ops recorded while disabled" 0 (List.length s.P.ops);
   Alcotest.(check int) "no layers recorded while disabled" 0 (List.length s.P.layers);
@@ -82,23 +82,24 @@ let test_matvec_flops () =
   fresh ~profiling:true;
   let store = Param.create_store ~seed:2 () in
   let w = Param.matrix store "w" 4 6 in
-  let tape = Autodiff.tape () in
-  let y = Autodiff.matvec tape w (Autodiff.const tape (Array.make 6 1.0)) in
-  Autodiff.backward tape (Autodiff.sum tape y);
+  let tape = Batched.tape () in
+  let y = Batched.matmul_nt tape (Batched.const_arr tape ~rows:1 ~cols:6 (Array.make 6 1.0)) w in
+  Batched.backward tape (Batched.sum_all tape y);
   let s = P.snapshot () in
-  (* documented conventions (autodiff.ml): matvec forward 2rc FLOPs and
-     16*rows bytes (value+grad arrays), backward 4rc FLOPs *)
-  let fwd = find_op s "ad.matvec" in
+  (* documented conventions (batched.ml): a one-lane GEMM (a matvec)
+     forward 2rc FLOPs and 16*rows bytes (value+grad buffers), backward
+     4rc FLOPs *)
+  let fwd = find_op s "bad.gemm" in
   Alcotest.(check int) "matvec count" 1 fwd.P.count;
   Alcotest.(check (float 1e-9)) "matvec fwd flops = 2rc" 48.0 fwd.P.flops;
   Alcotest.(check (float 1e-9)) "matvec fwd bytes = 16r" 64.0 fwd.P.bytes;
-  let bwd = find_op s "ad.matvec.bwd" in
+  let bwd = find_op s "bad.gemm.bwd" in
   Alcotest.(check int) "matvec bwd count" 1 bwd.P.count;
   Alcotest.(check (float 1e-9)) "matvec bwd flops = 4rc" 96.0 bwd.P.flops;
   (* sum: n forward, n backward *)
-  let sum_fwd = find_op s "ad.sum" in
+  let sum_fwd = find_op s "bad.sum_all" in
   Alcotest.(check (float 1e-9)) "sum fwd flops = n" 4.0 sum_fwd.P.flops;
-  let sum_bwd = find_op s "ad.sum.bwd" in
+  let sum_bwd = find_op s "bad.sum_all.bwd" in
   Alcotest.(check (float 1e-9)) "sum bwd flops = n" 4.0 sum_bwd.P.flops
 
 (* ------------------------------------------------------------------ *)
@@ -121,11 +122,11 @@ let test_memory_monotonic () =
   Alcotest.(check int) "peak unchanged below the mark" 150 (P.peak_bytes ());
   Alcotest.(check bool) "peak >= live always" true (P.peak_bytes () >= P.live_bytes ());
   (* a tape's pushes feed the same gauges; backward releases them *)
-  let tape = Autodiff.tape () in
+  let tape = Batched.tape () in
   let live0 = P.live_bytes () in
-  let a = Autodiff.const tape (Array.make 8 1.0) in
+  let a = Batched.const_arr tape ~rows:1 ~cols:8 (Array.make 8 1.0) in
   Alcotest.(check bool) "tape push raises live" true (P.live_bytes () > live0);
-  Autodiff.backward tape (Autodiff.sum tape a);
+  Batched.backward tape (Batched.sum_all tape a);
   Alcotest.(check int) "backward releases the tape" live0 (P.live_bytes ())
 
 (* ------------------------------------------------------------------ *)
@@ -141,19 +142,19 @@ let test_layer_fwd_bwd_nonzero () =
   fresh ~profiling:true;
   let store = Param.create_store ~seed:3 () in
   let lin = Linear.create store "lin" ~dim_in:128 ~dim_out:128 in
-  let tape = Autodiff.tape () in
-  let x = Autodiff.const tape (Array.make 128 0.5) in
-  let total = ref (Autodiff.scalar tape 0.0) in
+  let tape = Batched.tape () in
+  let x = Batched.const_arr tape ~rows:1 ~cols:128 (Array.make 128 0.5) in
+  let total = ref (Batched.zeros tape ~rows:1 ~cols:1) in
   for _ = 1 to 50 do
-    total := Autodiff.add tape !total (Autodiff.sum tape (Linear.forward lin tape x))
+    total := Batched.add tape !total (Batched.sum_all tape (Linear.forward_batch lin tape x))
   done;
-  Autodiff.backward tape !total;
+  Batched.backward tape !total;
   let s = P.snapshot () in
   let l = find_layer s "linear" in
   Alcotest.(check int) "one call per forward" 50 l.P.calls;
   Alcotest.(check bool) "forward time nonzero" true (l.P.fwd_total_s > 0.0);
   Alcotest.(check bool) "self time <= total" true (l.P.fwd_self_s <= l.P.fwd_total_s);
-  (* the matvec/add nodes built inside the layer frame carry its tag, so
+  (* the affine nodes built inside the layer frame carry its tag, so
      backward time lands on the layer, not on (untagged) *)
   Alcotest.(check bool) "backward time nonzero" true (l.P.bwd_s > 0.0);
   Alcotest.(check bool) "untagged backward time non-negative" true (s.P.untagged_bwd_s >= 0.0)
@@ -335,9 +336,9 @@ let test_validate_profile_section () =
   fresh ~profiling:true;
   let store = Param.create_store ~seed:4 () in
   let w = Param.matrix store "w" 3 3 in
-  let tape = Autodiff.tape () in
-  let y = Autodiff.matvec tape w (Autodiff.const tape (Array.make 3 1.0)) in
-  Autodiff.backward tape (Autodiff.sum tape y);
+  let tape = Batched.tape () in
+  let y = Batched.matmul_nt tape (Batched.const_arr tape ~rows:1 ~cols:3 (Array.make 3 1.0)) w in
+  Batched.backward tape (Batched.sum_all tape y);
   P.publish ();
   let path = Filename.temp_file "liger" ".metrics.json" in
   OM.write path;
@@ -351,7 +352,7 @@ let test_validate_profile_section () =
   let bad = Filename.temp_file "liger" ".metrics.json" in
   let oc = open_out bad in
   output_string oc
-    {|{"counters":{"profile.op_count{op=ad.matvec}":1},"fcounters":{},"gauges":{},"histograms":{}}|};
+    {|{"counters":{"profile.op_count{op=bad.gemm}":1},"fcounters":{},"gauges":{},"histograms":{}}|};
   close_out oc;
   (match Obs.validate_file bad with
   | Ok _ -> Alcotest.fail "incomplete profile section accepted"

@@ -181,15 +181,7 @@ let tiny_example () =
 let tiny_model () =
   let store = Param.create_store ~seed:3 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Liger_eval.Train.name = "tiny";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched = Some (Testutil.stub_batched w [| 1.0; 1.0 |]);
-    embed = None;
-  }
+  Liger_eval.Train.make ~name:"tiny" ~store (Testutil.stub_batched w [| 1.0; 1.0 |])
 
 (* same 1×2 parameter, but with mini-batch hooks so [fit] exercises the
    flat-Bigarray engine (and through it the bufpool) *)
@@ -202,20 +194,11 @@ let tiny_batched_model () =
     let y = Batched.matmul_nt btape x w in
     Batched.mul btape y y
   in
-  {
-    Liger_eval.Train.name = "tiny-batched";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched =
-      Some
-        {
-          Liger_eval.Train.train_loss_batch = loss_batch;
-          predict_batch = (fun chunk -> Array.map (fun _ -> Liger_eval.Train.Class 0) chunk);
-        };
-    embed = None;
-  }
+  Liger_eval.Train.make ~name:"tiny-batched" ~store
+    {
+      Liger_eval.Train.train_loss_batch = loss_batch;
+      predict_batch = (fun chunk -> Array.map (fun _ -> Liger_eval.Train.Class 0) chunk);
+    }
 
 let gauge_of snap name labels =
   match OM.gauge_value ~labels snap name with
@@ -370,16 +353,8 @@ let test_nonfinite_loss_abort () =
   let store = Param.create_store ~seed:4 () in
   let w = Param.matrix store "w" 1 2 in
   let model =
-    {
-      Liger_eval.Train.name = "poisoned";
-      store;
-      train_loss =
-        (fun tape _ex ->
-          Autodiff.matvec tape w (Autodiff.const tape [| Float.nan; Float.nan |]));
-      predict = (fun _ -> Liger_eval.Train.Class 0);
-      batched = Some (Testutil.stub_batched w [| Float.nan; Float.nan |]);
-      embed = None;
-    }
+    Liger_eval.Train.make ~name:"poisoned" ~store
+      (Testutil.stub_batched w [| Float.nan; Float.nan |])
   in
   let options = { Train.default_options with Train.epochs = 2 } in
   match Train.fit ~options (Rng.create 1) model ~train:[ tiny_example () ] ~valid:[] with

@@ -1,5 +1,5 @@
 (* Tests for the tensor/autodiff substrate: RNG determinism, raw kernels,
-   finite-difference gradient checks for every autodiff op, optimizer
+   finite-difference gradient checks of the Batched ops, optimizer
    convergence and serialization round-trips. *)
 
 open Liger_tensor
@@ -145,48 +145,36 @@ let test_outer_acc () =
   check_float "outer(1,2)" 10.0 (Tensor.get m 1 2)
 
 (* ------------------------------------------------------------------ *)
-(* Autodiff: finite-difference gradient checks                         *)
+(* Autodiff: finite-difference gradient checks of the Batched ops       *)
 (* ------------------------------------------------------------------ *)
 
-(* Numerically check d loss / d input for a scalar-valued graph builder
-   [f : tape -> Autodiff.node list -> Autodiff.node] over leaf inputs. *)
-let grad_check ?(eps = 1e-5) ?(tol = 1e-3) name f inputs =
-  (* analytic *)
-  let tape = Autodiff.tape () in
-  let nodes = List.map (Autodiff.const tape) inputs in
-  let loss = f tape nodes in
-  Autodiff.backward tape loss;
-  let analytic = List.map (fun n -> Array.copy (Autodiff.grad n)) nodes in
-  (* numeric *)
-  List.iteri
-    (fun k input ->
-      Array.iteri
-        (fun i _ ->
-          let perturbed delta =
-            let inputs' =
-              List.mapi
-                (fun k' a ->
-                  if k' = k then
-                    Array.mapi (fun i' x -> if i' = i then x +. delta else x) a
-                  else a)
-                inputs
-            in
-            let tape = Autodiff.tape () in
-            let nodes' = List.map (Autodiff.const tape) inputs' in
-            let l = f tape nodes' in
-            let v = Autodiff.scalar_value l in
-            Autodiff.discard tape;
-            v
-          in
-          let numeric = (perturbed eps -. perturbed (-.eps)) /. (2.0 *. eps) in
-          let a = (List.nth analytic k).(i) in
-          if Float.abs (a -. numeric) > tol *. (1.0 +. Float.abs numeric) then
-            Alcotest.failf "%s: grad mismatch input %d[%d]: analytic %.6g numeric %.6g"
-              name k i a numeric)
-        input)
-    inputs
+(* Each input [(rows, values)] becomes a [rows × (|values|/rows)]
+   parameter read through [Batched.rows_of_param], so the shared
+   finite-difference check ({!Liger_fuzz.Oracle.grad_check}, relative
+   tolerance 1e-3) covers d loss / d input of the scalar-valued graph
+   [f : tape -> Batched.node list -> Batched.node]. *)
+let grad_verdict f inputs =
+  let store = Param.create_store ~seed:1 () in
+  let params =
+    List.mapi
+      (fun k (rows, a) ->
+        let p = Param.matrix store (Printf.sprintf "x%d" k) rows (Array.length a / rows) in
+        Tensor.blit_from_array a p.Param.value;
+        p)
+      inputs
+  in
+  let leaf tape p = Batched.rows_of_param tape p (Array.init (Param.rows p) Fun.id) in
+  Liger_fuzz.Oracle.grad_check ~tol:1e-3 store (fun tape -> f tape (List.map (leaf tape) params))
+
+let grad_check name f inputs =
+  match grad_verdict f inputs with
+  | Liger_fuzz.Oracle.Pass -> ()
+  | Fail msg | Skip msg -> Alcotest.failf "%s: %s" name msg
 
 let rand_vec rng n = Array.init n (fun _ -> Rng.uniform rng (-1.5) 1.5)
+
+(* a one-lane input *)
+let lane x = (1, x)
 
 let test_grad_add_mul_tanh () =
   let rng = Rng.create 31 in
@@ -195,164 +183,133 @@ let test_grad_add_mul_tanh () =
     grad_check "add-mul-tanh"
       (fun t -> function
         | [ a; b ] ->
-            Autodiff.sum t (Autodiff.tanh_ t (Autodiff.mul t (Autodiff.add t a b) b))
+            Batched.sum_all t (Batched.tanh_ t (Batched.mul t (Batched.add t a b) b))
         | _ -> assert false)
-      [ x; y ]
+      [ lane x; lane y ]
   done
 
 let test_grad_sub_neg_scale () =
   let rng = Rng.create 32 in
-  let x = rand_vec rng 3 and y = rand_vec rng 3 in
+  let x = rand_vec rng 6 and y = rand_vec rng 6 in
   grad_check "sub-neg-scale"
     (fun t -> function
       | [ a; b ] ->
-          Autodiff.sum t (Autodiff.scale t 2.5 (Autodiff.sub t a (Autodiff.neg t b)))
+          Batched.sum_all t (Batched.scale t 2.5 (Batched.sub t a (Batched.scale t (-1.0) b)))
       | _ -> assert false)
-    [ x; y ]
+    [ (2, x); (2, y) ]
 
 let test_grad_sigmoid_relu () =
   let rng = Rng.create 33 in
   let x = rand_vec rng 5 in
   grad_check "sigmoid"
-    (fun t -> function
-      | [ a ] -> Autodiff.sum t (Autodiff.sigmoid t a)
-      | _ -> assert false)
-    [ x ];
+    (fun t -> function [ a ] -> Batched.sum_all t (Batched.sigmoid t a) | _ -> assert false)
+    [ lane x ];
   (* keep values away from the relu kink *)
   let x = Array.map (fun v -> if Float.abs v < 0.1 then v +. 0.3 else v) x in
   grad_check "relu"
-    (fun t -> function
-      | [ a ] -> Autodiff.sum t (Autodiff.relu t a)
-      | _ -> assert false)
-    [ x ]
+    (fun t -> function [ a ] -> Batched.sum_all t (Batched.relu t a) | _ -> assert false)
+    [ lane x ]
 
+(* column concat and slice; a lane's dot product is sum(c ⊙ c) *)
 let test_grad_dot_concat () =
   let rng = Rng.create 34 in
-  let x = rand_vec rng 3 and y = rand_vec rng 2 in
-  grad_check "concat-dot"
+  let x = rand_vec rng 6 and y = rand_vec rng 4 in
+  grad_check "concat-slice-dot"
     (fun t -> function
       | [ a; b ] ->
-          let c = Autodiff.concat t [ a; b ] in
-          Autodiff.dot t c c
+          let c = Batched.concat_cols t [ a; b ] in
+          let s = Batched.one_minus t (Batched.slice_cols t c 1 3) in
+          Batched.add t (Batched.sum_all t (Batched.mul t c c)) (Batched.sum_all t s)
       | _ -> assert false)
-    [ x; y ]
+    [ (2, x); (2, y) ]
 
 let test_grad_softmax () =
   let rng = Rng.create 35 in
-  let x = rand_vec rng 4 and w = rand_vec rng 4 in
+  let x = rand_vec rng 8 and w = rand_vec rng 8 in
+  let mask = Tensor.of_rows [| [| 1.0; 1.0; 0.0; 1.0 |]; [| 1.0; 1.0; 1.0; 1.0 |] |] in
   grad_check "softmax-weighted"
     (fun t -> function
-      | [ a; b ] -> Autodiff.dot t (Autodiff.softmax t a) b
+      | [ a; b ] ->
+          Batched.add t
+            (Batched.sum_all t (Batched.mul t (Batched.softmax_rows t a) b))
+            (Batched.sum_all t (Batched.mul t (Batched.masked_softmax_rows t a ~mask) b))
       | _ -> assert false)
-    [ x; w ]
+    [ (2, x); (2, w) ]
 
 let test_grad_weighted_sum () =
   let rng = Rng.create 36 in
-  let w = rand_vec rng 3 and v1 = rand_vec rng 4 and v2 = rand_vec rng 4 in
-  let v3 = rand_vec rng 4 in
+  let w = rand_vec rng 6 and v1 = rand_vec rng 8 and v2 = rand_vec rng 8 in
+  let v3 = rand_vec rng 8 in
   grad_check "weighted_sum"
     (fun t -> function
       | [ w; v1; v2; v3 ] ->
-          let out = Autodiff.weighted_sum t w [| v1; v2; v3 |] in
-          Autodiff.sum t (Autodiff.mul t out out)
+          let out = Batched.weighted_sum t w [| v1; v2; v3 |] in
+          Batched.sum_all t (Batched.mul t out out)
       | _ -> assert false)
-    [ w; v1; v2; v3 ]
+    [ (2, w); (2, v1); (2, v2); (2, v3) ]
 
+(* [group_max]: per-group elementwise max routed to the winning row *)
 let test_grad_max_pool () =
-  let rng = Rng.create 37 in
   (* separate the values so perturbation never flips the argmax *)
-  let v1 = [| 1.0; -2.0; 0.5 |] and v2 = [| -1.0; 2.0; 0.0 |] in
-  ignore rng;
-  grad_check "max_pool"
+  let rows =
+    [| 1.0; -2.0; 0.5; -1.0; 2.0; 0.0; 0.3; 0.7; -0.4; -0.6; 0.9; 1.2 |]
+  in
+  grad_check "group_max"
     (fun t -> function
-      | [ a; b ] ->
-          let m = Autodiff.max_pool t [| a; b |] in
-          Autodiff.sum t (Autodiff.mul t m m)
+      | [ a ] ->
+          let m = Batched.group_max t a ~groups:[| 0; 0; 1; 1 |] ~n_groups:2 in
+          Batched.sum_all t (Batched.mul t m m)
       | _ -> assert false)
-    [ v1; v2 ]
+    [ (4, rows) ]
 
+(* mean over each group's rows: [group_sum] and a 1/n scale *)
 let test_grad_mean_pool () =
   let rng = Rng.create 38 in
-  let v1 = rand_vec rng 4 and v2 = rand_vec rng 4 and v3 = rand_vec rng 4 in
+  let v = rand_vec rng 12 in
   grad_check "mean_pool"
     (fun t -> function
-      | [ a; b; c ] -> Autodiff.sum t (Autodiff.mean_pool t [| a; b; c |])
+      | [ a ] ->
+          let sum = Batched.group_sum t a ~groups:[| 0; 0; 0 |] ~n_groups:1 in
+          let m = Batched.scale t (1.0 /. 3.0) sum in
+          Batched.sum_all t (Batched.mul t m m)
       | _ -> assert false)
-    [ v1; v2; v3 ]
+    [ (3, v) ]
 
 let test_grad_cross_entropy () =
   let rng = Rng.create 39 in
-  let x = rand_vec rng 5 in
+  let x = rand_vec rng 10 in
   grad_check "softmax_ce"
     (fun t -> function
-      | [ a ] -> fst (Autodiff.softmax_cross_entropy t a 2)
+      | [ a ] ->
+          Batched.sum_all t
+            (fst (Batched.softmax_xent_rows t a ~targets:[| 2; 4 |] ~weights:[| 1.0; 0.5 |]))
       | _ -> assert false)
-    [ x ]
+    [ (2, x) ]
 
+(* d loss / d W and d loss / d X through a parameter GEMM *)
 let test_grad_matvec_param () =
-  (* Check d loss / d W and d loss / d x through a parameter matvec. *)
   let store = Param.create_store ~seed:1 () in
   let w = Param.matrix store "w" 3 4 in
-  let rng = Rng.create 40 in
-  let x = rand_vec rng 4 in
-  let run () =
-    let tape = Autodiff.tape () in
-    let xn = Autodiff.const tape x in
-    let y = Autodiff.matvec tape w xn in
-    let loss = Autodiff.sum tape (Autodiff.mul tape y y) in
-    (tape, xn, loss)
-  in
-  let tape, xn, loss = run () in
-  Autodiff.backward tape loss;
-  let wgrad = Tensor.to_array w.Param.grad in
-  let xgrad = Array.copy (Autodiff.grad xn) in
-  Param.zero_grads store;
-  let eps = 1e-5 in
-  let eval () =
-    let tape, _, loss = run () in
-    let v = Autodiff.scalar_value loss in
-    Autodiff.discard tape;
-    v
-  in
-  (* weight entries *)
-  for i = 0 to Tensor.size w.Param.value - 1 do
-    let orig = Tensor.get_idx w.Param.value i in
-    Tensor.set_idx w.Param.value i (orig +. eps);
-    let up = eval () in
-    Tensor.set_idx w.Param.value i (orig -. eps);
-    let down = eval () in
-    Tensor.set_idx w.Param.value i orig;
-    let numeric = (up -. down) /. (2.0 *. eps) in
-    if Float.abs (wgrad.(i) -. numeric) > 1e-3 *. (1.0 +. Float.abs numeric) then
-      Alcotest.failf "matvec dW[%d]: analytic %.6g numeric %.6g" i wgrad.(i) numeric
-  done;
-  (* input entries *)
-  Array.iteri
-    (fun i _ ->
-      let orig = x.(i) in
-      x.(i) <- orig +. eps;
-      let up = eval () in
-      x.(i) <- orig -. eps;
-      let down = eval () in
-      x.(i) <- orig;
-      let numeric = (up -. down) /. (2.0 *. eps) in
-      if Float.abs (xgrad.(i) -. numeric) > 1e-3 *. (1.0 +. Float.abs numeric) then
-        Alcotest.failf "matvec dx[%d]: analytic %.6g numeric %.6g" i xgrad.(i) numeric)
-    x
+  let x = Param.matrix store "x" 2 4 in
+  Testutil.grad_check ~tol:1e-3 store (fun tape ->
+      let y = Batched.matmul_nt tape (Batched.rows_of_param tape x [| 0; 1 |]) w in
+      Batched.sum_all tape (Batched.mul tape y y))
 
 let test_grad_embedding_row () =
   let store = Param.create_store ~seed:2 () in
   let e = Param.embedding store "emb" 6 3 in
-  let tape = Autodiff.tape () in
-  let r = Autodiff.row tape e 4 in
-  let loss = Autodiff.sum tape (Autodiff.mul tape r r) in
-  Autodiff.backward tape loss;
-  (* gradient of sum(r^2) is 2r, only on row 4 *)
+  let tape = Batched.tape () in
+  (* a repeated id accumulates both lanes' gradient *)
+  let r = Batched.rows_of_param tape e [| 4; 1; 4 |] in
+  let loss = Batched.sum_all tape (Batched.mul tape r r) in
+  Batched.backward tape loss;
+  (* gradient of sum(r^2) is 2r per use: rows 4 (twice) and 1 only *)
   for i = 0 to 5 do
+    let uses = if i = 4 then 2.0 else if i = 1 then 1.0 else 0.0 in
     for j = 0 to 2 do
       let g = Tensor.get e.Param.grad i j in
-      if i = 4 then
-        check_float ~eps:1e-9 "row grad" (2.0 *. Tensor.get e.Param.value i j) g
+      if uses > 0.0 then
+        check_float ~eps:1e-9 "row grad" (2.0 *. uses *. Tensor.get e.Param.value i j) g
       else check_float ~eps:1e-12 "other rows zero" 0.0 g
     done
   done
@@ -364,10 +321,10 @@ let test_grad_shared_subexpression () =
   grad_check "shared"
     (fun t -> function
       | [ a ] ->
-          let y = Autodiff.tanh_ t a in
-          Autodiff.sum t (Autodiff.add t (Autodiff.mul t y y) y)
+          let y = Batched.tanh_ t a in
+          Batched.sum_all t (Batched.add t (Batched.mul t y y) y)
       | _ -> assert false)
-    [ x ]
+    [ lane x ]
 
 (* ------------------------------------------------------------------ *)
 (* Optimizers                                                          *)
@@ -385,14 +342,13 @@ let converges opt_maker =
     let x = rand_vec rng 3 in
     let y = Array.make 2 0.0 in
     Tensor.matvec target x y;
-    let tape = Autodiff.tape () in
-    let xn = Autodiff.const tape x in
-    let pred = Autodiff.matvec tape w xn in
-    let diff = Autodiff.sub tape pred (Autodiff.const tape y) in
-    let loss = Autodiff.sum tape (Autodiff.mul tape diff diff) in
-    if step = 1 then loss_at_start := Autodiff.scalar_value loss;
-    if step = 400 then loss_at_end := Autodiff.scalar_value loss;
-    Autodiff.backward tape loss;
+    let tape = Batched.tape () in
+    let pred = Batched.matmul_nt tape (Batched.const_arr tape ~rows:1 ~cols:3 x) w in
+    let diff = Batched.sub tape pred (Batched.const_arr tape ~rows:1 ~cols:2 y) in
+    let loss = Batched.sum_all tape (Batched.mul tape diff diff) in
+    if step = 1 then loss_at_start := Batched.scalar_value loss;
+    if step = 400 then loss_at_end := Batched.scalar_value loss;
+    Batched.backward tape loss;
     Optimizer.step opt store
   done;
   (!loss_at_start, !loss_at_end)
@@ -519,22 +475,23 @@ let prop_grad_check_random_graph =
       QCheck.assume (Array.length x >= 2);
       let rng = Rng.create seed in
       let pick = Rng.int rng 4 in
-      (try
-         grad_check "random-graph"
-           (fun t -> function
-             | [ a ] ->
-                 let y =
-                   match pick with
-                   | 0 -> Autodiff.tanh_ t a
-                   | 1 -> Autodiff.sigmoid t a
-                   | 2 -> Autodiff.mul t a a
-                   | _ -> Autodiff.softmax t a
-                 in
-                 Autodiff.sum t (Autodiff.mul t y a)
-             | _ -> assert false)
-           [ x ]
-       with Failure msg -> QCheck.Test.fail_report msg);
-      true)
+      match
+        grad_verdict
+          (fun t -> function
+            | [ a ] ->
+                let y =
+                  match pick with
+                  | 0 -> Batched.tanh_ t a
+                  | 1 -> Batched.sigmoid t a
+                  | 2 -> Batched.mul t a a
+                  | _ -> Batched.softmax_rows t a
+                in
+                Batched.sum_all t (Batched.mul t y a)
+            | _ -> assert false)
+          [ lane x ]
+      with
+      | Liger_fuzz.Oracle.Pass -> true
+      | Fail msg | Skip msg -> QCheck.Test.fail_report msg)
 
 (* property: a checkpoint save/load restores every parameter bit-exactly
    (the text format prints %.17g, which is lossless for float64) *)

@@ -57,3 +57,17 @@ let stub_batched ?(before = ignore) (w : Liger_tensor.Param.t) x =
         Batched.matmul_nt btape xs w);
     predict_batch = (fun chunk -> Array.map (fun _ -> Liger_eval.Train.Class 0) chunk);
   }
+
+(** Fail the test unless every parameter gradient of the 1×1 loss [build]
+    records matches its central finite difference
+    ({!Liger_fuzz.Oracle.grad_check}).
+
+    Tolerance: central differences with eps = 1e-5 carry O(eps^2)
+    truncation error plus ~1e-6 of float64 cancellation noise on O(1)
+    values, so analytic and numeric gradients are compared with a RELATIVE
+    tolerance (scaled by 1 + |numeric|), 2e-3 by default for one layer;
+    stacks such as a softmax cross-entropy over a GRU need a looser one. *)
+let grad_check ?(tol = 2e-3) store build =
+  match Liger_fuzz.Oracle.grad_check ~tol store build with
+  | Liger_fuzz.Oracle.Pass -> ()
+  | Fail msg | Skip msg -> Alcotest.fail msg
