@@ -187,7 +187,7 @@ let worker_loop pool slot =
     else begin
       let task = Queue.pop pool.queue in
       Mutex.unlock pool.mutex;
-      (try timed_busy task with _ -> () (* batch shares record their own errors *));
+      (try task () with _ -> () (* batch shares record their own errors *));
       loop ()
     end
   in
@@ -280,32 +280,56 @@ let get_pool () =
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The caller waits for every worker share it queued, not for every task:
+   a share's busy time and queue-wait sample are recorded when the share
+   ends, and [map] must not return before that, or its telemetry would land
+   in whatever snapshot (or reset) comes next. *)
 type batch = {
   n : int;
   run_one : int -> unit;
   next : int Atomic.t;       (* self-scheduling index; dynamic load balance *)
   done_mutex : Mutex.t;
   done_cond : Condition.t;
-  mutable completed : int;
+  mutable pending_shares : int;  (* worker shares not yet finished *)
 }
 
-(* Drain the batch's index counter until empty; returns tasks run. *)
+(* Drain the batch's index counter until empty. *)
 let drain batch =
-  let local = ref 0 in
   let rec loop () =
     let i = Atomic.fetch_and_add batch.next 1 in
     if i < batch.n then begin
       batch.run_one i;
-      incr local;
       loop ()
     end
   in
-  loop ();
-  Mutex.lock batch.done_mutex;
-  batch.completed <- batch.completed + !local;
-  if batch.completed >= batch.n then Condition.broadcast batch.done_cond;
-  Mutex.unlock batch.done_mutex;
-  !local
+  loop ()
+
+(* Runs in each worker share after it drains and before its accounting;
+   tests set a delay here to widen the window the accounting lands in. *)
+let after_drain = Atomic.make ignore
+
+module For_testing = struct
+  let set_after_drain f = Atomic.set after_drain f
+end
+
+(* One worker's share of a batch: drain, account, then count the share
+   finished.  [enq] is the enqueue time when telemetry is on. *)
+let run_share batch ~enq =
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock batch.done_mutex;
+      batch.pending_shares <- batch.pending_shares - 1;
+      if batch.pending_shares = 0 then Condition.broadcast batch.done_cond;
+      Mutex.unlock batch.done_mutex)
+    (fun () ->
+      timed_busy (fun () ->
+          Option.iter
+            (fun enq ->
+              Liger_obs.Metrics.observe ~buckets:wait_buckets "parallel.queue_wait_seconds"
+                (Unix.gettimeofday () -. enq))
+            enq;
+          drain batch;
+          (Atomic.get after_drain) ()))
 
 let sequential_map f arr =
   let t0 = Unix.gettimeofday () in
@@ -333,6 +357,8 @@ let map (f : 'a -> 'b) (arr : 'a array) : 'b array =
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set error None (Some (e, bt)))
     in
+    let pool = get_pool () in
+    let shares = min (Array.length pool.workers) (n - 1) in
     let batch =
       {
         n;
@@ -340,25 +366,15 @@ let map (f : 'a -> 'b) (arr : 'a array) : 'b array =
         next = Atomic.make 0;
         done_mutex = Mutex.create ();
         done_cond = Condition.create ();
-        completed = 0;
+        pending_shares = shares;
       }
     in
-    let pool = get_pool () in
-    let shares = min (Array.length pool.workers) (n - 1) in
     let telemetry = Liger_obs.Metrics.enabled () in
     let t_dispatch = if telemetry then Unix.gettimeofday () else 0.0 in
     Mutex.lock pool.mutex;
     for _ = 1 to shares do
-      if telemetry then begin
-        let enq = Unix.gettimeofday () in
-        Queue.push
-          (fun () ->
-            Liger_obs.Metrics.observe ~buckets:wait_buckets "parallel.queue_wait_seconds"
-              (Unix.gettimeofday () -. enq);
-            ignore (drain batch))
-          pool.queue
-      end
-      else Queue.push (fun () -> ignore (drain batch)) pool.queue
+      let enq = if telemetry then Some (Unix.gettimeofday ()) else None in
+      Queue.push (fun () -> run_share batch ~enq) pool.queue
     done;
     Condition.broadcast pool.work_available;
     Mutex.unlock pool.mutex;
@@ -366,9 +382,9 @@ let map (f : 'a -> 'b) (arr : 'a array) : 'b array =
       Liger_obs.Metrics.observe ~buckets:wait_buckets "parallel.dispatch_seconds"
         (Unix.gettimeofday () -. t_dispatch);
     (* the caller is a participant too *)
-    timed_busy (fun () -> ignore (drain batch));
+    timed_busy (fun () -> drain batch);
     Mutex.lock batch.done_mutex;
-    while batch.completed < batch.n do
+    while batch.pending_shares > 0 do
       Condition.wait batch.done_cond batch.done_mutex
     done;
     Mutex.unlock batch.done_mutex;

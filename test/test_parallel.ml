@@ -94,15 +94,12 @@ let test_diagnostics_histograms () =
   | Some h ->
       Alcotest.(check int) "one dispatch observed" 1 h.OM.count;
       Alcotest.(check bool) "dispatch time non-negative" true (h.OM.sum >= 0.0));
-  (* the queue-wait sample is recorded when a worker picks the share up,
-     which can lag the caller's drain; poll until it lands *)
-  let h =
-    Testutil.poll_for ~what:"queue_wait_seconds sample" (fun () ->
-        match OM.hist_view (OM.snapshot ()) "parallel.queue_wait_seconds" with
-        | Some h when h.OM.count >= 1 -> Some h
-        | _ -> None)
-  in
-  Alcotest.(check bool) "queue wait non-negative" true (h.OM.sum >= 0.0)
+  (* [map] returns only after its one worker share has recorded its wait *)
+  match OM.hist_view snap "parallel.queue_wait_seconds" with
+  | None -> Alcotest.fail "queue_wait_seconds histogram missing"
+  | Some h ->
+      Alcotest.(check int) "one queue wait observed" 1 h.OM.count;
+      Alcotest.(check bool) "queue wait non-negative" true (h.OM.sum >= 0.0)
 
 (* LIGER_MIN_BATCH: batches below the floor run sequentially (no dispatch) *)
 let test_min_batch_floor () =
@@ -149,6 +146,34 @@ let test_busy_accounting_bounded () =
     (Printf.sprintf "total busy (%.3fs) within wall x lanes (%.3fs)" total_busy (3.0 *. wall))
     true
     (total_busy <= (3.0 *. wall) +. 0.15)
+
+(* Regression for the late-telemetry race: a worker share used to record its
+   busy time and queue wait after the caller had seen every task finish and
+   returned, so the figures landed in the next snapshot (or survived the next
+   reset).  A delay after each share's drain widens that window; [map] must
+   still return only once every share has done its accounting. *)
+let test_share_accounting_before_return () =
+  Parallel.set_jobs 4;
+  OM.enable ();
+  OM.reset ();
+  Parallel.For_testing.set_after_drain (fun () -> Unix.sleepf 0.05);
+  Fun.protect
+    ~finally:(fun () -> Parallel.For_testing.set_after_drain ignore)
+    (fun () ->
+      ignore (Parallel.map (fun x -> x) (Array.init 8 Fun.id));
+      let busy () = (Parallel.Stats.snapshot ()).Parallel.Stats.busy_seconds in
+      let queue_waits () =
+        match OM.hist_view (OM.snapshot ()) "parallel.queue_wait_seconds" with
+        | Some h -> h.OM.count
+        | None -> 0
+      in
+      let busy_at_return = busy () and waits_at_return = queue_waits () in
+      Unix.sleepf 0.2;
+      Alcotest.(check int) "every share's queue wait recorded" 3 waits_at_return;
+      Alcotest.(check int) "no queue wait recorded after return" waits_at_return
+        (queue_waits ());
+      Alcotest.(check (array (float 0.0))) "no busy time recorded after return"
+        busy_at_return (busy ()))
 
 let test_set_jobs_invalid () =
   Alcotest.check_raises "zero jobs rejected"
@@ -384,6 +409,8 @@ let () =
           Alcotest.test_case "min-batch floor runs sequentially" `Quick test_min_batch_floor;
           Alcotest.test_case "busy time bounded by wall time" `Quick
             test_busy_accounting_bounded;
+          Alcotest.test_case "share accounting before return" `Quick
+            test_share_accounting_before_return;
           Alcotest.test_case "set_jobs validates" `Quick test_set_jobs_invalid;
           Alcotest.test_case "map_rng jobs-independent" `Quick test_map_rng_jobs_independent;
         ] );

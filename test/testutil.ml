@@ -20,23 +20,6 @@ let poll_until ?(timeout_s = 5.0) ?(interval_s = 0.002) pred =
   in
   go ()
 
-(** [poll_for ~what f] evaluates [f] until it returns [Some v];
-    [Alcotest.fail]s naming [what] on timeout. *)
-let poll_for ?(timeout_s = 5.0) ?(interval_s = 0.002) ~what f =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    match f () with
-    | Some v -> v
-    | None ->
-        if Unix.gettimeofday () >= deadline then
-          Alcotest.failf "timed out after %.1fs waiting for %s" timeout_s what
-        else begin
-          Unix.sleepf interval_s;
-          go ()
-        end
-  in
-  go ()
-
 (** Assert [pred] becomes true within the timeout, failing with [what]. *)
 let require ?timeout_s ?interval_s ~what pred =
   if not (poll_until ?timeout_s ?interval_s pred) then
