@@ -101,7 +101,9 @@ dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-obs/trace.jso
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-obs/metrics.json
 grep -q "symexec.paths_pruned_by_absint" runs/ci-obs/metrics.json || {
   echo "   ERROR: absint pruned no symbolic paths on the standard corpus" >&2; exit 1; }
-echo "   ok: runs/ci-obs/{trace,metrics}.json validate (absint pruning live)"
+grep -q "symexec.solves_failed" runs/ci-obs/metrics.json || {
+  echo "   ERROR: no solver counters in the metrics snapshot" >&2; exit 1; }
+echo "   ok: runs/ci-obs/{trace,metrics}.json validate (absint pruning, solver counters live)"
 
 echo "== run ledger smoke: 1s snapshots, OpenMetrics exposition, liger top"
 rm -rf runs/ci-ledger
