@@ -33,12 +33,6 @@ let to_string = Fmt.to_to_string pp
 
 let is_const = function Const _ -> true | _ -> false
 
-let of_value (v : Value.t) =
-  match v with
-  | Value.VArr a -> Arr (Array.map (fun n -> Const (Value.VInt n)) a)
-  | Value.VObj fields -> Obj (Array.map (fun (n, v) -> (n, Const v)) fields)
-  | prim -> Const prim
-
 exception Not_concrete
 
 (** Concretize a symbolic value that contains no [Input]s. *)

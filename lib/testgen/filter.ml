@@ -118,7 +118,3 @@ let run ?budget rng (candidates : candidate list) =
   in
   ( List.rev !kept,
     { original = List.length candidates; filtered = List.length !kept; by_reason } )
-
-(** Convenience: kept methods with their blended traces. *)
-let kept_blended kept =
-  List.map (fun (meth, r) -> (meth, Feedback.blended meth r)) kept
