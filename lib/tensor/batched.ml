@@ -31,10 +31,11 @@
       from {!vstack} + {!gather_rows} + the group reductions {!group_sum} /
       {!group_max}.
 
-    Node storage is leased from {!Bufpool} and returned when the tape is
-    released, so steady-state training allocates (almost) nothing per step;
-    consequently node values are only valid until {!backward}/{!discard} —
-    copy out what you need first.
+    Node storage is leased from {!Bufpool} as exact-length views of
+    size-class buffers; the tape keeps the backing buffers and returns
+    them when it is released, so steady-state training allocates no float
+    storage per step.  Consequently node values are only valid until
+    {!backward}/{!discard} — copy out what you need first.
 
     {2 Profiling}
 
@@ -64,10 +65,10 @@ type tape = {
   mutable nodes : node list;  (* newest first: reverse topological *)
   mutable n_ops : int;
   mutable alloc_bytes : int;
-  mutable aux : Tensor.buf list;  (* gradient-free scratch (e.g. softmax probs) *)
+  mutable leases : Tensor.buf list;  (* Bufpool backing buffers of every node and scratch *)
 }
 
-let tape () = { nodes = []; n_ops = 0; alloc_bytes = 0; aux = [] }
+let tape () = { nodes = []; n_ops = 0; alloc_bytes = 0; leases = [] }
 
 let length t = t.n_ops
 
@@ -99,8 +100,10 @@ let push tape rows cols back =
   if rows <= 0 || cols <= 0 then invalid_arg "Batched.push: non-positive shape";
   let tag = if P.on () then P.current_layer () else -1 in
   let n_elts = rows * cols in
-  let value = Tensor.of_buf (Bufpool.take n_elts) rows cols in
-  let grad = Tensor.of_buf (Bufpool.take_zeroed n_elts) rows cols in
+  let vbuf, vback = Bufpool.take n_elts in
+  let gbuf, gback = Bufpool.take_zeroed n_elts in
+  tape.leases <- vback :: gback :: tape.leases;
+  let value = Tensor.of_buf vbuf rows cols and grad = Tensor.of_buf gbuf rows cols in
   let n = { value; grad; back; tag } in
   tape.nodes <- n :: tape.nodes;
   tape.n_ops <- tape.n_ops + 1;
@@ -113,9 +116,10 @@ let push tape rows cols back =
 
 let no_back () = ()
 
+(* gradient-free scratch (e.g. softmax probs), released with the tape *)
 let take_aux tape n_elts =
-  let b = Bufpool.take n_elts in
-  tape.aux <- b :: tape.aux;
+  let b, backing = Bufpool.take n_elts in
+  tape.leases <- backing :: tape.leases;
   b
 
 (* profiled op ids — registration is idempotent and happens once at module
@@ -1423,14 +1427,9 @@ let release_tape tape =
     P.release tape.alloc_bytes;
     tape.alloc_bytes <- 0
   end;
-  List.iter
-    (fun n ->
-      Bufpool.give n.value.Tensor.data;
-      Bufpool.give n.grad.Tensor.data)
-    tape.nodes;
-  List.iter Bufpool.give tape.aux;
+  List.iter Bufpool.give tape.leases;
   tape.nodes <- [];
-  tape.aux <- [];
+  tape.leases <- [];
   tape.n_ops <- 0
 
 (** Seed the scalar loss gradient and replay the tape in reverse, then
