@@ -29,7 +29,7 @@ echo "   ok: BENCH_parallel.json written, record appended to BENCH_history.jsonl
 # would create alternating slow/fast records inside one run shape and
 # soften the throughput gate below.  No --metrics-out: the snapshot must
 # land in the run directory by default.
-echo "== profiled batched train smoke: per-layer/per-op accounting validates, FLOP budget"
+echo "== profiled batched train smoke: per-layer/per-op accounting validates, FLOP and pool-miss budgets"
 rm -rf runs/ci-profile
 LIGER_RUN_ID=ci-profile dune exec --no-build bin/liger_cli.exe -- \
   train -n 16 --epochs 3 --batch 16 --profile > /dev/null 2>&1
@@ -52,6 +52,21 @@ if [ "$flops" -gt "$FLOPS_BUDGET" ]; then
   exit 1
 fi
 echo "   ok: profile.total_flops $flops within the budget $FLOPS_BUDGET"
+# Buffer-pool miss budget for the same run, summed over the per-domain
+# bufpool.misses gauges.  Leases follow tensor shapes only, so the count
+# repeats exactly across runs and at LIGER_JOBS 1 and 2.  Power-of-two
+# size classes read 2,907 misses; exact-size classes read 7,195.
+# Exceeding the budget means leases stopped finding pooled storage.
+MISSES_BUDGET=2907
+misses=$(sed -n 's/.*"bufpool\.misses{[^}]*}": *\([0-9][0-9]*\)[,}]*$/\1/p' \
+  runs/ci-profile/metrics.json | awk '{ s += $1 } END { if (NR > 0) print s }')
+test -n "$misses" || {
+  echo "   ERROR: no bufpool.misses gauge in runs/ci-profile/metrics.json" >&2; exit 1; }
+if [ "$misses" -gt "$MISSES_BUDGET" ]; then
+  echo "   ERROR: bufpool.misses $misses exceeds the budget $MISSES_BUDGET" >&2
+  exit 1
+fi
+echo "   ok: bufpool.misses $misses within the budget $MISSES_BUDGET"
 
 # Batch size 1 is the default of `liger train` and of every experiment:
 # one-lane tapes on the batched engine, for LiGer and for a baseline.
