@@ -119,6 +119,22 @@ grep -q "symexec.paths_pruned_by_absint" runs/ci-obs/metrics.json || {
 grep -q "symexec.solves_failed" runs/ci-obs/metrics.json || {
   echo "   ERROR: no solver counters in the metrics snapshot" >&2; exit 1; }
 echo "   ok: runs/ci-obs/{trace,metrics}.json validate (absint pruning, solver counters live)"
+# Budget for the solver objectives this run computes rather than looks up
+# in a single-input table.  Solves are seeded per method, so the count
+# repeats exactly across runs and at LIGER_JOBS 1 and 2: 3,355,821 of the
+# 5,276,055 evaluations requested.  Before the table every evaluation was
+# computed (the parent's symexec.objective_evals, 5,276,055).  Exceeding the
+# budget means evaluations stopped being served from the table.
+COMPUTED_BUDGET=3355821
+computed=$(sed -n 's/.*"symexec\.objective_computed": *\([0-9][0-9]*\)[,}]*$/\1/p' \
+  runs/ci-obs/metrics.json | head -n 1)
+test -n "$computed" || {
+  echo "   ERROR: no symexec.objective_computed counter in runs/ci-obs/metrics.json" >&2; exit 1; }
+if [ "$computed" -gt "$COMPUTED_BUDGET" ]; then
+  echo "   ERROR: symexec.objective_computed $computed exceeds the budget $COMPUTED_BUDGET" >&2
+  exit 1
+fi
+echo "   ok: symexec.objective_computed $computed within the budget $COMPUTED_BUDGET"
 
 echo "== run ledger smoke: 1s snapshots, OpenMetrics exposition, liger top"
 rm -rf runs/ci-ledger
