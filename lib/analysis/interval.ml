@@ -43,7 +43,6 @@ let at_least l = Iv (Fin l, PosInf)
 let at_most u = Iv (NegInf, Fin u)
 
 let is_bot t = t = Bot
-let is_top t = t = Iv (NegInf, PosInf)
 
 let is_const = function Iv (Fin l, Fin u) when l = u -> Some l | _ -> None
 
@@ -274,16 +273,6 @@ let cmp_lt a b =
 let cmp_le a b =
   let t, f = cmp_lt b a in
   (f, t)
-
-let cmp_eq a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> (false, false)
-  | _ ->
-      let may_t = meet a b <> Bot in
-      let may_f =
-        match (is_const a, is_const b) with Some x, Some y -> x <> y | _ -> true
-      in
-      (may_t, may_f)
 
 (* ---------------- refinement helpers ---------------- *)
 

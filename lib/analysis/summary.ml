@@ -47,50 +47,6 @@ let summarize ?args (meth : Ast.meth) : t =
     s_definitely_crashes = definite;
   }
 
-(* ---------------- the call graph ---------------- *)
-
-type callgraph = {
-  cg_methods : (string * string list) list;  (* method -> builtin callees *)
-  cg_builtins : string list;                 (* all builtins referenced *)
-}
-
-let callees (meth : Ast.meth) : string list =
-  let acc = ref [] in
-  let rec go (e : Ast.expr) =
-    match e with
-    | Ast.Call (f, es) ->
-        if not (List.mem f !acc) then acc := f :: !acc;
-        List.iter go es
-    | Ast.Unop (_, a) | Ast.Len a | Ast.NewArray a | Ast.Field (a, _) -> go a
-    | Ast.Binop (_, a, b) | Ast.Index (a, b) -> go a; go b
-    | Ast.ArrayLit es -> List.iter go es
-    | Ast.RecordLit fs -> List.iter (fun (_, e) -> go e) fs
-    | Ast.Int _ | Ast.Bool _ | Ast.Str _ | Ast.Var _ -> ()
-  in
-  List.iter
-    (fun (s : Ast.stmt) ->
-      match s.Ast.node with
-      | Ast.Decl (_, _, e) | Ast.Assign (_, e) | Ast.Return e -> go e
-      | Ast.StoreIndex (_, i, e) -> go i; go e
-      | Ast.StoreField (_, _, e) -> go e
-      | Ast.If (c, _, _) | Ast.While (c, _) | Ast.For (_, c, _, _) -> go c
-      | Ast.Break | Ast.Continue -> ())
-    (Ast.all_stmts meth);
-  List.sort compare !acc
-
-let build_callgraph (meths : Ast.meth list) : callgraph =
-  let cg_methods = List.map (fun m -> (m.Ast.mname, callees m)) meths in
-  let cg_builtins =
-    List.sort_uniq compare (List.concat_map snd cg_methods)
-  in
-  { cg_methods; cg_builtins }
-
-(** Bottom-up summaries for a whole corpus: builtins are the leaves, so
-    every method is ready immediately; a topological order over the
-    bipartite graph is any order. *)
-let summarize_corpus (meths : Ast.meth list) : (string * t) list =
-  List.map (fun m -> (m.Ast.mname, summarize m)) meths
-
 (* ---------------- rendering ---------------- *)
 
 let crash_to_string (c : Absint.crash) =

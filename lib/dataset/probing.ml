@@ -41,16 +41,6 @@ let classes = function
   | Live_after | Dominating_branch | Always_reached -> 2
   | Sign_at_exit -> 4
 
-let class_name task c =
-  match (task, c) with
-  | (Live_after | Dominating_branch | Always_reached), 0 -> "no"
-  | (Live_after | Dominating_branch | Always_reached), 1 -> "yes"
-  | Sign_at_exit, 0 -> "negative"
-  | Sign_at_exit, 1 -> "zero"
-  | Sign_at_exit, 2 -> "positive"
-  | Sign_at_exit, 3 -> "mixed"
-  | _ -> "?"
-
 type example = { p_sid : int; p_task : task; p_class : int }
 
 let sign_class (iv : Interval.t) =

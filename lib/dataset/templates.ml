@@ -1465,9 +1465,3 @@ let coset_problems =
     "count_chars"; "palindrome"; "digits"; "search" ]
 
 let by_problem problem = List.filter (fun t -> t.problem = problem) all
-
-(** All algorithm-class labels in a stable order (the classification label
-    space). *)
-let algo_classes =
-  List.concat_map (fun t -> List.map (fun v -> v.algo) t.variants) all
-  |> List.sort_uniq compare

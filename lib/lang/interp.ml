@@ -45,10 +45,6 @@ let bool_of = function
   | Value.VBool b -> b
   | v -> raise (Runtime_error ("expected bool, got " ^ Value.to_display v))
 
-let str_of = function
-  | Value.VStr s -> s
-  | v -> raise (Runtime_error ("expected string, got " ^ Value.to_display v))
-
 let arr_of = function
   | Value.VArr a -> a
   | v -> raise (Runtime_error ("expected array, got " ^ Value.to_display v))

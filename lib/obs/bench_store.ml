@@ -178,5 +178,3 @@ let render_diff ?threshold a b =
       rows;
     Buffer.contents buf
   end
-
-let flagged_metrics deltas = List.filter (fun d -> d.flagged) deltas

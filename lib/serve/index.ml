@@ -29,9 +29,6 @@ let size t = Array.length t.entries
 
 let entries t = t.entries
 
-let find_hash t hash =
-  Array.fold_left (fun acc e -> if e.hash = hash then Some e else acc) None t.entries
-
 let sorted entries =
   let arr = Array.copy entries in
   Array.sort (fun a b -> compare (a.key, a.hash) (b.key, b.hash)) arr;

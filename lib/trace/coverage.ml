@@ -41,12 +41,3 @@ let preserves_lines ~reference bs =
   in
   let lines = bs |> List.concat_map lines_of_blended |> List.sort_uniq compare in
   List.for_all (fun l -> List.mem l lines) ref_lines
-
-(** Branch outcomes observed across traces: (sid, taken?) pairs. *)
-let branches_of_blended (bs : Blended.t list) =
-  bs
-  |> List.concat_map (fun b ->
-         List.filter_map
-           (fun (sid, br) -> Option.map (fun taken -> (sid, taken)) br)
-           b.Blended.signature)
-  |> List.sort_uniq compare
