@@ -148,8 +148,7 @@ let check_symexec ~seed (m : Ast.meth) =
                       let sg = ref [] in
                       let outcome =
                         Interp.run ~fuel:(symexec_config.Symexec.max_steps + 50)
-                          ~on_step:(fun s ->
-                            sg := (s.Interp.step_sid, s.Interp.step_branch) :: !sg)
+                          ~on_step:(fun sid branch _ -> sg := (sid, branch) :: !sg)
                           m args
                       in
                       let concrete_sig = List.rev !sg in
@@ -417,12 +416,10 @@ let check_absint ~seed (m : Ast.meth) =
   let rng = Rng.create seed in
   let pool = Randgen.create_pool () in
   let bad = ref None in
-  let observe (s : Interp.step) =
+  let observe sid _ copy =
     if !bad = None then
-      match Cfg.node_of_sid r.Absint.cfg s.Interp.step_sid with
-      | None ->
-          bad :=
-            Some (Printf.sprintf "executed statement #%d has no CFG node" s.Interp.step_sid)
+      match Cfg.node_of_sid r.Absint.cfg sid with
+      | None -> bad := Some (Printf.sprintf "executed statement #%d has no CFG node" sid)
       | Some u ->
           let env = r.Absint.after.(u) in
           List.iter
@@ -434,9 +431,9 @@ let check_absint ~seed (m : Ast.meth) =
                     bad :=
                       Some
                         (Printf.sprintf "after #%d, %s = %s escapes its abstract value %s"
-                           s.Interp.step_sid x (Value.to_display v)
+                           sid x (Value.to_display v)
                            (Absint.aval_to_string (Absint.env_lookup env x))))
-            s.Interp.step_env
+            (copy ())
   in
   let rec go i =
     if i >= absint_runs then Pass

@@ -35,6 +35,7 @@ let path_key tr = Exec_trace.path_key tr
 (** Generate executions for [meth].  Deterministic given [rng]. *)
 let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   let pool = Randgen.create_pool () in
+  let prepared = Exec_trace.prepare meth in
   let groups : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
   let kept = ref [] in
   let n_attempts = ref 0 in
@@ -46,7 +47,7 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   in
   let consider args =
     incr n_attempts;
-    let tr = Exec_trace.collect ~fuel:budget.fuel ~keep_steps:64 meth args in
+    let tr = Exec_trace.run ~fuel:budget.fuel ~keep_steps:64 prepared args in
     match tr.Exec_trace.outcome with
     | Interp.Crashed _ -> incr n_crashes
     | Interp.Timeout -> incr n_timeouts
