@@ -11,7 +11,10 @@
     {b Compiled, incremental scoring.}  [solve] compiles the path condition
     once, in time linear in its size: the model is an [int array] (booleans
     as 0/1), each [Input] resolves to an index into it, and each constraint
-    becomes a closure computing its branch distance.  Every constraint's
+    becomes a closure computing its branch distance — except a comparison
+    of int inputs and/or int constants, possibly under [Not], which is kept
+    as data ([Cmp]) and scored in place by [int_distance], with no closure
+    call and no boxed float.  Every constraint's
     current distance is kept; a move of variable [i] re-scores only the
     constraints that mention [i], and the objective is then re-summed over
     all constraints in path-condition order.
@@ -33,7 +36,8 @@
     model, a leaf's [Interp.Runtime_error] scoring [big_penalty] — and the
     sum adds the same floats in the same order, so every objective value
     has the same bits.  The search draws the same RNG values in the same
-    order, and equal scores (which draw a coin) tie exactly where they did.
+    order, and equal scores (which draw a coin) tie exactly where they did:
+    the coin is [Rng.coin], the sign bit of the draw [bernoulli 0.5] made.
     A change here must keep [solve]'s results, and with them the corpus,
     bit for bit; [test_symexec]'s pinned digests check this. *)
 
@@ -122,18 +126,21 @@ let rec compile slot (t : Symval.t) =
       let fields = Array.map (fun (n, v) -> (n, to_value (compile slot v))) fields in
       CDyn (fun m -> Value.VObj (Array.map (fun (n, c) -> (n, c m)) fields))
 
+(* [Float.max 0.0 v], inlined: the same float for every [v], NaN included *)
+let[@inline] pos v = if v > 0.0 then v else if Float.is_nan v then v else 0.0
+
 (* Distance to making the int comparison [x op y] evaluate to [want]. *)
-let int_distance op ~want x y =
+let[@inline] int_distance op ~want x y =
   let fx = float_of_int x and fy = float_of_int y in
   match (op, want) with
-  | Ast.Lt, true -> Float.max 0.0 (fx -. fy +. 1.0)
-  | Ast.Lt, false -> Float.max 0.0 (fy -. fx)
-  | Ast.Le, true -> Float.max 0.0 (fx -. fy)
-  | Ast.Le, false -> Float.max 0.0 (fy -. fx +. 1.0)
-  | Ast.Gt, true -> Float.max 0.0 (fy -. fx +. 1.0)
-  | Ast.Gt, false -> Float.max 0.0 (fx -. fy)
-  | Ast.Ge, true -> Float.max 0.0 (fy -. fx)
-  | Ast.Ge, false -> Float.max 0.0 (fx -. fy +. 1.0)
+  | Ast.Lt, true -> pos (fx -. fy +. 1.0)
+  | Ast.Lt, false -> pos (fy -. fx)
+  | Ast.Le, true -> pos (fx -. fy)
+  | Ast.Le, false -> pos (fy -. fx +. 1.0)
+  | Ast.Gt, true -> pos (fy -. fx +. 1.0)
+  | Ast.Gt, false -> pos (fx -. fy)
+  | Ast.Ge, true -> pos (fy -. fx)
+  | Ast.Ge, false -> pos (fx -. fy +. 1.0)
   | Ast.Eq, true | Ast.Ne, false -> Float.abs (float_of_int (x - y))
   | Ast.Eq, false | Ast.Ne, true -> if x = y then 1.0 else 0.0
   | _ -> invalid_arg "Solver.int_distance: not a comparison"
@@ -186,13 +193,49 @@ let rec distance slot ~want (c : Symval.t) : int array -> float =
             (try match f m with Value.VBool b -> if b = want then 0.0 else 1.0 | _ -> big_penalty
              with Interp.Runtime_error _ -> big_penalty))
 
+(* A constraint's branch distance.  A comparison of int inputs and/or int
+   constants (under any number of [Not]s) is kept as data and scored in
+   place; any other constraint is its compiled closure. *)
+type scorer =
+  | Cmp of { op : Ast.binop; want : bool; a : int; ka : int; b : int; kb : int }
+      (* [int_distance op ~want] of two operands: input [a] of the model,
+         or the constant [ka] when [a < 0]; likewise [b] *)
+  | Fn of (int array -> float)
+
+(* [c] as a [Cmp] scoring what [distance slot ~want c] scores, if it is one *)
+let rec as_cmp slot ~want (c : Symval.t) =
+  let operand = function
+    | Symval.Input x -> (
+        match slot x with Some (i, ty) when ty <> Ast.Tbool -> Some (i, 0) | _ -> None)
+    | Symval.Const (Value.VInt n) -> Some (-1, n)
+    | _ -> None
+  in
+  match c with
+  | Symval.Unop (Ast.Not, a) -> as_cmp slot ~want:(not want) a
+  | Symval.Binop (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b) -> (
+      match (operand a, operand b) with
+      | Some (a, ka), Some (b, kb) -> Some (Cmp { op; want; a; ka; b; kb })
+      | _ -> None)
+  | _ -> None
+
+let scorer slot c =
+  match as_cmp slot ~want:true c with Some s -> s | None -> Fn (distance slot ~want:true c)
+
+let[@inline] score s model =
+  match s with
+  | Cmp { op; want; a; ka; b; kb } ->
+      int_distance op ~want
+        (if a < 0 then ka else Array.unsafe_get model a)
+        (if b < 0 then kb else Array.unsafe_get model b)
+  | Fn f -> f model
+
 (* ------------------------------------------------------------------ *)
 (* Incremental objective                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A path condition compiled against one variable list. *)
 type problem = {
-  score_of : (int array -> float) array;  (* per constraint, in [pc] order *)
+  scorers : scorer array;                  (* per constraint, in [pc] order *)
   dist : float array;                      (* each constraint's current distance *)
   deps : int array array;                  (* deps.(i): constraints mentioning variable i *)
   saved : float array;                     (* distances a move overwrote, for [undo] *)
@@ -214,7 +257,7 @@ let compile_problem ~domain (vars : (string * Ast.typ) list) (pc : Path.t) =
     vars;
   let slot = Hashtbl.find_opt slots in
   let constraints = Array.of_list pc in
-  let score_of = Array.map (distance slot ~want:true) constraints in
+  let scorers = Array.map (scorer slot) constraints in
   let deps = Array.make (List.length vars) [] in
   for k = Array.length constraints - 1 downto 0 do
     List.iter
@@ -230,7 +273,7 @@ let compile_problem ~domain (vars : (string * Ast.typ) list) (pc : Path.t) =
     | _ -> (-1, 0, 0)
   in
   {
-    score_of;
+    scorers;
     dist = Array.make (Array.length constraints) 0.0;
     deps;
     saved = Array.make (Array.fold_left (fun acc d -> max acc (Array.length d)) 0 deps) 0.0;
@@ -242,7 +285,7 @@ let compile_problem ~domain (vars : (string * Ast.typ) list) (pc : Path.t) =
   }
 
 (* The objective: all current distances, summed in [pc] order. *)
-let total p =
+let[@inline] total p =
   let s = ref 0.0 in
   for k = 0 to Array.length p.dist - 1 do
     s := !s +. p.dist.(k)
@@ -250,14 +293,16 @@ let total p =
   !s
 
 (* The objective under [model], every distance re-scored. *)
-let compute p model =
+let[@inline] compute p model =
   p.computed <- p.computed + 1;
-  Array.iteri (fun k f -> p.dist.(k) <- f model) p.score_of;
+  for k = 0 to Array.length p.scorers - 1 do
+    p.dist.(k) <- score p.scorers.(k) model
+  done;
   total p
 
 (* The objective of a condition that reads only [p.read]: its table entry,
    computed on first use. *)
-let lookup p model =
+let[@inline] lookup p model =
   let k = model.(p.read) - p.base in
   if k < 0 || k >= Array.length p.table then compute p model
   else begin
@@ -265,12 +310,12 @@ let lookup p model =
     p.table.(k)
   end
 
-let score_all p model =
+let[@inline] score_all p model =
   p.evals <- p.evals + 1;
   if p.read >= 0 then lookup p model else compute p model
 
 (* The objective after variable [i] moved. *)
-let rescore p model i =
+let[@inline] rescore p model i =
   p.evals <- p.evals + 1;
   if p.read >= 0 then lookup p model
   else begin
@@ -279,7 +324,7 @@ let rescore p model i =
     for j = 0 to Array.length deps - 1 do
       let k = deps.(j) in
       p.saved.(j) <- p.dist.(k);
-      p.dist.(k) <- p.score_of.(k) model
+      p.dist.(k) <- score p.scorers.(k) model
     done;
     total p
   end
@@ -363,7 +408,7 @@ let search ~domain ~restarts ~steps rng vars p =
             let s = rescore p model i in
             (* equal-score moves are accepted half the time: coupled
                equalities create plateaus that strict descent cannot cross *)
-            if s < !score || (s = !score && Rng.bernoulli rng 0.5) then score := s
+            if s < !score || (s = !score && Rng.coin rng) then score := s
             else begin
               model.(i) <- saved;
               undo p i

@@ -6,7 +6,12 @@
     core generator is xorshift128+ (Vigna, 2014), which is fast and has more
     than enough statistical quality for simulation workloads. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64 }
+(* The state (s0, s1) lives unboxed in 16 bytes, s0 first, so that a draw
+   writes it without allocating. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64 seed =
   (* Used to derive well-mixed initial state from small integer seeds. *)
@@ -15,42 +20,42 @@ let splitmix64 seed =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let s = Int64.of_int seed in
-  let s0 = splitmix64 s in
+(* The state seeded from [seed] by two splitmix64 rounds. *)
+let of_seed64 seed =
+  let s0 = splitmix64 seed in
   let s1 = splitmix64 s0 in
   (* xorshift128+ must not start from the all-zero state. *)
   let s1 = if Int64.equal s0 0L && Int64.equal s1 0L then 1L else s1 in
-  { s0; s1 }
+  let t = Bytes.create 16 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  t
 
-let next t =
-  let x = t.s0 and y = t.s1 in
-  t.s0 <- y;
+let create seed = of_seed64 (Int64.of_int seed)
+
+let[@inline] next t =
+  let x = get64 t 0 and y = get64 t 8 in
+  set64 t 0 y;
   let x = Int64.logxor x (Int64.shift_left x 23) in
   let x = Int64.logxor (Int64.logxor x y) (Int64.logxor
             (Int64.shift_right_logical x 17) (Int64.shift_right_logical y 26)) in
-  t.s1 <- x;
+  set64 t 8 x;
   Int64.add x y
 
 (** [split t] derives an independent generator without disturbing [t]'s
     stream beyond one draw; useful for giving each sub-task its own stream. *)
-let split t =
-  let seed = next t in
-  let s0 = splitmix64 seed in
-  let s1 = splitmix64 s0 in
-  let s1 = if Int64.equal s0 0L && Int64.equal s1 0L then 1L else s1 in
-  { s0; s1 }
+let split t = of_seed64 (next t)
 
-let bits53 t = Int64.to_float (Int64.shift_right_logical (next t) 11)
+let[@inline] bits53 t = Int64.to_float (Int64.shift_right_logical (next t) 11)
 
 (** [float t bound] is uniform in [0, bound). *)
-let float t bound = bits53 t /. 9007199254740992.0 *. bound
+let[@inline] float t bound = bits53 t /. 9007199254740992.0 *. bound
 
 (** [uniform t lo hi] is uniform in [lo, hi). *)
 let uniform t lo hi = lo +. float t (hi -. lo)
 
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
-let int t bound =
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* shift by 2 so the result fits OCaml's 63-bit int as a non-negative *)
   let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
@@ -94,3 +99,7 @@ let sample_without_replacement t k arr =
 
 (** Bernoulli draw with probability [p]. *)
 let bernoulli t p = float t 1.0 < p
+
+(** [coin t] decides as [bernoulli t 0.5] does, from the same draw:
+    [bits53 / 2^53 < 0.5] holds exactly when the draw's top bit is 0. *)
+let coin t = next t >= 0L
