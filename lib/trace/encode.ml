@@ -38,8 +38,10 @@ let slice_keep cfg (meth : Ast.meth) : string -> bool =
 
 (* ---------------- value tokens (D_d) ---------------- *)
 
+let small_int_tokens = Array.init 41 (fun k -> Printf.sprintf "i%d" (k - 20))
+
 let int_token n =
-  if n >= -20 && n <= 20 then Printf.sprintf "i%d" n
+  if n >= -20 && n <= 20 then small_int_tokens.(n + 20)
   else if n > 1000 then "i_pos_big"
   else if n > 100 then "i_pos_large"
   else if n > 0 then "i_pos_med"
