@@ -135,6 +135,23 @@ if [ "$computed" -gt "$COMPUTED_BUDGET" ]; then
   exit 1
 fi
 echo "   ok: symexec.objective_computed $computed within the budget $COMPUTED_BUDGET"
+# Concrete execution tripwire: test generation's attempt, timeout and
+# crash counts for this run.  Inputs are seeded per method, so the counts
+# repeat exactly across runs and at LIGER_JOBS 1 and 2 (5,381 attempts,
+# 10 timeouts, 0 crashes, measured before the interpreter was compiled to
+# closures and after).  A different count means concrete execution, or an
+# input it is given, changed behaviour.
+for pair in attempts:5381 timeouts:10 crashes:0; do
+  name=${pair%%:*}
+  want=${pair#*:}
+  got=$(sed -n "s/.*\"testgen\\.$name\": *\([0-9][0-9]*\)[,}]*\$/\1/p" \
+    runs/ci-obs/metrics.json | head -n 1)
+  if [ "$got" != "$want" ]; then
+    echo "   ERROR: testgen.$name is ${got:-missing} in runs/ci-obs/metrics.json, expected $want" >&2
+    exit 1
+  fi
+done
+echo "   ok: testgen.attempts, testgen.timeouts and testgen.crashes match the pinned counts"
 
 echo "== run ledger smoke: 1s snapshots, OpenMetrics exposition, liger top"
 rm -rf runs/ci-ledger
