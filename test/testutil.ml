@@ -54,3 +54,12 @@ let grad_check ?(tol = 2e-3) store build =
   match Liger_fuzz.Oracle.grad_check ~tol store build with
   | Liger_fuzz.Oracle.Pass -> ()
   | Fail msg | Skip msg -> Alcotest.fail msg
+
+(** [(f (), words)]: the words [f ()] allocated on the minor heap, plus
+    directly on the major heap (large arrays).  [Gc.minor_words] is exact;
+    the minor count of [Gc.counters] only moves at minor collections. *)
+let words_allocated f =
+  let m0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let m1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (m1 -. m0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
