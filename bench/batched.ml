@@ -20,11 +20,7 @@ let () =
     | [] -> [ 8; 16; 32 ]
     | args -> List.map int_of_string args
   in
-  let n =
-    match Sys.getenv_opt "LIGER_BENCH_N" with
-    | Some s -> int_of_string s
-    | None -> 60
-  in
+  let n = Option.value (Liger_obs.Config.get ()).Liger_obs.Config.bench_n ~default:60 in
   let enc =
     { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
   in

@@ -13,8 +13,6 @@
                                               # writes BENCH_parallel.json
      dune exec bench/main.exe -- --trace t.json --metrics-out m.json
                                               # Chrome trace + metrics snapshot
-                                              # (also via LIGER_TRACE_OUT /
-                                              # LIGER_METRICS_OUT)
 
    --jobs N alone runs only the parallel benchmark; combine it with the
    other flags to also run those sections on an N-sized pool.  Unknown or
@@ -269,12 +267,11 @@ let run_parallel_bench ~jobs =
   say "\nParallel corpus generation: 1 domain vs %d domains\n" jobs;
   say "%s\n%!" (String.make 72 '-');
   let n_methods =
-    match Sys.getenv_opt "LIGER_BENCH_N" with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | _ -> invalid_arg (Printf.sprintf "LIGER_BENCH_N must be a positive integer, got %S" s))
-    | None -> ( match Sys.getenv_opt "LIGER_SCALE" with Some "full" -> 300 | _ -> 120)
+    let cfg = Liger_obs.Config.get () in
+    match (cfg.Liger_obs.Config.bench_n, cfg.Liger_obs.Config.scale) with
+    | Some n, _ -> n
+    | None, Liger_obs.Config.Full -> 300
+    | None, Liger_obs.Config.Quick -> 120
   in
   let enc =
     { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
@@ -387,15 +384,8 @@ let run_parallel_bench ~jobs =
       ];
   }
 
-let regression_threshold () =
-  match Sys.getenv_opt "LIGER_REGRESSION_THRESHOLD" with
-  | None -> 0.3
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 -> f
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "LIGER_REGRESSION_THRESHOLD must be a positive float, got %S" s))
+(* the largest relative throughput drop the history gates accept *)
+let regression_threshold = 0.3
 
 (* ------------------------------------------------------------------ *)
 (* Serve loopback benchmark (serve --qps N --duration S)                *)
@@ -554,14 +544,13 @@ let serve_regression_failures ~history (r : B.record) =
               with
               | Some before, Some after when before > 0.0 ->
                   let drop = (before -. after) /. before in
-                  let threshold = regression_threshold () in
-                  if drop > threshold then
+                  if drop > regression_threshold then
                     failures :=
                       Printf.sprintf
                         "sustained_qps dropped %.0f%% vs %s@%s (%.2f -> %.2f, \
                          threshold %.0f%%)"
                         (100.0 *. drop) prev.B.date prev.B.rev before after
-                        (100.0 *. threshold)
+                        (100.0 *. regression_threshold)
                       :: !failures
               | _ -> ())))
   | _ -> ());
@@ -571,8 +560,8 @@ let serve_regression_failures ~history (r : B.record) =
    history record with the same benchmark and job count.  Two gates:
    speedup below 1 with jobs > 1 (parallelism actively hurting — on a
    single-core host the bench runs with jobs=1 and this gate is moot), and
-   parallel throughput dropping by more than LIGER_REGRESSION_THRESHOLD
-   (default 0.3, i.e. 30%) versus the previous run. *)
+   parallel throughput dropping by more than [regression_threshold]
+   (30%) versus the previous run. *)
 
 let regression_failures ~history (r : B.record) =
   let failures = ref [] in
@@ -616,14 +605,13 @@ let regression_failures ~history (r : B.record) =
               with
               | Some before, Some after when before > 0.0 ->
                   let drop = (before -. after) /. before in
-                  let threshold = regression_threshold () in
-                  if drop > threshold then
+                  if drop > regression_threshold then
                     failures :=
                       Printf.sprintf
                         "par_methods_per_second dropped %.0f%% vs %s@%s (%.2f -> %.2f, \
                          threshold %.0f%%)"
                         (100.0 *. drop) prev.B.date prev.B.rev before after
-                        (100.0 *. threshold)
+                        (100.0 *. regression_threshold)
                       :: !failures
               | _ -> ())))
   | _ -> ());
@@ -683,15 +671,14 @@ let train_regression_failures ~history =
                     with
                     | Some before, Some after when before > 0.0 ->
                         let drop = (before -. after) /. before in
-                        let threshold = regression_threshold () in
                         let bench, jobs, bs, _, _ = k in
-                        if drop > threshold then
+                        if drop > regression_threshold then
                           failures :=
                             Printf.sprintf
                               "%s (jobs=%d, batch=%d): examples_per_second dropped \
                                %.0f%% vs %s@%s (%.2f -> %.2f, threshold %.0f%%)"
                               bench jobs bs (100.0 *. drop) prev.B.date prev.B.rev before
-                              after (100.0 *. threshold)
+                              after (100.0 *. regression_threshold)
                             :: !failures
                     | _ -> ())
                 | _ -> ())
@@ -725,8 +712,8 @@ let usage () =
   prerr_endline "  --history FILE    append the parallel benchmark's record to a JSONL history";
   prerr_endline "                    (diff runs with 'liger stats --diff FILE')";
   prerr_endline "  --check-regression  exit 1 if the parallel benchmark regressed (speedup < 1";
-  prerr_endline "                    with jobs > 1, or throughput down > LIGER_REGRESSION_THRESHOLD";
-  prerr_endline "                    vs the previous matching history record; default 0.3).";
+  prerr_endline "                    with jobs > 1, or throughput down > 30% vs the previous";
+  prerr_endline "                    matching history record).";
   prerr_endline "                    Recording at jobs <= 1 fails loudly: it defeats the gate";
   prerr_endline "  --check-train-regression  exit 1 if the newest train.* record in --history FILE";
   prerr_endline "                    has examples_per_second down > the threshold vs the previous";

@@ -14,7 +14,7 @@
      train           - train a model on a generated corpus and report metrics
      experiments     - run the paper's tables/figures (same as bench/main.exe)
      stats    FILE   - summarize or validate a telemetry file written via
-                       --metrics-out/--trace (or the LIGER_*_OUT env vars);
+                       --metrics-out/--trace (or LIGER_METRICS/LIGER_TRACE);
                        --openmetrics renders Prometheus text exposition
      top     [RUN]   - live view of a training run's ledger (throughput, loss,
                        grad norms, pool, GC, bufpool; see --metrics-every)
@@ -40,7 +40,7 @@ module Obs = Liger_obs.Obs
 
 (* Telemetry flags shared by the long-running subcommands.  The term's
    side-effect configures the registry/tracer before the command body runs;
-   explicit flags win over LIGER_METRICS_OUT / LIGER_TRACE_OUT. *)
+   explicit flags win over the environment. *)
 let obs_term =
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -58,7 +58,7 @@ let obs_term =
          & info [ "profile" ]
              ~doc:"Enable the model profiler: per-op FLOP/byte counters, \
                    per-layer forward/backward timings and tensor-memory peak \
-                   (implies metrics; also LIGER_PROFILE=1).  The end-of-run \
+                   (implies metrics).  The end-of-run \
                    report gains per-layer and per-op tables.")
   in
   let metrics_every =
@@ -75,13 +75,19 @@ let obs_term =
              ~doc:"Enable the training-dynamics streams: per-layer gradient \
                    norms and update-to-weight ratios, activation saturation, \
                    attention entropy, and embedding drift vs a frozen probe \
-                   set (implies metrics; also LIGER_DYNAMICS=1).  Feeds the \
+                   set (implies metrics).  Feeds the \
                    ledger, $(b,liger top) and $(b,liger report).")
   in
   let setup metrics_out trace_out metrics_every profile dynamics =
     Obs.init ?metrics_out ?trace_out ?metrics_every ~profile ~dynamics ()
   in
   Term.(const setup $ metrics_out $ trace_out $ metrics_every $ profile $ dynamics)
+
+(* The other working subcommands take the telemetry environment
+   (LIGER_METRICS, LIGER_TRACE, LIGER_METRICS_EVERY) without flags.  The
+   readers -- stats, top, report, fetch -- take none: under the run id of
+   the run they read, their own exit snapshot would overwrite its files. *)
+let obs_env = Term.(const (fun () -> Obs.init ()) $ const ())
 
 let read_file path =
   let ic = open_in_bin path in
@@ -100,7 +106,7 @@ let load_method path =
 (* ---------------- trace ---------------- *)
 
 let trace_cmd =
-  let run file n seed =
+  let run () file n seed =
     let meth = load_method file in
     (match Typecheck.check meth with
     | Ok () -> ()
@@ -123,7 +129,7 @@ let trace_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "trace" ~doc:"Execute a MiniJava method and print execution traces")
-    Term.(const run $ file $ n $ seed)
+    Term.(const run $ obs_env $ file $ n $ seed)
 
 (* ---------------- analyze ---------------- *)
 
@@ -194,7 +200,7 @@ let analyze_method (m : Ast.meth) =
       Lint.ok verdict
 
 let analyze_cmd =
-  let run file strict =
+  let run () file strict =
     let methods = Parser.methods_of_string (read_file file) in
     if methods = [] then failwith "no method found";
     let all_clean = List.fold_left (fun acc m -> analyze_method m && acc) true methods in
@@ -209,12 +215,12 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Print the CFG, dataflow facts, lint verdicts and slice of each method")
-    Term.(const run $ file $ strict)
+    Term.(const run $ obs_env $ file $ strict)
 
 (* ---------------- paths ---------------- *)
 
 let paths_cmd =
-  let run file seed =
+  let run () file seed =
     let meth = load_method file in
     let shape = Symexec.shape_of_params meth.Ast.params in
     let results = Symexec.explore meth ~shape in
@@ -240,7 +246,7 @@ let paths_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "paths" ~doc:"Enumerate and solve bounded symbolic paths")
-    Term.(const run $ file $ seed)
+    Term.(const run $ obs_env $ file $ seed)
 
 (* ---------------- dataset ---------------- *)
 
@@ -414,7 +420,7 @@ let train_cmd =
 (* ---------------- predict ---------------- *)
 
 let predict_cmd =
-  let run file model_dir seed =
+  let run () file model_dir seed =
     let meth = load_method file in
     let model, vocab = load_model model_dir in
     let rng = Rng.create seed in
@@ -436,12 +442,12 @@ let predict_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "predict" ~doc:"Predict a method's name with a saved LiGer model")
-    Term.(const run $ file $ model_dir $ seed)
+    Term.(const run $ obs_env $ file $ model_dir $ seed)
 
 (* ---------------- similar ---------------- *)
 
 let similar_cmd =
-  let run file n k seed =
+  let run () file n k seed =
     let meth = load_method file in
     let rng = Rng.create seed in
     Printf.printf "building a small corpus to search against (n=%d)...\n%!" n;
@@ -478,7 +484,7 @@ let similar_cmd =
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "similar" ~doc:"Semantic code search: nearest programs by embedding")
-    Term.(const run $ file $ n $ k $ seed)
+    Term.(const run $ obs_env $ file $ n $ k $ seed)
 
 (* ---------------- probe ---------------- *)
 
@@ -1133,8 +1139,6 @@ let fetch_cmd =
 
 let () =
   Obs.init_logging ();
-  (* env-var-only configuration; subcommand flags override via [obs_term] *)
-  Obs.init ();
   let doc = "Blended, precise semantic program embeddings (LiGer, PLDI 2020)" in
   let info = Cmd.info "liger" ~version:"1.0.0" ~doc in
   (* ~catch:false: an uncaught exception must reach the flight recorder's

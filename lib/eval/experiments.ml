@@ -7,8 +7,7 @@
     that the tables already trained.
 
     Scale: [`Quick] (default; minutes on a laptop) or [`Full] (bigger
-    corpora, wider sweeps), selected by the [LIGER_SCALE] environment
-    variable. *)
+    corpora, wider sweeps), selected by [LIGER_SCALE] ({!Liger_obs.Config}). *)
 
 open Liger_tensor
 open Liger_core
@@ -59,9 +58,9 @@ let full =
   }
 
 let scale_of_env () =
-  match Sys.getenv_opt "LIGER_SCALE" with
-  | Some "full" -> full
-  | _ -> quick
+  match (Liger_obs.Config.get ()).Liger_obs.Config.scale with
+  | Liger_obs.Config.Full -> full
+  | Liger_obs.Config.Quick -> quick
 
 (* ---------------- context: corpora + run cache ---------------- *)
 

@@ -22,19 +22,15 @@ type record = {
 
 (* ---------------- provenance helpers ---------------- *)
 
-(** Short git rev of the working tree, [LIGER_GIT_REV] override first
-    (hermetic CI), "unknown" when git is unavailable. *)
+(** Short git rev of the working tree, "unknown" when git is unavailable. *)
 let git_rev () =
-  match Sys.getenv_opt "LIGER_GIT_REV" with
-  | Some r when String.trim r <> "" -> String.trim r
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-        let line = try String.trim (input_line ic) with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown"
-      with _ -> "unknown")
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try String.trim (input_line ic) with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> line
+    | _ -> "unknown"
+  with _ -> "unknown"
 
 let iso8601 t =
   let tm = Unix.gmtime t in

@@ -11,7 +11,8 @@
 
     Snapshots render to JSON with deterministic key order (entries sorted by
     name, then labels), so identical runs produce byte-identical files.
-    [LIGER_METRICS_OUT] (see {!Obs.init}) dumps a snapshot on exit. *)
+    {!Obs.init} ([--metrics-out] or [LIGER_METRICS=1]) dumps a snapshot on
+    exit. *)
 
 type labels = (string * string) list
 

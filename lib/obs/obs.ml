@@ -14,6 +14,7 @@
       grad-norm histogram, skipped steps, epoch seconds).
     - [experiments.cache_hits/misses] — sweep cache effectiveness. *)
 
+module Config = Config
 module Json = Json
 module Metrics = Metrics
 module Span = Span
@@ -27,15 +28,6 @@ module Health = Health
 module Report_html = Report_html
 
 (* ---------------- logging ---------------- *)
-
-(** [LIGER_LOG] levels; [quiet] disables logging entirely. *)
-let level_of_string = function
-  | "quiet" -> Ok None
-  | "error" -> Ok (Some Logs.Error)
-  | "warn" | "warning" -> Ok (Some Logs.Warning)
-  | "info" -> Ok (Some Logs.Info)
-  | "debug" -> Ok (Some Logs.Debug)
-  | s -> Error s
 
 let reporter ppf =
   let report src level ~over k msgf =
@@ -57,21 +49,12 @@ let reporter ppf =
   { Logs.report }
 
 (** Install a [Logs] reporter (timestamps + level + source prefix) writing
-    to [out] (stderr by default), at the level named by [LIGER_LOG]
-    ([quiet|error|warn|info|debug]; default [warn]).  Without this call the
-    [Logs.info]/[Logs.warn] sprinkled through the pipeline go nowhere. *)
-let init_logging ?(out = Format.err_formatter) () =
-  let level =
-    match Sys.getenv_opt "LIGER_LOG" with
-    | None -> Some Logs.Warning
-    | Some s -> (
-        match level_of_string (String.lowercase_ascii (String.trim s)) with
-        | Ok level -> level
-        | Error s ->
-            Printf.eprintf
-              "liger: ignoring LIGER_LOG=%S (expected quiet|error|warn|info|debug)\n%!" s;
-            Some Logs.Warning)
-  in
+    to [out] (stderr by default), at [level] (default: the configured
+    [LIGER_LOG], see {!Config}; [None] silences logging).  Without this
+    call the [Logs.info]/[Logs.warn] sprinkled through the pipeline go
+    nowhere. *)
+let init_logging ?(out = Format.err_formatter) ?level () =
+  let level = match level with Some l -> l | None -> (Config.get ()).Config.log in
   Logs.set_level ~all:true level;
   Logs.set_reporter (reporter out)
 
@@ -87,9 +70,9 @@ let rec mkdir_p dir =
     deterministic CI paths), otherwise timestamp + pid. *)
 let run_id =
   lazy
-    (match Sys.getenv_opt "LIGER_RUN_ID" with
-    | Some s when String.trim s <> "" -> String.trim s
-    | _ ->
+    (match (Config.get ()).Config.run_id with
+    | Some id -> id
+    | None ->
         let t = Unix.gettimeofday () in
         let tm = Unix.localtime t in
         Printf.sprintf "%04d%02d%02d-%02d%02d%02d-%d" (tm.Unix.tm_year + 1900)
@@ -98,10 +81,7 @@ let run_id =
 
 (** Root under which run directories are created: [LIGER_RUNS_DIR],
     default ["runs"]. *)
-let runs_root () =
-  match Sys.getenv_opt "LIGER_RUNS_DIR" with
-  | Some s when String.trim s <> "" -> String.trim s
-  | _ -> "runs"
+let runs_root () = (Config.get ()).Config.runs_dir
 
 (** The per-run telemetry directory [runs/<run-id>/], created on first
     use.  Default telemetry outputs land here instead of strewing the
@@ -126,30 +106,17 @@ let failpoint_spec : (string * int) option ref = ref None
 let failpoint_armed = ref false
 let failpoint_hits : (string, int ref) Hashtbl.t = Hashtbl.create 4
 
-let parse_failpoint s =
-  match String.index_opt s ':' with
-  | None -> Some (String.trim s, 1)
-  | Some i -> (
-      let site = String.trim (String.sub s 0 i) in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some n when n > 0 -> Some (site, n)
-      | _ ->
-          Printf.eprintf "liger: ignoring LIGER_FAILPOINT=%S (expected site[:n])\n%!" s;
-          None)
-
-(** Arm ([Some "site[:n]"]) or disarm ([None]) the failpoint, overriding
+(** Arm ([Some (site, n)]) or disarm ([None]) the failpoint, overriding
     the environment (tests). *)
 let set_failpoint spec =
   failpoint_armed := true;
   Hashtbl.reset failpoint_hits;
-  failpoint_spec := Option.bind spec parse_failpoint
+  failpoint_spec := spec
 
 let failpoint site =
   if not !failpoint_armed then begin
     failpoint_armed := true;
-    match Sys.getenv_opt "LIGER_FAILPOINT" with
-    | Some s when String.trim s <> "" -> failpoint_spec := parse_failpoint s
-    | _ -> ()
+    failpoint_spec := (Config.get ()).Config.failpoint
   end;
   match !failpoint_spec with
   | Some (s, n) when s = site ->
@@ -239,100 +206,67 @@ let install_crash_handlers () =
       [ (Sys.sigterm, 143, "SIGTERM"); (Sys.sigint, 130, "SIGINT") ]
   end
 
-let truthy s =
-  match String.lowercase_ascii (String.trim s) with
-  | "1" | "true" | "yes" | "on" -> true
-  | _ -> false
-
-let falsy s =
-  match String.lowercase_ascii (String.trim s) with
-  | "0" | "false" | "no" | "off" -> true
-  | _ -> false
-
 (** Resolve the telemetry outputs — explicit arguments (CLI flags) win over
-    the environment — enable the corresponding subsystems, and arrange for
-    the files to be written on exit.
+    the environment ({!Config}) — enable the corresponding subsystems, and
+    arrange for the files to be written on exit.  Call it once per process.
 
-    - [metrics_out] / [LIGER_METRICS_OUT] and [trace_out] /
-      [LIGER_TRACE_OUT] name explicit output files; the truthy shorthands
+    - [metrics_out] and [trace_out] name explicit output files;
       [LIGER_METRICS=1] / [LIGER_TRACE=1] enable the same subsystems with
       default paths under {!run_dir} ([metrics.json], [trace.json]).
-    - [profile] (or [LIGER_PROFILE=1]) turns on the model profiler, which
-      implies the metrics registry (that is where its totals are
-      published); without an explicit metrics path the snapshot lands in
-      the run directory.
+    - [profile] turns on the model profiler, which implies the metrics
+      registry (that is where its totals are published); without an
+      explicit metrics path the snapshot lands in the run directory.
     - [metrics_every] (or [LIGER_METRICS_EVERY], seconds) starts the
       {!Timeseries} run-ledger emitter appending to
       [runs/<run-id>/metrics.jsonl].
-    - [dynamics] (or [LIGER_DYNAMICS=1]) turns on the {!Dynamics}
-      training-dynamics streams (per-layer gradient flow, saturation,
-      attention entropy, embedding drift), which imply the metrics
-      registry.
+    - [dynamics] turns on the {!Dynamics} training-dynamics streams
+      (per-layer gradient flow, saturation, attention entropy, embedding
+      drift), which imply the metrics registry.
     - The {!Recorder} flight ring turns on whenever any of the above is
-      configured, or explicitly via [LIGER_FLIGHT=1]; [LIGER_FLIGHT=0]
-      forces it off.  With the recorder on, crash handlers arrange a
+      configured.  With the recorder on, crash handlers arrange a
       postmortem dump into the run directory.
 
     With nothing configured this is a no-op and the whole telemetry layer
     stays disabled. *)
 let init ?metrics_out ?trace_out ?metrics_every ?(profile = false) ?(dynamics = false) () =
-  let pick arg env = match arg with Some _ as p -> p | None -> Sys.getenv_opt env in
-  let env_truthy env = match Sys.getenv_opt env with Some s -> truthy s | None -> false in
-  (if dynamics || env_truthy "LIGER_DYNAMICS" then begin
+  let cfg = Config.get () in
+  (if dynamics then begin
      Dynamics.enable ();
      Metrics.enable ();
      if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
    end);
-  (match pick metrics_out "LIGER_METRICS_OUT" with
+  (match metrics_out with
   | Some p ->
       metrics_path := Some p;
       Metrics.enable ()
   | None -> ());
-  (match pick trace_out "LIGER_TRACE_OUT" with
+  (match trace_out with
   | Some p ->
       trace_path := Some p;
       Span.enable ()
   | None -> ());
-  (if env_truthy "LIGER_METRICS" then begin
+  (if cfg.Config.metrics then begin
      Metrics.enable ();
      if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
    end);
-  (if env_truthy "LIGER_TRACE" then begin
+  (if cfg.Config.trace then begin
      Span.enable ();
      if !trace_path = None then trace_path := Some (in_run_dir "trace.json")
    end);
-  (if profile || env_truthy "LIGER_PROFILE" then begin
+  (if profile then begin
      Profile.enable ();
      Metrics.enable ();
      if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
    end);
-  let every =
-    match metrics_every with
-    | Some _ as e -> e
-    | None -> (
-        match Sys.getenv_opt "LIGER_METRICS_EVERY" with
-        | None -> None
-        | Some s -> (
-            match float_of_string_opt (String.trim s) with
-            | Some e when e > 0.0 -> Some e
-            | _ ->
-                Printf.eprintf "liger: ignoring LIGER_METRICS_EVERY=%S (expected seconds > 0)\n%!" s;
-                None))
-  in
-  (match every with
+  (match if metrics_every = None then cfg.Config.metrics_every else metrics_every with
   | Some e when e > 0.0 ->
       Metrics.enable ();
       if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json");
       Timeseries.start ~every:e ~path:(in_run_dir "metrics.jsonl")
   | _ -> ());
-  let any_configured =
-    !metrics_path <> None || !trace_path <> None || Metrics.enabled () || Span.enabled ()
-    || Profile.enabled ()
-  in
-  (match Sys.getenv_opt "LIGER_FLIGHT" with
-  | Some s when truthy s -> Recorder.enable ()
-  | Some s when falsy s -> Recorder.disable ()
-  | _ -> if any_configured then Recorder.enable ());
+  if !metrics_path <> None || !trace_path <> None || Metrics.enabled () || Span.enabled ()
+     || Profile.enabled ()
+  then Recorder.enable ();
   if Recorder.enabled () then install_crash_handlers ();
   if (!metrics_path <> None || !trace_path <> None) && not !exit_hook then begin
     exit_hook := true;
@@ -372,7 +306,7 @@ let report () =
    if d > 0 then
      Buffer.add_string buf
        (Printf.sprintf
-          "WARNING: %d span events dropped at the trace buffer cap (%d per domain; raise LIGER_TRACE_CAP)\n"
+          "WARNING: %d span events dropped at the trace buffer cap (%d per domain; see Span.default_capacity)\n"
           d (Span.capacity ())));
   (* top spans by self time *)
   (match Span.aggregate () with

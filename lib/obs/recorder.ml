@@ -43,25 +43,11 @@ let disable () = Atomic.set enabled_flag false
 
 let default_capacity = 512
 
-let capacity_ref = ref None
+let capacity_ref = ref default_capacity
 
-(** Ring capacity per domain: [LIGER_FLIGHT_CAP], default 512. *)
-let capacity () =
-  match !capacity_ref with
-  | Some c -> c
-  | None ->
-      let c =
-        match Sys.getenv_opt "LIGER_FLIGHT_CAP" with
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some c when c > 0 -> c
-            | _ ->
-                Printf.eprintf "liger: ignoring LIGER_FLIGHT_CAP=%S (expected a positive int)\n%!" s;
-                default_capacity)
-        | None -> default_capacity
-      in
-      capacity_ref := Some c;
-      c
+(** Ring capacity per domain, {!default_capacity} unless {!set_capacity}
+    changed it. *)
+let capacity () = !capacity_ref
 
 let seq_counter = Atomic.make 0
 
@@ -110,7 +96,7 @@ let note ?(detail = "") name = record Note name detail
 let set_capacity c =
   if c <= 0 then invalid_arg "Recorder.set_capacity";
   Mutex.lock rings_mutex;
-  capacity_ref := Some c;
+  capacity_ref := c;
   List.iter
     (fun r ->
       r.slots <- Array.make c empty_slot;

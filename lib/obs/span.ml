@@ -8,7 +8,7 @@
 
     Tracing is disabled by default; the disabled path is one atomic load
     (args are passed as a thunk so no event payload is even allocated).
-    Enable with {!enable} or [LIGER_TRACE_OUT] via {!Obs.init}. *)
+    Enable with {!enable}, or through {!Obs.init}. *)
 
 type event = {
   ev_name : string;
@@ -42,29 +42,15 @@ let epoch = Unix.gettimeofday ()
    keeps the run's prefix; the flight recorder covers the suffix). *)
 let default_capacity = 262_144
 
-let capacity_ref = ref None
+let capacity_ref = ref default_capacity
 
-(** Per-domain span buffer cap: [LIGER_TRACE_CAP], default 262144. *)
-let capacity () =
-  match !capacity_ref with
-  | Some c -> c
-  | None ->
-      let c =
-        match Sys.getenv_opt "LIGER_TRACE_CAP" with
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some c when c > 0 -> c
-            | _ ->
-                Printf.eprintf "liger: ignoring LIGER_TRACE_CAP=%S (expected a positive int)\n%!" s;
-                default_capacity)
-        | None -> default_capacity
-      in
-      capacity_ref := Some c;
-      c
+(** Per-domain span buffer cap, {!default_capacity} unless {!set_capacity}
+    changed it. *)
+let capacity () = !capacity_ref
 
 let set_capacity c =
   if c <= 0 then invalid_arg "Span.set_capacity";
-  capacity_ref := Some c
+  capacity_ref := c
 
 (* every domain registers its state on first use; states survive the domain
    (a retired pool worker's spans still export) *)

@@ -19,7 +19,7 @@
     - callers keep every other side effect (vocabulary interning, id
       assignment, tallying) out of the parallel section.
 
-    The pool size comes from the [LIGER_JOBS] environment variable when set,
+    The pool size comes from [LIGER_JOBS] ({!Liger_obs.Config}) when set,
     else [Domain.recommended_domain_count ()]; {!set_jobs} overrides both
     (tests and the bench harness use it).  A nested call from inside a
     worker runs sequentially in that worker — tasks may therefore freely
@@ -152,23 +152,8 @@ let in_worker () = Domain.DLS.get in_worker_key
 
 (* Below this many tasks a map runs sequentially even when a pool exists:
    share dispatch costs tens of microseconds (see parallel.dispatch_seconds)
-   and tiny batches cannot amortize it.  Override with LIGER_MIN_BATCH. *)
-let min_batch =
-  lazy
-    (match Sys.getenv_opt "LIGER_MIN_BATCH" with
-    | None -> 4
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> invalid_arg ("LIGER_MIN_BATCH must be a positive integer, got " ^ s)))
-
-let env_jobs () =
-  match Sys.getenv_opt "LIGER_JOBS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> invalid_arg ("LIGER_JOBS must be a positive integer, got " ^ s))
+   and tiny batches cannot amortize it. *)
+let min_batch = 4
 
 (* Global state: configured size + the (lazily created) pool. *)
 let global_mutex = Mutex.create ()
@@ -211,17 +196,17 @@ let () = at_exit (fun () ->
 
 (** Number of parallel lanes (caller + workers) the next map will use. *)
 let jobs () =
-  Mutex.lock global_mutex;
-  let n =
-    match !configured_jobs with
-    | Some n -> n
-    | None ->
-        let n = env_jobs () in
-        configured_jobs := Some n;
-        n
-  in
-  Mutex.unlock global_mutex;
-  n
+  Mutex.protect global_mutex (fun () ->
+      match !configured_jobs with
+      | Some n -> n
+      | None ->
+          let n =
+            match (Liger_obs.Config.get ()).Liger_obs.Config.jobs with
+            | Some n -> n
+            | None -> Domain.recommended_domain_count ()
+          in
+          configured_jobs := Some n;
+          n)
 
 (** Override the pool size (shutting down any existing pool).  Intended for
     tests and the bench harness; normal runs size the pool once from
@@ -345,7 +330,7 @@ let map (f : 'a -> 'b) (arr : 'a array) : 'b array =
   let n = Array.length arr in
   let j = jobs () in
   if n = 0 then [||]
-  else if j <= 1 || n < Lazy.force min_batch || in_worker () then sequential_map f arr
+  else if j <= 1 || n < min_batch || in_worker () then sequential_map f arr
   else begin
     let t0 = Unix.gettimeofday () in
     let results : 'b option array = Array.make n None in

@@ -3,7 +3,7 @@
     The paper trains with Adam at its default hyperparameters
     (lr = 1e-4, beta1 = 0.9, beta2 = 0.999); we default to the same shape of
     configuration but expose the learning rate since our models are far
-    smaller.  Plain SGD is included for tests and ablations. *)
+    smaller. *)
 
 module P = Liger_obs.Profile
 module D = Liger_obs.Dynamics
@@ -45,27 +45,23 @@ let record_layer_updates tbl =
 
 (* coarse profiled ops: one clock read per optimizer step / clip, negligible
    next to the parameter sweep being timed *)
-let op_sgd = P.register_op "optim.sgd_step"
 let op_adam = P.register_op "optim.adam_step"
 let op_clip = P.register_op "optim.clip_grads"
 
-type t =
-  | Sgd of { lr : float; momentum : float; state : (string, float array) Hashtbl.t }
-  | Adam of {
-      lr : float;
-      beta1 : float;
-      beta2 : float;
-      eps : float;
-      weight_decay : float;  (* decoupled (AdamW-style); 0 disables *)
-      mutable step : int;
-      state : (string, float array * float array) Hashtbl.t;
-    }
-
-let sgd ?(momentum = 0.0) ~lr () = Sgd { lr; momentum; state = Hashtbl.create 64 }
+(* Adam's hyperparameters and per-parameter moment estimates *)
+type t = {
+  lr : float;
+  beta1 : float;
+  beta2 : float;
+  eps : float;
+  weight_decay : float;  (* decoupled (AdamW-style); 0 disables *)
+  mutable step : int;
+  state : (string, float array * float array) Hashtbl.t;
+}
 
 let adam ?(lr = 1e-3) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
     ?(weight_decay = 0.0) () =
-  Adam { lr; beta1; beta2; eps; weight_decay; step = 0; state = Hashtbl.create 64 }
+  { lr; beta1; beta2; eps; weight_decay; step = 0; state = Hashtbl.create 64 }
 
 (** Clip gradients to a global L2 norm of [max_norm]; returns the pre-clip
     norm. Stabilizes recurrent training on long traces.
@@ -107,104 +103,49 @@ let adam_state state (p : Param.t) =
       mv
 
 (** Apply one update from the accumulated gradients, then zero them.
-    Profiled as one coarse op (FLOP estimates per element: SGD 2, SGD with
-    momentum 4, Adam 15). *)
-let step t store =
+    Profiled as one coarse op (an estimated 15 FLOPs per element). *)
+let step a store =
   let t0 = if P.on () then P.now () else 0.0 in
-  (* With dynamics on, each branch runs an accumulating twin of its update
-     loop (update² and post-update weight² per group); with it off the
-     original loops run untouched — one branch per parameter. *)
+  (* With dynamics on, an accumulating twin of the update loop runs
+     (update² and post-update weight² per group); with it off the
+     original loop runs untouched — one branch per parameter. *)
   let dtbl = if D.on () then Some (Hashtbl.create 16) else None in
-  (match t with
-  | Sgd { lr; momentum; state } ->
-      Param.iter store (fun p ->
-          let v = p.Param.value.Tensor.data and g = p.Param.grad.Tensor.data in
-          let n = Param.size p in
-          if momentum = 0.0 then
-            match dtbl with
-            | None ->
-                for i = 0 to n - 1 do
-                  BA.unsafe_set v i (BA.unsafe_get v i -. (lr *. BA.unsafe_get g i))
-                done
-            | Some tbl ->
-                let du = ref 0.0 and dw = ref 0.0 in
-                for i = 0 to n - 1 do
-                  let d = lr *. BA.unsafe_get g i in
-                  let v' = BA.unsafe_get v i -. d in
-                  BA.unsafe_set v i v';
-                  du := !du +. (d *. d);
-                  dw := !dw +. (v' *. v')
-                done;
-                acc_group tbl (D.group_of_param p.Param.name) !du !dw
-          else begin
-            let vel =
-              match Hashtbl.find_opt state p.Param.name with
-              | Some vel -> vel
-              | None ->
-                  let vel = Array.make (Param.size p) 0.0 in
-                  Hashtbl.add state p.Param.name vel;
-                  vel
-            in
-            match dtbl with
-            | None ->
-                for i = 0 to n - 1 do
-                  vel.(i) <- (momentum *. vel.(i)) +. BA.unsafe_get g i;
-                  BA.unsafe_set v i (BA.unsafe_get v i -. (lr *. vel.(i)))
-                done
-            | Some tbl ->
-                let du = ref 0.0 and dw = ref 0.0 in
-                for i = 0 to n - 1 do
-                  vel.(i) <- (momentum *. vel.(i)) +. BA.unsafe_get g i;
-                  let d = lr *. vel.(i) in
-                  let v' = BA.unsafe_get v i -. d in
-                  BA.unsafe_set v i v';
-                  du := !du +. (d *. d);
-                  dw := !dw +. (v' *. v')
-                done;
-                acc_group tbl (D.group_of_param p.Param.name) !du !dw
-          end)
-  | Adam a ->
-      a.step <- a.step + 1;
-      let t' = float_of_int a.step in
-      let bc1 = 1.0 -. (a.beta1 ** t') and bc2 = 1.0 -. (a.beta2 ** t') in
-      Param.iter store (fun p ->
-          let m, v2 = adam_state a.state p in
-          let v = p.Param.value.Tensor.data and g = p.Param.grad.Tensor.data in
-          match dtbl with
-          | None ->
-              for i = 0 to Param.size p - 1 do
-                let gi = BA.unsafe_get g i in
-                m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
-                v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
-                let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
-                let vi = BA.unsafe_get v i in
-                BA.unsafe_set v i
-                  (vi -. (a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi))))
-              done
-          | Some tbl ->
-              let du = ref 0.0 and dw = ref 0.0 in
-              for i = 0 to Param.size p - 1 do
-                let gi = BA.unsafe_get g i in
-                m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
-                v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
-                let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
-                let vi = BA.unsafe_get v i in
-                let d = a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi)) in
-                let v' = vi -. d in
-                BA.unsafe_set v i v';
-                du := !du +. (d *. d);
-                dw := !dw +. (v' *. v')
-              done;
-              acc_group tbl (D.group_of_param p.Param.name) !du !dw));
+  a.step <- a.step + 1;
+  let t' = float_of_int a.step in
+  let bc1 = 1.0 -. (a.beta1 ** t') and bc2 = 1.0 -. (a.beta2 ** t') in
+  Param.iter store (fun p ->
+      let m, v2 = adam_state a.state p in
+      let v = p.Param.value.Tensor.data and g = p.Param.grad.Tensor.data in
+      match dtbl with
+      | None ->
+          for i = 0 to Param.size p - 1 do
+            let gi = BA.unsafe_get g i in
+            m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
+            v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
+            let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
+            let vi = BA.unsafe_get v i in
+            BA.unsafe_set v i
+              (vi -. (a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi))))
+          done
+      | Some tbl ->
+          let du = ref 0.0 and dw = ref 0.0 in
+          for i = 0 to Param.size p - 1 do
+            let gi = BA.unsafe_get g i in
+            m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
+            v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
+            let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
+            let vi = BA.unsafe_get v i in
+            let d = a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi)) in
+            let v' = vi -. d in
+            BA.unsafe_set v i v';
+            du := !du +. (d *. d);
+            dw := !dw +. (v' *. v')
+          done;
+          acc_group tbl (D.group_of_param p.Param.name) !du !dw);
   Option.iter record_layer_updates dtbl;
   Param.zero_grads store;
   if P.on () then begin
-    let o, flops_per_elt =
-      match t with
-      | Sgd { momentum; _ } -> (op_sgd, if momentum = 0.0 then 2.0 else 4.0)
-      | Adam _ -> (op_adam, 15.0)
-    in
-    P.op_timed o ~seconds:(P.now () -. t0)
-      ~flops:(flops_per_elt *. float_of_int (Param.num_params store))
+    P.op_timed op_adam ~seconds:(P.now () -. t0)
+      ~flops:(15.0 *. float_of_int (Param.num_params store))
       ~bytes:0.0
   end

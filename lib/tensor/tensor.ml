@@ -11,10 +11,8 @@
     training time.
 
     Every {!Batched} node value and gradient is a [lanes × dim] tensor.
-    The helpers over raw [float array]s are not on that path: [argmax]
-    picks from a lane copied out of a node ({!Batched.row_value}), and
-    [softmax], [dot], [axpy], [matvec] and [outer_acc] are called only
-    from the unit tests.
+    The one helper over a raw [float array], [argmax], picks from a lane
+    copied out of a node ({!Batched.row_value}).
 
     The engine's matrix work runs on the {!gemm_nt}/{!gemm_nn}/{!gemm_tn}
     kernels and their [_slice] twins: [gemm_nt] is a cache-blocked, 4-way
@@ -131,60 +129,6 @@ let blit src dst =
     invalid_arg "Tensor.blit: shape mismatch";
   A.blit src.data dst.data
 
-(* ------------------------------------------------------------------ *)
-(* In-place kernels on raw float arrays.                               *)
-(* ------------------------------------------------------------------ *)
-
-(** [axpy a x y] computes [y <- a*x + y] elementwise over raw arrays. *)
-let axpy a x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Tensor.axpy: length mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set y i
-      ((a *. Array.unsafe_get x i) +. Array.unsafe_get y i)
-  done
-
-(** [matvec m x out] computes [out <- m * x] where [x] has length [m.cols]
-    and [out] has length [m.rows]. *)
-let matvec m x out =
-  if Array.length x <> m.cols then invalid_arg "Tensor.matvec: bad x";
-  if Array.length out <> m.rows then invalid_arg "Tensor.matvec: bad out";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let acc = ref 0.0 in
-    for j = 0 to cols - 1 do
-      acc := !acc +. (A.unsafe_get data (base + j) *. Array.unsafe_get x j)
-    done;
-    Array.unsafe_set out i !acc
-  done
-
-(** [outer_acc g x m_grad] accumulates [m_grad += g x^T]. *)
-let outer_acc g x m_grad =
-  let rows = Array.length g and cols = Array.length x in
-  if A.dim m_grad.data <> rows * cols then
-    invalid_arg "Tensor.outer_acc: bad m_grad";
-  let data = m_grad.data in
-  for i = 0 to rows - 1 do
-    let gi = Array.unsafe_get g i in
-    if gi <> 0.0 then begin
-      let base = i * cols in
-      for j = 0 to cols - 1 do
-        A.unsafe_set data (base + j)
-          (A.unsafe_get data (base + j) +. (gi *. Array.unsafe_get x j))
-      done
-    end
-  done
-
-let dot x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Tensor.dot: length mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (Array.unsafe_get x i *. Array.unsafe_get y i)
-  done;
-  !acc
-
 let map f t =
   let r = create t.rows t.cols in
   for i = 0 to size t - 1 do
@@ -214,13 +158,6 @@ let argmax a =
   done;
   !best
 
-(** Numerically stable softmax of a raw array, returned as a fresh array. *)
-let softmax a =
-  let m = Array.fold_left Stdlib.max neg_infinity a in
-  let e = Array.map (fun x -> exp (x -. m)) a in
-  let z = Array.fold_left ( +. ) 0.0 e in
-  Array.map (fun x -> x /. z) e
-
 (* ------------------------------------------------------------------ *)
 (* GEMM: the batched engine's workhorse.                               *)
 (* ------------------------------------------------------------------ *)
@@ -236,15 +173,8 @@ let set_parallel_runner f = parallel_runner := Some f
 
 (* FLOPs (2mnk) below which a GEMM always runs sequentially: dispatch costs
    tens of microseconds and the models in this repo mostly issue small
-   matmuls.  Override with LIGER_GEMM_PAR_FLOPS or [set_gemm_par_flops]. *)
-let gemm_par_flops =
-  ref
-    (match Sys.getenv_opt "LIGER_GEMM_PAR_FLOPS" with
-    | None -> 4_000_000
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 0 -> n
-        | _ -> invalid_arg ("LIGER_GEMM_PAR_FLOPS must be a non-negative integer, got " ^ s)))
+   matmuls.  Tests lower it with [set_gemm_par_flops]. *)
+let gemm_par_flops = ref 4_000_000
 
 let set_gemm_par_flops n =
   if n < 0 then invalid_arg "Tensor.set_gemm_par_flops: negative";

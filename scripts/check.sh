@@ -7,6 +7,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== config: lib/obs/config.ml is the only reader of the environment"
+if grep -rnE --include='*.ml' --include='*.mli' '(Sys|Unix)\.getenv' lib bin bench \
+  | grep -v '^lib/obs/config\.ml:'; then
+  echo "   ERROR: the environment is read outside lib/obs/config.ml (take the value from Config.get ())" >&2
+  exit 1
+fi
+echo "   ok: only lib/obs/config.ml reads the environment"
+
 echo "== dune build"
 dune build @all
 

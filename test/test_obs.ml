@@ -291,10 +291,9 @@ let test_disabled_alloc_free () =
 (* ------------------------------------------------------------------ *)
 
 let test_logging_reporter_emits () =
-  Unix.putenv "LIGER_LOG" "warn";
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Obs.init_logging ~out:ppf ();
+  Obs.init_logging ~out:ppf ~level:(Some Logs.Warning) ();
   Logs.warn (fun m -> m "telemetry self-check %d" 42);
   Logs.info (fun m -> m "should be below the level");
   Format.pp_print_flush ppf ();
@@ -312,7 +311,7 @@ let test_logging_reporter_emits () =
 
 let test_log_level_parsing () =
   List.iter
-    (fun (s, expect) -> Alcotest.(check bool) s true (Obs.level_of_string s = expect))
+    (fun (s, expect) -> Alcotest.(check bool) s true (Obs.Config.level_of_string s = expect))
     [
       ("quiet", Ok None);
       ("error", Ok (Some Logs.Error));
@@ -321,6 +320,44 @@ let test_log_level_parsing () =
       ("debug", Ok (Some Logs.Debug));
       ("bogus", Error "bogus");
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Config.parse over a fake environment                                 *)
+(* ------------------------------------------------------------------ *)
+
+module C = Obs.Config
+
+(* one row per variable: a valid value, the configuration it gives, and a
+   malformed value *)
+let config_table =
+  [
+    ("LIGER_JOBS", "3", { C.default with C.jobs = Some 3 }, "0");
+    ("LIGER_LOG", "Debug", { C.default with C.log = Some Logs.Debug }, "loud");
+    ("LIGER_RUN_ID", " ci-obs ", { C.default with C.run_id = Some "ci-obs" }, "a/b");
+    ("LIGER_RUNS_DIR", "/tmp/runs", { C.default with C.runs_dir = "/tmp/runs" }, "ru\nns");
+    ( "LIGER_FAILPOINT", "train.epoch:2",
+      { C.default with C.failpoint = Some ("train.epoch", 2) }, "train.epoch:x" );
+    ("LIGER_METRICS", "1", { C.default with C.metrics = true }, "maybe");
+    ("LIGER_TRACE", "on", { C.default with C.trace = true }, "2");
+    ("LIGER_METRICS_EVERY", "0.5", { C.default with C.metrics_every = Some 0.5 }, "-1");
+    ("LIGER_SCALE", "full", { C.default with C.scale = C.Full }, "ful");
+    ("LIGER_BENCH_N", "20", { C.default with C.bench_n = Some 20 }, "abc");
+  ]
+
+let test_config_parse () =
+  let only var value v = if v = var then value else None in
+  List.iter
+    (fun (var, valid, expect, bad) ->
+      let check what ok = Alcotest.(check bool) (var ^ ": " ^ what) true ok in
+      check "unset gives the default" (C.parse (only var None) = C.default);
+      check "empty gives the default" (C.parse (only var (Some "")) = C.default);
+      check "blank gives the default" (C.parse (only var (Some "  ")) = C.default);
+      check "valid value parsed" (C.parse (only var (Some valid)) = expect);
+      match C.parse (only var (Some bad)) with
+      | _ -> Alcotest.failf "%s=%S was accepted" var bad
+      | exception Invalid_argument msg -> check ("message names it: " ^ msg) (contains msg var))
+    config_table;
+  Alcotest.(check int) "every variable in the table" 10 (List.length config_table)
 
 (* ------------------------------------------------------------------ *)
 (* Train.fit: empty validation split makes best-epoch selection vacuous *)
@@ -409,6 +446,7 @@ let () =
           Alcotest.test_case "reporter emits a warning" `Quick test_logging_reporter_emits;
           Alcotest.test_case "level parsing" `Quick test_log_level_parsing;
         ] );
+      ("config", [ Alcotest.test_case "parse table" `Quick test_config_parse ]);
       ( "train",
         [
           Alcotest.test_case "empty valid is vacuous best" `Quick test_fit_vacuous_best;

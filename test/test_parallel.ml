@@ -101,7 +101,7 @@ let test_diagnostics_histograms () =
       Alcotest.(check int) "one queue wait observed" 1 h.OM.count;
       Alcotest.(check bool) "queue wait non-negative" true (h.OM.sum >= 0.0)
 
-(* LIGER_MIN_BATCH: batches below the floor run sequentially (no dispatch) *)
+(* Parallel.min_batch: batches below the floor run sequentially (no dispatch) *)
 let test_min_batch_floor () =
   Parallel.set_jobs 2;
   OM.enable ();

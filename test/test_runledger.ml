@@ -303,14 +303,13 @@ let test_ledger_roundtrip () =
 (* runs before [test_nonfinite_loss_abort]: the postmortem dump is
    idempotent per process, and this test is the one that asserts it *)
 let test_postmortem_injection () =
-  let dir = Filename.temp_file "ligerruns" "" in
-  Sys.remove dir;
-  Unix.putenv "LIGER_RUNS_DIR" dir;
-  Unix.putenv "LIGER_RUN_ID" "t-crash";
+  let path = Filename.temp_file "ligerpostmortem" ".json" in
+  Sys.remove path;
+  Obs.postmortem_path := Some path;
   fresh_metrics ();
   Recorder.enable ();
   Recorder.set_capacity Recorder.default_capacity;
-  Obs.set_failpoint (Some "train.epoch:2");
+  Obs.set_failpoint (Some ("train.epoch", 2));
   Fun.protect
     ~finally:(fun () ->
       Obs.set_failpoint None;
@@ -321,7 +320,6 @@ let test_postmortem_injection () =
       (match Train.fit ~options (Rng.create 1) (tiny_model ()) ~train ~valid:[] with
       | _ -> Alcotest.fail "expected the injected failure to escape fit"
       | exception Obs.Injected_failure "train.epoch" -> ());
-      let path = Filename.concat (Obs.run_dir ()) "postmortem.json" in
       Alcotest.(check bool) "postmortem written on the way out" true (Sys.file_exists path);
       (match Obs.validate_file path with
       | Ok s ->
