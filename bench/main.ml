@@ -1,22 +1,19 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation section and, per deliverable, registers one Bechamel
-   measurement per table/figure exercising that experiment's computational
-   kernel.
+   evaluation section, and runs the parallel corpus-generation and serve
+   loopback benchmarks with their regression gates.
 
    Usage:
      dune exec bench/main.exe                 # quick scale (default)
      LIGER_SCALE=full dune exec bench/main.exe
-     dune exec bench/main.exe -- --no-micro   # skip Bechamel microbenches
-     dune exec bench/main.exe -- --micro-only # only the microbenches
      dune exec bench/main.exe -- --jobs 4     # parallel corpus-generation
                                               # benchmark (1 vs 4 domains),
                                               # writes BENCH_parallel.json
      dune exec bench/main.exe -- --trace t.json --metrics-out m.json
                                               # Chrome trace + metrics snapshot
 
-   --jobs N alone runs only the parallel benchmark; combine it with the
-   other flags to also run those sections on an N-sized pool.  Unknown or
-   contradictory flags are an error.
+   --jobs N runs only the parallel benchmark, and --check-train-regression
+   without --jobs only checks the history; otherwise the experiments run.
+   Unknown or contradictory flags are an error.
 
    The printed artefacts mirror the paper:
      Table 1  - dataset statistics before/after filtering
@@ -28,169 +25,14 @@
      Figure 11 - all configurations overlaid
      plus the 6.1.2 attention-weight inspection. *)
 
-open Bechamel
 open Liger_tensor
 open Liger_core
 open Liger_eval
 module Obs = Liger_obs.Obs
 module B = Liger_obs.Bench_store
+module Json = Liger_obs.Json
 
 let say fmt = Printf.printf fmt
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenches: the kernel behind each experiment            *)
-(* ------------------------------------------------------------------ *)
-
-type fixture = {
-  example : Common.enc_example;
-  liger : Liger_model.t;
-  liger_wrap : Train.model;
-  dypro : Train.model;
-  code2vec : Train.model;
-  code2seq : Train.model;
-  vocab : Liger_trace.Vocab.t;
-  candidates : Liger_testgen.Filter.candidate list;
-}
-
-let build_fixture () =
-  let rng = Rng.create 777 in
-  let enc =
-    { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
-  in
-  let corpus = Liger_dataset.Pipeline.build_naming ~enc_config:enc rng ~name:"bench" ~n:60 in
-  let example = List.hd corpus.Liger_dataset.Pipeline.train in
-  let vocab = corpus.Liger_dataset.Pipeline.vocab in
-  let train = corpus.Liger_dataset.Pipeline.train in
-  let liger_wrap, liger = Zoo.liger ~vocab Liger_model.Naming in
-  let candidates =
-    Liger_dataset.Javagen.generate (Rng.create 778) ~n:3
-    |> List.map (fun (it : Liger_dataset.Javagen.item) -> it.Liger_dataset.Javagen.candidate)
-  in
-  {
-    example;
-    liger;
-    liger_wrap;
-    dypro = fst (Zoo.dypro ~vocab Liger_model.Naming);
-    code2vec = Zoo.code2vec ~train Liger_model.Naming;
-    code2seq = Zoo.code2seq ~train Liger_model.Naming;
-    vocab;
-    candidates;
-  }
-
-(* one training step as [Train.fit] takes it at batch size 1: forward and
-   backward on a one-lane batched tape (the optimizer update excluded) *)
-let train_step (wrap : Train.model) ex () =
-  ignore (Train.backward_chunk (Train.batched_hooks wrap) [| ex |]);
-  Param.zero_grads wrap.Train.store
-
-let ablation_step fx ~seed config =
-  let w, _ = Zoo.liger ~config ~seed ~vocab:fx.vocab Liger_model.Naming in
-  train_step w fx.example
-
-let micro_tests fx =
-  let view_reduced = { Common.n_paths = 1; n_concrete = 1 } in
-  [
-    (* Table 1 kernel: the filtering pipeline over raw candidates *)
-    Test.make ~name:"table1/filter-pipeline"
-      (Staged.stage (fun () ->
-           let rng = Rng.create 1 in
-           let budget =
-             { Liger_testgen.Feedback.max_attempts = 15; target_paths = 2; per_path = 2;
-               fuel = 4000 }
-           in
-           List.iter
-             (fun c -> ignore (Liger_testgen.Filter.classify ~budget rng c))
-             fx.candidates));
-    (* Table 2 kernels: one training step per model *)
-    Test.make ~name:"table2/liger-step" (Staged.stage (train_step fx.liger_wrap fx.example));
-    Test.make ~name:"table2/dypro-step" (Staged.stage (train_step fx.dypro fx.example));
-    Test.make ~name:"table2/code2seq-step" (Staged.stage (train_step fx.code2seq fx.example));
-    Test.make ~name:"table2/code2vec-step" (Staged.stage (train_step fx.code2vec fx.example));
-    (* Table 3 kernel: program-embedding encode (the classifier input) *)
-    Test.make ~name:"table3/liger-encode"
-      (Staged.stage (fun () -> ignore (Liger_model.embed_program fx.liger fx.example)));
-    (* Figure 6/7 kernels: encoding under full vs reduced views *)
-    Test.make ~name:"fig6/encode-full"
-      (Staged.stage (fun () ->
-           ignore (Liger_model.embed_program fx.liger ~view:Common.full_view fx.example)));
-    Test.make ~name:"fig7/encode-reduced"
-      (Staged.stage (fun () ->
-           ignore (Liger_model.embed_program fx.liger ~view:view_reduced fx.example)));
-    (* Figures 8-11 kernels: one step of each ablation configuration *)
-    Test.make ~name:"fig8/nostatic-step"
-      (Staged.stage
-         (ablation_step fx ~seed:21
-            { Liger_model.default_config with Liger_model.use_static = false }));
-    Test.make ~name:"fig9/nodynamic-step"
-      (Staged.stage
-         (ablation_step fx ~seed:22
-            { Liger_model.default_config with Liger_model.use_dynamic = false }));
-    Test.make ~name:"fig10/noattention-step"
-      (Staged.stage
-         (ablation_step fx ~seed:23
-            { Liger_model.default_config with Liger_model.use_attention = false }));
-    Test.make ~name:"fig11/full-config-step"
-      (Staged.stage (train_step fx.liger_wrap fx.example));
-    (* Dynamics-hook overhead: the identical step with the
-       training-dynamics streams enabled.  The delta vs table2/liger-step
-       is what the one-branch-when-disabled contract keeps off the
-       default path; both flags are restored so later benches see the
-       registry exactly as before. *)
-    Test.make ~name:"dynamics/liger-step-instrumented"
-      (Staged.stage (fun () ->
-           let metrics_were_on = Liger_obs.Metrics.enabled () in
-           Liger_obs.Metrics.enable ();
-           Liger_obs.Dynamics.enable ();
-           Fun.protect
-             ~finally:(fun () ->
-               Liger_obs.Dynamics.disable ();
-               if not metrics_were_on then Liger_obs.Metrics.disable ())
-             (train_step fx.liger_wrap fx.example)));
-    (* Abstract interpretation & probing kernels: the widening/narrowing
-       fixpoint, the CHK dominator passes and exact probe labelling *)
-    Test.make ~name:"absint/analyze"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (c : Liger_testgen.Filter.candidate) ->
-               ignore (Liger_analysis.Absint.analyze c.Liger_testgen.Filter.meth))
-             fx.candidates));
-    Test.make ~name:"absint/dominators"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (c : Liger_testgen.Filter.candidate) ->
-               let cfg = Liger_analysis.Cfg.build c.Liger_testgen.Filter.meth in
-               ignore (Liger_analysis.Dominator.dominators cfg);
-               ignore (Liger_analysis.Dominator.postdominators cfg))
-             fx.candidates));
-    Test.make ~name:"probe/label-method"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (c : Liger_testgen.Filter.candidate) ->
-               ignore (Liger_dataset.Probing.label_method c.Liger_testgen.Filter.meth))
-             fx.candidates));
-  ]
-
-let run_micro () =
-  Obs.Recorder.note "bench.micro";
-  say "\nBechamel microbenches (computational kernel of each table/figure)\n";
-  say "%s\n%!" (String.make 72 '-');
-  let fx = build_fixture () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let results = Benchmark.run cfg instances elt in
-          let estimate = Analyze.one ols (List.hd instances) results in
-          match Analyze.OLS.estimates estimate with
-          | Some [ t ] ->
-              say "  %-28s %12.1f us/run\n%!" (Test.Elt.name elt) (t /. 1000.0)
-          | _ -> say "  %-28s (no estimate)\n%!" (Test.Elt.name elt))
-        (Test.elements test))
-    (micro_tests fx);
-  say "%s\n" (String.make 72 '-')
 
 (* ------------------------------------------------------------------ *)
 (* The experiments themselves                                          *)
@@ -241,17 +83,6 @@ let run_experiments () =
    symbolically execute, filter, encode.  This benchmark builds the same
    corpus sequentially and on an N-domain pool, checks the determinism
    contract on the way, and records throughput for the perf trajectory. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let strip_uids (c : Liger_dataset.Pipeline.corpus) =
   let strip = List.map (fun ex -> { ex with Common.uid = 0 }) in
@@ -359,8 +190,8 @@ let run_parallel_bench ~jobs =
   "per_domain_busy_seconds": [%s]
 }
 |}
-    (json_escape "corpus-generation (build_naming: testgen + filter + trace + encode)")
-    (json_escape rev) (json_escape date) n_methods jobs seq_dt par_dt speedup
+    (Json.escape "corpus-generation (build_naming: testgen + filter + trace + encode)")
+    (Json.escape rev) (Json.escape date) n_methods jobs seq_dt par_dt speedup
     (float_of_int n_methods /. seq_dt)
     (float_of_int n_methods /. par_dt)
     deterministic pool_tasks pool_batches pool_wall utilization busy;
@@ -409,7 +240,7 @@ let run_serve_bench ~qps ~duration =
       "bench.serve";
   say "\nServe loopback benchmark: target %.0f QPS for %.0fs\n" qps duration;
   say "%s\n%!" (String.make 72 '-');
-  (* seed-scale model over the same fixture corpus the microbenches use *)
+  (* seed-scale model over a 40-method fixture corpus *)
   let enc =
     { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
   in
@@ -692,7 +523,7 @@ let train_regression_failures ~history =
 
 let usage () =
   prerr_endline
-    "usage: bench/main.exe [--no-micro | --micro-only] [--jobs N] [--trace FILE] \
+    "usage: bench/main.exe [--jobs N] [--trace FILE] \
      [--metrics-out FILE] [--profile] [--history FILE] [--check-regression]";
   prerr_endline
     "       bench/main.exe serve [--qps N] [--duration S] [--history FILE] \
@@ -702,10 +533,8 @@ let usage () =
   prerr_endline "                    seconds (default 10); records serve.loopback (sustained";
   prerr_endline "                    qps, p50/p99) and, under --check-regression, gates on the";
   prerr_endline "                    50 qps / 250 ms p99 floors and the history threshold";
-  prerr_endline "  --no-micro        run the experiments without the Bechamel microbenches";
-  prerr_endline "  --micro-only      run only the Bechamel microbenches";
   prerr_endline "  --jobs N          run the parallel corpus-generation benchmark on N domains";
-  prerr_endline "                    (alone: only that benchmark; with other flags: those too)";
+  prerr_endline "                    (instead of the experiments)";
   prerr_endline "  --trace FILE      write a Chrome trace_event JSON (chrome://tracing / Perfetto)";
   prerr_endline "  --metrics-out FILE  write a metrics snapshot JSON on exit";
   prerr_endline "  --profile         enable the model profiler (per-op FLOPs, per-layer timings)";
@@ -721,8 +550,6 @@ let usage () =
   exit 2
 
 type opts = {
-  no_micro : bool;
-  micro_only : bool;
   jobs : int option;
   trace_out : string option;
   metrics_out : string option;
@@ -739,8 +566,6 @@ let () =
   let rec parse o = function
     | [] -> o
     | "serve" :: rest -> parse { o with serve_mode = true } rest
-    | "--no-micro" :: rest -> parse { o with no_micro = true } rest
-    | "--micro-only" :: rest -> parse { o with micro_only = true } rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 1 -> parse { o with jobs = Some n } rest
@@ -776,15 +601,11 @@ let () =
   in
   let o =
     parse
-      { no_micro = false; micro_only = false; jobs = None; trace_out = None;
-        metrics_out = None; profile = false; history = None; check_regression = false;
-        check_train_regression = false; serve_mode = false; qps = 50.0; duration = 10.0 }
+      { jobs = None; trace_out = None; metrics_out = None; profile = false; history = None;
+        check_regression = false; check_train_regression = false; serve_mode = false;
+        qps = 50.0; duration = 10.0 }
       (List.tl (Array.to_list Sys.argv))
   in
-  if o.no_micro && o.micro_only then begin
-    prerr_endline "error: --no-micro and --micro-only together would run nothing";
-    usage ()
-  end;
   Obs.init_logging ();
   Obs.init ?metrics_out:o.metrics_out ?trace_out:o.trace_out ~profile:o.profile ();
   (match o.jobs with Some n -> Liger_parallel.Parallel.set_jobs n | None -> ());
@@ -813,14 +634,10 @@ let () =
     prerr_endline "error: --check-regression requires --jobs N (nothing would be checked)";
     usage ()
   end;
-  (* --jobs alone means: only the parallel benchmark; --check-train-regression
-     alone is a pure history check and runs no benchmark at all *)
-  let only_parbench = o.jobs <> None && (not o.no_micro) && not o.micro_only in
-  let only_traincheck =
-    o.check_train_regression && o.jobs = None && (not o.no_micro) && not o.micro_only
-  in
-  if (not o.micro_only) && (not only_parbench) && not only_traincheck then run_experiments ();
-  if (not o.no_micro) && (not only_parbench) && not only_traincheck then run_micro ();
+  (* --jobs means: only the parallel benchmark; --check-train-regression
+     without it is a pure history check and runs no benchmark at all *)
+  let only_traincheck = o.check_train_regression && o.jobs = None in
+  if o.jobs = None && not o.check_train_regression then run_experiments ();
   let failures =
     match o.jobs with
     | None -> []

@@ -37,6 +37,7 @@ open Liger_core
 open Liger_dataset
 open Liger_eval
 module Obs = Liger_obs.Obs
+module Serve = Liger_serve
 
 (* Telemetry flags shared by the long-running subcommands.  The term's
    side-effect configures the registry/tracer before the command body runs;
@@ -462,9 +463,14 @@ let similar_cmd =
         (Rng.create (seed + 1)) wrapper ~train:corpus.Pipeline.train
         ~valid:corpus.Pipeline.valid
     in
-    let idx =
-      Embedding_index.of_examples model corpus.Pipeline.train
-        ~key_of:(fun (ex : Common.enc_example) -> ex.Common.meth.Ast.mname)
+    let idx, _ =
+      Serve.Index.build ~dim:model.Liger_model.config.Liger_model.dim
+        ~embed_batch:(Liger_model.embed_programs model)
+        (List.map
+           (fun (ex : Common.enc_example) ->
+             let m = ex.Common.meth in
+             (m.Ast.mname, Serve.Ast_hash.of_meth m, ex))
+           corpus.Pipeline.train)
     in
     let result = Feedback.generate rng meth in
     if result.Feedback.gave_up then failwith "could not generate executions";
@@ -476,7 +482,7 @@ let similar_cmd =
     Printf.printf "\nmethods semantically nearest to '%s':\n" meth.Ast.mname;
     List.iter
       (fun (score, key) -> Printf.printf "  %.3f  %s\n" score key)
-      (Embedding_index.query model idx ~k ex)
+      (Serve.Index.nearest idx ~k (Liger_model.embed_programs model [| ex |]).(0))
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let n = Arg.(value & opt int 120 & info [ "n" ] ~doc:"Corpus size to index.") in
@@ -895,8 +901,6 @@ let report_cmd =
     Term.(const run $ target $ compare $ out $ history $ check)
 
 (* ---------------- serve / index / fetch ---------------- *)
-
-module Serve = Liger_serve
 
 let serve_cmd =
   let run () model_dir index_dir port port_file max_inflight batch_window_ms

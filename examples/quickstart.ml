@@ -73,7 +73,7 @@ let () =
   Vocab.freeze vocab;
   let ex = Common.encode_example enc vocab meth blended (Common.Name meth.Ast.mname) in
   let model = Liger_model.create vocab Liger_model.Naming in
-  let embedding = Liger_model.embed_program model ex in
+  let embedding = (Liger_model.embed_programs model [| ex |]).(0) in
   Printf.printf "== Program embedding (untrained LiGer encoder, dim %d) ==\n[%s]\n"
     (Array.length embedding)
     (String.concat "; "

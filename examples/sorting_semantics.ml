@@ -167,7 +167,7 @@ let () =
     let r = Feedback.generate ~budget rng m in
     let b = Feedback.blended m r in
     let ex = Common.encode_example enc vocab m b (Common.Class 0) in
-    Liger_model.embed_program model ex
+    (Liger_model.embed_programs model [| ex |]).(0)
   in
   let e1 = embed m1 and e2 = embed m2 and e3 = embed m3 in
   Printf.printf "cosine(sortI, sortIII) = %.3f   (same algorithm)\n" (cosine e1 e3);

@@ -337,9 +337,6 @@ let embed_programs t ?(view = Common.full_view) (exs : Common.enc_example array)
   infer t ~view exs (fun _ enc ->
       Array.init (Array.length exs) (fun g -> Batched.row_value enc.benc_prog g))
 
-(** The program embedding of one example (a one-lane {!embed_programs}). *)
-let embed_program t ?view ex = (embed_programs t ?view [| ex |]).(0)
-
 (** Fusion statistics of one forward over [exs] (§6.1.2's attention
     inspection). *)
 let fusion_stats t ?(view = Common.full_view) (exs : Common.enc_example array) =

@@ -155,15 +155,15 @@ let search_body hash neighbors =
     (String.concat ","
        (List.map
           (fun (score, key) ->
-            Printf.sprintf "{\"key\":\"%s\",\"score\":%s}" (Http.json_escape key)
+            Printf.sprintf "{\"key\":\"%s\",\"score\":%s}" (Json.escape key)
               (Json.of_float score))
           neighbors))
 
 let suggest_body hash subtokens =
   Printf.sprintf "{\"hash\":\"%s\",\"name\":\"%s\",\"subtokens\":[%s]}" hash
-    (Http.json_escape (Subtoken.join subtokens))
+    (Json.escape (Subtoken.join subtokens))
     (String.concat ","
-       (List.map (fun s -> "\"" ^ Http.json_escape s ^ "\"") subtokens))
+       (List.map (fun s -> "\"" ^ Json.escape s ^ "\"") subtokens))
 
 (* ---------------- endpoints ---------------- *)
 

@@ -202,19 +202,5 @@ let response ?(content_type = "application/json") ?(extra_headers = []) ~status 
   Buffer.add_string buf body;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** The uniform error body: [{"error": "..."}]. *)
-let error_body msg = Printf.sprintf "{\"error\":\"%s\"}" (json_escape msg)
+let error_body msg = Printf.sprintf "{\"error\":\"%s\"}" (Liger_obs.Json.escape msg)

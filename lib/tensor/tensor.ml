@@ -69,16 +69,6 @@ let of_buf data rows cols =
   if A.dim data <> rows * cols then invalid_arg "Tensor.of_buf: size mismatch";
   { data; rows; cols }
 
-(** Vector (1 x n) from an array; the array is copied. *)
-let of_array a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Tensor.of_array: empty";
-  let data = alloc_buf n in
-  for i = 0 to n - 1 do
-    A.unsafe_set data i (Array.unsafe_get a i)
-  done;
-  track { data; rows = 1; cols = n }
-
 (** Matrix from a row-major nested array. Rows must be nonempty and equal
     length. *)
 let of_rows rows_arr =
@@ -123,11 +113,6 @@ let blit_from_array a t =
   for i = 0 to Array.length a - 1 do
     A.unsafe_set t.data i (Array.unsafe_get a i)
   done
-
-let blit src dst =
-  if src.rows <> dst.rows || src.cols <> dst.cols then
-    invalid_arg "Tensor.blit: shape mismatch";
-  A.blit src.data dst.data
 
 let map f t =
   let r = create t.rows t.cols in

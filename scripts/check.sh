@@ -15,6 +15,25 @@ if grep -rnE --include='*.ml' --include='*.mli' '(Sys|Unix)\.getenv' lib bin ben
 fi
 echo "   ok: only lib/obs/config.ml reads the environment"
 
+# `opam install . --deps-only --with-test` installs what liger.opam lists,
+# so the file must match dune-project and name every library the build
+# links (the package is a library's name up to its first dot).
+echo "== dependencies: liger.opam is generated and lists every linked library"
+dune build ./liger.opam
+git diff --exit-code -- liger.opam || {
+  echo "   ERROR: liger.opam is stale; commit the file dune-project generates" >&2; exit 1; }
+missing=$(find lib bin bench test -name dune -exec cat {} + | tr '\n' ' ' \
+  | grep -oE '\((libraries|pps)[^()]*\)' | sed -E 's/^\((libraries|pps)//; s/\)$//' \
+  | tr -s ' ' '\n' | sed 's/\..*//' | grep -vE '^(unix|threads|liger_.*)?$' | sort -u \
+  | while read -r pkg; do
+      sed -n '/^depends: \[/,/^\]/p' liger.opam | grep -q "\"$pkg\"" || echo "$pkg"
+    done)
+if [ -n "$missing" ]; then
+  echo "   ERROR: linked but not in liger.opam (add to dune-project):" $missing >&2
+  exit 1
+fi
+echo "   ok: liger.opam is current and lists every linked package"
+
 echo "== dune build"
 dune build @all
 

@@ -171,9 +171,9 @@ let test_view_changes_encoding () =
     List.find (fun (e : Common.enc_example) -> Array.length e.Common.traces > 1)
       c.Pipeline.train
   in
-  let emb_full = Liger_model.embed_program model ex in
+  let emb_full = (Liger_model.embed_programs model [| ex |]).(0) in
   let emb_small =
-    Liger_model.embed_program model ~view:{ Common.n_paths = 1; n_concrete = 1 } ex
+    (Liger_model.embed_programs model ~view:{ Common.n_paths = 1; n_concrete = 1 } [| ex |]).(0)
   in
   let differs = Array.exists2 (fun a b -> Float.abs (a -. b) > 1e-9) emb_full emb_small in
   Alcotest.(check bool) "embedding differs under view" true differs
@@ -268,46 +268,6 @@ let test_ast_paths_deterministic () =
   Alcotest.(check bool) "same rng same contexts" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
-(* Embedding index                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_embedding_index_basic () =
-  let idx = Embedding_index.create ~dim:3 in
-  Embedding_index.add idx ~key:"x" [| 1.0; 0.0; 0.0 |];
-  Embedding_index.add idx ~key:"y" [| 0.0; 1.0; 0.0 |];
-  Embedding_index.add idx ~key:"xy" [| 1.0; 1.0; 0.0 |];
-  let hits = Embedding_index.nearest idx ~k:2 [| 1.0; 0.1; 0.0 |] in
-  Alcotest.(check int) "two hits" 2 (List.length hits);
-  Alcotest.(check string) "best is x" "x" (snd (List.hd hits));
-  Alcotest.(check bool) "scores descending" true
-    (match hits with (a, _) :: (b, _) :: _ -> a >= b | _ -> false)
-
-let test_embedding_index_dim_mismatch () =
-  let idx = Embedding_index.create ~dim:3 in
-  Alcotest.(check bool) "add rejects" true
-    (try Embedding_index.add idx ~key:"z" [| 1.0 |]; false
-     with Invalid_argument _ -> true)
-
-let test_embedding_index_of_examples () =
-  let c = Lazy.force corpus in
-  let model =
-    Liger_model.create
-      ~config:{ Liger_model.default_config with Liger_model.dim = 8 }
-      c.Pipeline.vocab Liger_model.Naming
-  in
-  let examples = List.filteri (fun i _ -> i < 6) c.Pipeline.train in
-  let idx =
-    Embedding_index.of_examples model examples
-      ~key_of:(fun (ex : Common.enc_example) -> ex.Common.meth.Liger_lang.Ast.mname)
-  in
-  Alcotest.(check int) "indexed all" 6 (Embedding_index.size idx);
-  (* querying with an indexed example must rank itself (its key) first *)
-  let probe = List.hd examples in
-  let hits = Embedding_index.query model idx ~k:1 probe in
-  Alcotest.(check string) "self-retrieval" probe.Common.meth.Liger_lang.Ast.mname
-    (snd (List.hd hits))
-
-(* ------------------------------------------------------------------ *)
 (* Training loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,12 +342,6 @@ let () =
           Alcotest.test_case "classification heads" `Slow test_baseline_class_heads;
           Alcotest.test_case "ast paths" `Quick test_ast_paths_extraction;
           Alcotest.test_case "ast paths deterministic" `Quick test_ast_paths_deterministic;
-        ] );
-      ( "embedding_index",
-        [
-          Alcotest.test_case "basic retrieval" `Quick test_embedding_index_basic;
-          Alcotest.test_case "dim mismatch" `Quick test_embedding_index_dim_mismatch;
-          Alcotest.test_case "of examples" `Slow test_embedding_index_of_examples;
         ] );
       ( "training",
         [

@@ -679,6 +679,24 @@ let test_determinism_jobs_and_reruns () =
   Alcotest.(check string) "jobs=1 and jobs=4 responses byte-identical" b1 b4;
   Alcotest.(check string) "two runs byte-identical" b1 b1'
 
+let index_entry key vector = { Index.key; hash = key; vector }
+
+let test_index_basic_retrieval () =
+  let idx =
+    Index.create ~dim:3
+      [ index_entry "x" [| 1.0; 0.0; 0.0 |]; index_entry "y" [| 0.0; 1.0; 0.0 |];
+        index_entry "xy" [| 1.0; 1.0; 0.0 |] ]
+  in
+  let hits = Index.nearest idx ~k:2 [| 1.0; 0.1; 0.0 |] in
+  Alcotest.(check (list string)) "ranking" [ "x"; "xy" ] (List.map snd hits);
+  Alcotest.(check bool) "scores best first" true
+    (match hits with (a, _) :: (b, _) :: _ -> a >= b | _ -> false)
+
+let test_index_dim_mismatch () =
+  let idx = Index.create ~dim:3 [ index_entry "x" [| 1.0; 0.0; 0.0 |] ] in
+  Alcotest.(check bool) "nearest rejects a wrong-length query" true
+    (try ignore (Index.nearest idx [| 1.0 |]); false with Invalid_argument _ -> true)
+
 let test_index_build_deterministic_and_reuses () =
   let model, vocab, sources = Lazy.force fixture in
   let sources = List.filteri (fun i _ -> i < 3) sources in
@@ -797,6 +815,11 @@ let () =
             test_server_pipelined_connection;
           Alcotest.test_case "wire-level rejects: 400 and 413, no crash" `Quick
             test_server_rejects_on_wire;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "basic retrieval" `Quick test_index_basic_retrieval;
+          Alcotest.test_case "dim mismatch" `Quick test_index_dim_mismatch;
         ] );
       ( "determinism",
         [
