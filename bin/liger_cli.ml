@@ -304,7 +304,7 @@ let load_model dir =
 (* ---------------- train ---------------- *)
 
 let train_cmd =
-  let run () model_name n epochs dim seed batch save history_path =
+  let run () model_name n epochs dim seed batch save =
     let rng = Rng.create seed in
     Printf.printf "building corpus (n=%d)...\n%!" n;
     let corpus = Pipeline.build_naming rng ~name:"cli" ~n in
@@ -340,47 +340,6 @@ let train_cmd =
     let r = Train.eval_naming ~batch wrapper corpus.Pipeline.test in
     Fmt.pr "test: %a@." Metrics.pp_prf r.Train.prf;
     Obs.print_report ();
-    (match history_path with
-    | None -> ()
-    | Some path ->
-        let module B = Liger_obs.Bench_store in
-        let wall = List.fold_left ( +. ) 0.0 history.Train.epoch_times in
-        let eps =
-          if wall > 0.0 then float_of_int (n_train * epochs) /. wall else 0.0
-        in
-        (* A test_f1 of exactly 0.0 is a red flag, not a score: either the
-           test split is empty (nothing was measured) or the run is too
-           small for the model to predict a single correct sub-token.
-           Record it, but never silently. *)
-        if n_test = 0 then
-          Logs.warn (fun m ->
-              m "test split is empty: recording test_f1 = 0.0, which measures \
-                 nothing — increase -n so the test split is populated")
-        else if r.Train.prf.Metrics.f1 = 0.0 then
-          Logs.warn (fun m ->
-              m "test F1 is exactly 0.0 over %d test examples (no correct \
-                 sub-token at all); the run is likely too small to train — \
-                 the history record will carry a meaningless score"
-                n_test);
-        let record =
-          {
-            B.benchmark = "train." ^ wrapper.Train.name;
-            rev = B.git_rev ();
-            date = B.iso8601 (Unix.gettimeofday ());
-            jobs = Liger_parallel.Parallel.jobs ();
-            metrics =
-              [
-                ("train_seconds", wall);
-                ("epochs", float_of_int epochs);
-                ("corpus_n", float_of_int n);
-                ("batch_size", float_of_int batch);
-                ("examples_per_second", eps);
-                ("test_f1", r.Train.prf.Metrics.f1);
-              ];
-          }
-        in
-        B.append ~path record;
-        Printf.printf "benchmark record appended to %s\n" path);
     match (save, liger_model) with
     | Some dir, Some m ->
         save_model dir m corpus.Pipeline.vocab;
@@ -407,16 +366,9 @@ let train_cmd =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~doc:"Directory to save the trained model (liger only).")
   in
-  let history =
-    Arg.(value & opt (some string) None
-         & info [ "history" ] ~docv:"FILE"
-             ~doc:"Append a benchmark record (git rev, date, jobs, wall time, \
-                   throughput, test score) to the JSONL history $(docv); diff \
-                   runs with $(b,liger stats --diff).")
-  in
   Cmd.v
     (Cmd.info "train" ~doc:"Train a model on a generated corpus")
-    Term.(const run $ obs_term $ model $ n $ epochs $ dim $ seed $ batch $ save $ history)
+    Term.(const run $ obs_term $ model $ n $ epochs $ dim $ seed $ batch $ save)
 
 (* ---------------- predict ---------------- *)
 
@@ -697,12 +649,12 @@ let stats_cmd =
           else print_string text
     end
     else if diff || file2 <> None then begin
-      let result =
-        match file2 with
-        | Some b -> Obs.diff_files ?threshold file b
-        | None -> Obs.diff_history ?threshold file
-      in
-      match result with Ok text -> print_string text | Error msg -> fail msg
+      match file2 with
+      | None -> fail "--diff needs two files: liger stats A B --diff"
+      | Some b -> (
+          match Obs.diff_files ?threshold file b with
+          | Ok text -> print_string text
+          | Error msg -> fail msg)
     end
     else if validate then
       match Obs.validate_file file with
@@ -717,8 +669,7 @@ let stats_cmd =
   let file2 =
     Arg.(value & pos 1 (some file) None
          & info [] ~docv:"FILE2"
-             ~doc:"Second file for $(b,--diff); omit to diff the last two \
-                   records of a JSONL history.")
+             ~doc:"Second file for $(b,--diff).")
   in
   let validate =
     Arg.(value & flag
@@ -730,10 +681,8 @@ let stats_cmd =
   let diff =
     Arg.(value & flag
          & info [ "diff" ]
-             ~doc:"Compare two snapshots (metrics JSON, flat bench JSON, or \
-                   JSONL history) and print a delta table; with a single JSONL \
-                   history, compares its last two records.  Rows whose relative \
-                   change exceeds the threshold are flagged with '!'.")
+             ~doc:"Compare two metrics snapshots and print a delta table.  Rows \
+                   whose relative change exceeds the threshold are flagged with '!'.")
   in
   let openmetrics =
     Arg.(value & flag
@@ -824,19 +773,14 @@ let top_cmd =
 (* ---------------- report ---------------- *)
 
 let report_cmd =
-  let run target compare out history check =
-    let history =
-      match history with
-      | Some _ -> history
-      | None -> if Sys.file_exists "BENCH_history.jsonl" then Some "BENCH_history.jsonl" else None
-    in
+  let run target compare out check =
     let load arg =
       match Obs.resolve_run_dir arg with
       | Error msg ->
           Printf.eprintf "liger report: %s\n" msg;
           exit 1
       | Ok dir -> (
-          match Obs.load_report_run ?bench_history:history dir with
+          match Obs.load_report_run dir with
           | Error msg ->
               Printf.eprintf "liger report: %s\n" msg;
               exit 1
@@ -878,13 +822,6 @@ let report_cmd =
          & info [ "out"; "o" ] ~docv:"FILE"
              ~doc:"Output file (default $(i,report.html)).")
   in
-  let history =
-    Arg.(value & opt (some string) None
-         & info [ "history" ] ~docv:"FILE"
-             ~doc:"Benchmark history whose $(i,train.*) records feed the \
-                   throughput-history table (default: $(i,BENCH_history.jsonl) \
-                   in the current directory, when present).")
-  in
   let check =
     Arg.(value & flag
          & info [ "check" ]
@@ -895,10 +832,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Render a run directory (ledger, training-dynamics streams, \
-             profile snapshot, probe table, benchmark history, postmortem) \
+             profile snapshot, probe table, postmortem) \
              into one self-contained HTML dashboard with inline SVG \
              sparklines; $(b,--compare) overlays a second run")
-    Term.(const run $ target $ compare $ out $ history $ check)
+    Term.(const run $ target $ compare $ out $ check)
 
 (* ---------------- serve / index / fetch ---------------- *)
 

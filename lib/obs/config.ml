@@ -18,7 +18,7 @@
     LIGER_TRACE          1|0|true|false|yes|no|on|off  off
     LIGER_METRICS_EVERY  seconds > 0                   no ledger
     LIGER_SCALE          quick|full                    quick
-    LIGER_BENCH_N        positive integer              set by each harness
+    LIGER_BENCH_N        positive integer              60 (bench/batched.exe)
     v} *)
 
 type scale = Quick | Full
@@ -33,7 +33,7 @@ type t = {
   trace : bool;  (** Chrome trace into the run directory *)
   metrics_every : float option;  (** run-ledger interval in seconds *)
   scale : scale;  (** size of the paper's evaluation *)
-  bench_n : int option;  (** methods per corpus in the bench harnesses *)
+  bench_n : int option;  (** methods per corpus in bench/batched.exe *)
 }
 
 let default =

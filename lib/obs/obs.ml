@@ -19,7 +19,6 @@ module Json = Json
 module Metrics = Metrics
 module Span = Span
 module Profile = Profile
-module Bench_store = Bench_store
 module Recorder = Recorder
 module Timeseries = Timeseries
 module Openmetrics = Openmetrics
@@ -760,13 +759,12 @@ let summarize_file path =
 
 (* ---------------- flat views + diffing ([liger stats --diff]) ---------------- *)
 
-(** A metrics snapshot / flat bench JSON / history record as one flat
-    name→number map, the common currency of {!Bench_store.diff}.
-    Histograms contribute [name.sum] and [name.count]; booleans become
-    0/1. *)
+(** A metrics snapshot as one flat name→number map, the common currency
+    of {!diff}.  Histograms contribute [name.sum] and [name.count]. *)
 let flatten_json (json : Json.t) : ((string * float) list, string) result =
   if is_trace json then Error "trace files cannot be diffed (no scalar metrics)"
-  else if Json.member "counters" json <> None then begin
+  else if Json.member "counters" json = None then Error "not a metrics snapshot"
+  else begin
     let nums section suffixes =
       match Json.member section json with
       | Some (Json.Obj kvs) ->
@@ -787,54 +785,89 @@ let flatten_json (json : Json.t) : ((string * float) list, string) result =
       @ nums "histograms" [ "sum"; "count" ]
       |> List.sort compare)
   end
-  else if Json.member "benchmark" json <> None && Json.member "metrics" json <> None then
-    (* a single Bench_store record pasted as a plain JSON file *)
-    match Bench_store.parse_record json with
-    | Ok r -> Ok r.Bench_store.metrics
-    | Error msg -> Error msg
-  else
-    match json with
-    | Json.Obj fields ->
-        let nums =
-          List.filter_map
-            (fun (k, v) ->
-              match v with
-              | Json.Num f -> Some (k, f)
-              | Json.Bool b -> Some (k, if b then 1.0 else 0.0)
-              | _ -> None)
-            fields
-        in
-        if nums = [] then Error "no numeric fields to diff" else Ok nums
-    | _ -> Error "not a JSON object"
 
-let record_label path (r : Bench_store.record) =
-  Printf.sprintf "%s [%s %s@%s jobs=%d]" path r.Bench_store.benchmark r.Bench_store.date
-    r.Bench_store.rev r.Bench_store.jobs
-
-(** Load [path] as a flat metric map plus a human label: a JSON snapshot /
-    flat bench file directly, or — when the file is JSONL — the last record
-    of a {!Bench_store} history. *)
-let load_flat path : ((string * float) list * string, string) result =
+(** Load [path], a metrics snapshot, as a flat metric map. *)
+let load_flat path : ((string * float) list, string) result =
   match Json.parse_file path with
-  | Ok json -> (
-      match flatten_json json with
-      | Ok flat -> Ok (flat, path)
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  | Error json_msg -> (
-      match Bench_store.load path with
-      | Ok [] -> Error (Printf.sprintf "%s: empty history" path)
-      | Ok records ->
-          let r = List.nth records (List.length records - 1) in
-          Ok (r.Bench_store.metrics, record_label path r)
-      | Error _ -> Error (Printf.sprintf "%s: invalid JSON: %s" path json_msg))
+  | Ok json -> Result.map_error (Printf.sprintf "%s: %s" path) (flatten_json json)
+  | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg)
+
+type delta = {
+  metric : string;
+  before : float;
+  after : float;
+  change : float;   (* relative change; infinity when before = 0 <> after *)
+  flagged : bool;   (* |change| > threshold *)
+}
+
+let relative_change ~before ~after =
+  if before = after then 0.0
+  else if before = 0.0 then (if after > 0.0 then infinity else neg_infinity)
+  else (after -. before) /. Float.abs before
+
+(** Compare two flat metric maps over the union of their names (sorted);
+    a metric missing on one side is reported with [nan] there and always
+    flagged. *)
+let diff ?(threshold = 0.1) (a : (string * float) list) (b : (string * float) list) : delta list =
+  let names =
+    List.sort_uniq compare (List.map fst a @ List.map fst b)
+  in
+  List.map
+    (fun name ->
+      match (List.assoc_opt name a, List.assoc_opt name b) with
+      | Some before, Some after ->
+          let change = relative_change ~before ~after in
+          { metric = name; before; after; change; flagged = Float.abs change > threshold }
+      | Some before, None ->
+          { metric = name; before; after = Float.nan; change = Float.nan; flagged = true }
+      | None, Some after ->
+          { metric = name; before = Float.nan; after; change = Float.nan; flagged = true }
+      | None, None -> assert false)
+    names
+
+let pct change =
+  if Float.is_nan change then "-"
+  else if Float.is_integer (change *. 100.0) && Float.abs change < 100.0 then
+    Printf.sprintf "%+.0f%%" (change *. 100.0)
+  else if Float.abs change = infinity then (if change > 0.0 then "+inf%" else "-inf%")
+  else Printf.sprintf "%+.1f%%" (change *. 100.0)
+
+let fmt_val x = if Float.is_nan x then "-" else Printf.sprintf "%.6g" x
+
+(** Render a diff as an aligned text table (deterministic; goldens depend on
+    it).  Flagged rows get a trailing [!]. *)
+let render_diff ?threshold a b =
+  let deltas = diff ?threshold a b in
+  if deltas = [] then "no metrics to compare\n"
+  else begin
+    let rows =
+      ("metric", "before", "after", "change", "")
+      :: List.map
+           (fun d ->
+             (d.metric, fmt_val d.before, fmt_val d.after, pct d.change,
+              if d.flagged then "!" else ""))
+           deltas
+    in
+    let w f = List.fold_left (fun acc r -> max acc (String.length (f r))) 0 rows in
+    let w1 = w (fun (a, _, _, _, _) -> a)
+    and w2 = w (fun (_, b, _, _, _) -> b)
+    and w3 = w (fun (_, _, c, _, _) -> c)
+    and w4 = w (fun (_, _, _, d, _) -> d) in
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun (a, b, c, d, fl) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%-*s  %*s  %*s  %*s%s\n" w1 a w2 b w3 c w4 d
+             (if fl = "" then "" else "  " ^ fl)))
+      rows;
+    Buffer.contents buf
+  end
 
 (** [diff_files a b] renders the threshold-flagged delta table between two
-    snapshots (each a metrics JSON, flat bench JSON, or JSONL history whose
-    last record is used). *)
+    metrics snapshots — [liger stats A B --diff]. *)
 let diff_files ?threshold a b =
   match (load_flat a, load_flat b) with
-  | Ok (fa, la), Ok (fb, lb) ->
-      Ok (Printf.sprintf "diff: %s -> %s\n%s" la lb (Bench_store.render_diff ?threshold fa fb))
+  | Ok fa, Ok fb -> Ok (Printf.sprintf "diff: %s -> %s\n%s" a b (render_diff ?threshold fa fb))
   | (Error _ as e), _ | _, (Error _ as e) -> e
 
 (* ---------------- [liger top] ---------------- *)
@@ -1089,11 +1122,9 @@ let resolve_run_dir arg : (string, string) result =
                (no_ledger_hint ())))
 
 (** Load everything [liger report] renders for one run directory: the
-    ledger, the final metrics snapshot, the probe table, a postmortem if
-    the run crashed, and — when [bench_history] names a
-    [BENCH_history.jsonl] — the training records from it (most recent
-    last, capped at 8). *)
-let load_report_run ?bench_history dir : (Report_html.run, string) result =
+    ledger, the final metrics snapshot, the probe table, and a postmortem
+    if the run crashed. *)
+let load_report_run dir : (Report_html.run, string) result =
   let ledger = Filename.concat dir "metrics.jsonl" in
   let lines = match jsonl_lines ledger with Ok ls -> ls | Error _ -> [] in
   let final =
@@ -1114,23 +1145,6 @@ let load_report_run ?bench_history dir : (Report_html.run, string) result =
       | Ok j when is_postmortem j -> Some j
       | _ -> None
     in
-    let bench =
-      match bench_history with
-      | None -> []
-      | Some path -> (
-          match Bench_store.load path with
-          | Error _ -> []
-          | Ok records ->
-              let train =
-                List.filter
-                  (fun (r : Bench_store.record) ->
-                    String.length r.Bench_store.benchmark >= 6
-                    && String.sub r.Bench_store.benchmark 0 6 = "train.")
-                  records
-              in
-              let n = List.length train in
-              List.filteri (fun i _ -> i >= n - 8) train)
-    in
     Ok
       {
         Report_html.label = Filename.basename dir;
@@ -1138,20 +1152,4 @@ let load_report_run ?bench_history dir : (Report_html.run, string) result =
         final;
         probe = read_file_opt (Filename.concat dir "probe_accuracy.txt");
         postmortem;
-        bench;
       }
-
-(** [diff_history path] compares the last two records of one JSONL
-    history. *)
-let diff_history ?threshold path =
-  match Bench_store.load path with
-  | Error msg -> Error msg
-  | Ok records when List.length records < 2 ->
-      Error (Printf.sprintf "%s: need at least 2 records to diff (found %d)" path
-               (List.length records))
-  | Ok records ->
-      let n = List.length records in
-      let a = List.nth records (n - 2) and b = List.nth records (n - 1) in
-      Ok
-        (Printf.sprintf "diff: %s -> %s\n%s" (record_label path a) (record_label path b)
-           (Bench_store.render_diff ?threshold a.Bench_store.metrics b.Bench_store.metrics))

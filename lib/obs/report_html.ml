@@ -9,7 +9,7 @@
 
     Structure contract (the golden test pins it): every section has a
     stable [id] ([health], [training], [gradflow], [activations],
-    [drift], [attention], [profile], [probe], [bench], [postmortem],
+    [drift], [attention], [profile], [probe], [postmortem],
     [compare]); each tracked time series renders exactly one [<svg>]
     sparkline per run, the gradient-flow heatmap is one more [<svg>], and
     each rendered histogram is one more.  All metric keys and label
@@ -21,7 +21,6 @@ type run = {
   final : Json.t option;           (* the final metrics.json snapshot *)
   probe : string option;           (* probe_accuracy.txt contents *)
   postmortem : Json.t option;      (* postmortem.json *)
-  bench : Bench_store.record list; (* matching history records *)
 }
 
 (* ---------------- small helpers ---------------- *)
@@ -343,30 +342,6 @@ let profile_body run =
         Buffer.contents buf
       end
 
-let bench_body run =
-  if run.bench = [] then ""
-  else begin
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      "<table><tr><th>benchmark</th><th>date</th><th>rev</th><th>jobs</th>\
-       <th>examples/s</th><th>test F1</th></tr>\n";
-    List.iter
-      (fun (r : Bench_store.record) ->
-        let m name = List.assoc_opt name r.Bench_store.metrics in
-        let cell = function Some v -> fmt v | None -> "-" in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td><td>%s</td></tr>\n"
-             (html_escape r.Bench_store.benchmark)
-             (html_escape r.Bench_store.date) (html_escape r.Bench_store.rev)
-             r.Bench_store.jobs
-             (cell (m "examples_per_second"))
-             (cell (m "test_f1"))))
-      run.bench;
-    Buffer.add_string buf "</table>\n";
-    Buffer.contents buf
-  end
-
 let postmortem_body run =
   match run.postmortem with
   | None -> ""
@@ -471,7 +446,6 @@ let render ?other run =
       buf_section buf "probe" "Semantic probes"
         (Printf.sprintf "<pre>%s</pre>\n" (html_escape text))
   | None -> ());
-  buf_section buf "bench" "Benchmark history" (bench_body run);
   (match other with
   | Some b -> buf_section buf "compare" "Compare (final gauges)" (compare_body run b)
   | None -> ());

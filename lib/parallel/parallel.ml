@@ -42,7 +42,7 @@
 
    Slot 0 is the submitting (caller) domain; slots 1..size are workers.
    The three histograms are the dispatch-overhead diagnostics behind the
-   BENCH_parallel.json investigation (DESIGN.md "Domain pool"). *)
+   parallel-slowdown analysis (DESIGN.md "Domain pool"). *)
 
 let slot_key = Domain.DLS.new_key (fun () -> 0)
 

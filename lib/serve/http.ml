@@ -153,13 +153,19 @@ let parse ?(limits = default_limits) (input : string) : parse_result =
               match headers [] header_lines with
               | Error (status, msg) -> Reject (status, msg)
               | Ok headers -> (
+                  (* RFC 9112 6.3: the value is 1*DIGIT (int_of_string_opt
+                     alone would take 0x10, 1_0, +5 and -0), and duplicates
+                     that disagree make the framing ambiguous *)
                   let content_length =
-                    match List.assoc_opt "content-length" headers with
-                    | None -> Ok 0
-                    | Some s -> (
-                        match int_of_string_opt (String.trim s) with
-                        | Some n when n >= 0 -> Ok n
-                        | _ -> Error (400, Printf.sprintf "bad content-length %S" s))
+                    match List.filter (fun (k, _) -> k = "content-length") headers with
+                    | [] -> Ok 0
+                    | (_, s) :: rest when List.exists (fun (_, v) -> v <> s) rest ->
+                        Error (400, "conflicting content-length headers")
+                    | (_, s) :: _ -> (
+                        let digits = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+                        match if digits then int_of_string_opt s else None with
+                        | Some n -> Ok n
+                        | None -> Error (400, Printf.sprintf "bad content-length %S" s))
                   in
                   match content_length with
                   | Error (status, msg) -> Reject (status, msg)

@@ -54,7 +54,7 @@ let line kvs =
   | Error e -> Alcotest.failf "bad synthetic ledger line: %s" e
 
 let run_of ?(label = "synthetic") lines =
-  { Report_html.label; lines; final = None; probe = None; postmortem = None; bench = [] }
+  { Report_html.label; lines; final = None; probe = None; postmortem = None }
 
 (* ------------------------------------------------------------------ *)
 (* Dynamics recording                                                  *)

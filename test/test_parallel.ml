@@ -75,7 +75,7 @@ let spin_for seconds =
     ignore (Sys.opaque_identity (sin 1.0))
   done
 
-(* The scheduling diagnostics behind the BENCH_parallel slowdown analysis:
+(* The scheduling diagnostics behind the parallel-slowdown analysis:
    per-batch task-size, dispatch-cost and queue-wait histograms. *)
 let test_diagnostics_histograms () =
   Parallel.set_jobs 2;

@@ -1,17 +1,16 @@
-(* The model profiler and benchmark history: disabled-path inertness (no
+(* The model profiler and snapshot diffing: disabled-path inertness (no
    allocation, nothing recorded), FLOP/byte accounting against the documented
    conventions on a known-shape matvec, masked recurrences paying GEMM
    FLOPs for live lanes only, live/peak memory gauge monotonicity,
-   per-layer forward AND backward attribution through the tape tags,
-   Bench_store JSONL roundtrip, the diff/render goldens behind
-   [liger stats --diff], and validate_file's profile cross-check. *)
+   per-layer forward AND backward attribution through the tape tags, the
+   diff/render goldens behind [liger stats A B --diff], and validate_file's
+   profile cross-check. *)
 
 open Liger_tensor
 open Liger_nn
 module Obs = Liger_obs.Obs
 module OM = Liger_obs.Metrics
 module P = Liger_obs.Profile
-module B = Liger_obs.Bench_store
 module Json = Liger_obs.Json
 
 let contains haystack needle =
@@ -222,46 +221,14 @@ let test_liger_batched_layers () =
     [ "attention"; "decoder"; "embedding"; "linear"; "rnn_cell"; "treelstm" ]
 
 (* ------------------------------------------------------------------ *)
-(* Bench_store: JSONL roundtrip and last_matching                      *)
-(* ------------------------------------------------------------------ *)
-
-let r1 =
-  { B.benchmark = "parallel-corpus"; rev = "abc1234"; date = "2026-08-07T10:00:00Z";
-    jobs = 2; metrics = [ ("speedup", 1.5); ("par_methods_per_second", 4.0) ] }
-
-let r2 =
-  { B.benchmark = "parallel-corpus"; rev = "def5678"; date = "2026-08-07T11:00:00Z";
-    jobs = 2; metrics = [ ("speedup", 0.6); ("par_methods_per_second", 2.0) ] }
-
-let test_history_roundtrip () =
-  let path = Filename.temp_file "liger" ".history.jsonl" in
-  B.append ~path r1;
-  B.append ~path r2;
-  (match B.load path with
-  | Error msg -> Alcotest.fail msg
-  | Ok records ->
-      Alcotest.(check int) "two records" 2 (List.length records);
-      let got = List.nth records 0 in
-      Alcotest.(check string) "benchmark" r1.B.benchmark got.B.benchmark;
-      Alcotest.(check string) "rev" r1.B.rev got.B.rev;
-      Alcotest.(check string) "date" r1.B.date got.B.date;
-      Alcotest.(check int) "jobs" r1.B.jobs got.B.jobs;
-      Alcotest.(check (list (pair string (float 1e-9)))) "metrics survive (sorted)"
-        (List.sort compare r1.B.metrics)
-        (List.sort compare got.B.metrics);
-      (match B.last_matching ~jobs:2 ~benchmark:"parallel-corpus" records with
-      | Some r -> Alcotest.(check string) "last_matching finds the newest" "def5678" r.B.rev
-      | None -> Alcotest.fail "last_matching found nothing");
-      Alcotest.(check bool) "last_matching filters by jobs" true
-        (B.last_matching ~jobs:4 ~benchmark:"parallel-corpus" records = None));
-  Sys.remove path
-
-(* ------------------------------------------------------------------ *)
 (* Diff goldens                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let m1 = [ ("speedup", 1.5); ("par_methods_per_second", 4.0) ]
+let m2 = [ ("speedup", 0.6); ("par_methods_per_second", 2.0) ]
+
 let test_diff_golden () =
-  let rendered = B.render_diff ~threshold:0.25 r1.B.metrics r2.B.metrics in
+  let rendered = Obs.render_diff ~threshold:0.25 m1 m2 in
   let expected =
     "metric                  before  after  change\n\
      par_methods_per_second       4      2    -50%  !\n\
@@ -269,38 +236,12 @@ let test_diff_golden () =
   in
   Alcotest.(check string) "render_diff golden" expected rendered;
   (* a metric present on one side only is reported with '-' and flagged *)
-  let d = B.diff ~threshold:0.5 [ ("a", 1.0) ] [ ("a", 1.2); ("b", 3.0) ] in
+  let d = Obs.diff ~threshold:0.5 [ ("a", 1.0) ] [ ("a", 1.2); ("b", 3.0) ] in
   Alcotest.(check int) "union of names" 2 (List.length d);
   let a = List.nth d 0 and b = List.nth d 1 in
-  Alcotest.(check bool) "within threshold unflagged" false a.B.flagged;
-  Alcotest.(check bool) "missing side flagged" true b.B.flagged;
-  Alcotest.(check bool) "missing side is nan" true (Float.is_nan b.B.before)
-
-let test_stats_diff_histories () =
-  let path = Filename.temp_file "liger" ".history.jsonl" in
-  B.append ~path r1;
-  B.append ~path r2;
-  (match Obs.diff_history ~threshold:0.25 path with
-  | Error msg -> Alcotest.fail msg
-  | Ok text ->
-      let expected =
-        Printf.sprintf
-          "diff: %s [parallel-corpus 2026-08-07T10:00:00Z@abc1234 jobs=2] -> %s \
-           [parallel-corpus 2026-08-07T11:00:00Z@def5678 jobs=2]\n%s"
-          path path
-          (B.render_diff ~threshold:0.25 r1.B.metrics r2.B.metrics)
-      in
-      Alcotest.(check string) "diff_history golden" expected text);
-  (* one record is not enough to diff *)
-  let single = Filename.temp_file "liger" ".history.jsonl" in
-  B.append ~path:single r1;
-  (match Obs.diff_history single with
-  | Ok _ -> Alcotest.fail "diff of a 1-record history should fail"
-  | Error msg ->
-      Alcotest.(check bool) "error names the record count" true
-        (contains msg "need at least 2 records"));
-  Sys.remove path;
-  Sys.remove single
+  Alcotest.(check bool) "within threshold unflagged" false a.Obs.flagged;
+  Alcotest.(check bool) "missing side flagged" true b.Obs.flagged;
+  Alcotest.(check bool) "missing side is nan" true (Float.is_nan b.Obs.before)
 
 let test_stats_diff_files () =
   (* two metrics snapshots with controlled counters *)
@@ -379,9 +320,7 @@ let () =
         ] );
       ( "history",
         [
-          Alcotest.test_case "JSONL roundtrip and last_matching" `Quick test_history_roundtrip;
           Alcotest.test_case "diff golden" `Quick test_diff_golden;
-          Alcotest.test_case "stats --diff on a history" `Quick test_stats_diff_histories;
           Alcotest.test_case "stats --diff on snapshots" `Quick test_stats_diff_files;
           Alcotest.test_case "validate checks the profile section" `Quick
             test_validate_profile_section;

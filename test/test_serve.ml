@@ -138,6 +138,14 @@ let test_http_malformed () =
   expect_reject "relative target" "GET nope HTTP/1.1\r\n\r\n" 400;
   expect_reject "bad content-length" "GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n" 400;
   expect_reject "negative content-length" "GET / HTTP/1.1\r\nContent-Length: -4\r\n\r\n" 400;
+  (* Content-Length is 1*DIGIT: none of OCaml's integer literal forms *)
+  List.iter
+    (fun v ->
+      expect_reject ("content-length " ^ v)
+        ("POST / HTTP/1.1\r\nContent-Length: " ^ v ^ "\r\n\r\n0123456789abcdef") 400)
+    [ "0x10"; "1_0"; "+5"; "-0"; "0b11"; "0u5"; "0o7"; "1e1"; "" ];
+  expect_reject "conflicting content-length"
+    "POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab" 400;
   expect_reject "header without colon" "GET / HTTP/1.1\r\nNoColonHere\r\n\r\n" 400
 
 let test_http_oversized () =
