@@ -7,45 +7,53 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_alpha c || is_digit c
 
 (** Tokenize a whole source string.  Supports [//] line comments and
-    [/* */] block comments. *)
+    [/* */] block comments.  Raises [Lex_error] on a character no token
+    starts with, an unterminated string or block comment, and an integer
+    literal outside OCaml's [int] range. *)
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
   let line = ref 1 in
   let i = ref 0 in
   let emit tok = toks := { Token.tok; line = !line } :: !toks in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
+  (* the character [k] past the cursor, or ['\000'], which no token
+     continues with, past the end *)
+  let peek k = if !i + k < n then String.unsafe_get src (!i + k) else '\000' in
+  let two tok = i := !i + 2; emit tok in
+  let one tok = incr i; emit tok in
   while !i < n do
     let c = src.[!i] in
     if c = '\n' then begin incr line; incr i end
     else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && peek 1 = Some '/' then begin
+    else if c = '/' && peek 1 = '/' then begin
       while !i < n && src.[!i] <> '\n' do incr i done
     end
-    else if c = '/' && peek 1 = Some '*' then begin
+    else if c = '/' && peek 1 = '*' then begin
+      let opened = !line in
       i := !i + 2;
       let closed = ref false in
       while (not !closed) && !i < n do
         if src.[!i] = '\n' then incr line;
-        if src.[!i] = '*' && peek 1 = Some '/' then begin
+        if src.[!i] = '*' && peek 1 = '/' then begin
           closed := true;
           i := !i + 2
         end
         else incr i
       done;
-      if not !closed then raise (Lex_error ("unterminated block comment", !line))
+      if not !closed then raise (Lex_error ("unterminated block comment", opened))
     end
     else if is_digit c then begin
       let start = !i in
       while !i < n && is_digit src.[!i] do incr i done;
-      emit (Token.INT (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> emit (Token.INT v)
+      | None -> raise (Lex_error ("integer literal out of range", !line))
     end
     else if is_alpha c then begin
       let start = !i in
       while !i < n && is_ident src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
-      if List.mem word Token.keywords then emit (Token.KW word)
-      else emit (Token.IDENT word)
+      emit (if Token.is_keyword word then Token.KW word else Token.IDENT word)
     end
     else if c = '"' then begin
       incr i;
@@ -71,30 +79,28 @@ let tokenize src =
       emit (Token.STRING (Buffer.contents buf))
     end
     else begin
-      let two tok = incr i; incr i; emit tok in
-      let one tok = incr i; emit tok in
       match (c, peek 1) with
-      | '+', Some '=' -> two Token.PLUSEQ
-      | '+', Some '+' -> two Token.PLUSPLUS
+      | '+', '=' -> two Token.PLUSEQ
+      | '+', '+' -> two Token.PLUSPLUS
       | '+', _ -> one Token.PLUS
-      | '-', Some '=' -> two Token.MINUSEQ
-      | '-', Some '-' -> two Token.MINUSMINUS
+      | '-', '=' -> two Token.MINUSEQ
+      | '-', '-' -> two Token.MINUSMINUS
       | '-', _ -> one Token.MINUS
-      | '*', Some '=' -> two Token.STAREQ
+      | '*', '=' -> two Token.STAREQ
       | '*', _ -> one Token.STAR
-      | '/', Some '=' -> two Token.SLASHEQ
+      | '/', '=' -> two Token.SLASHEQ
       | '/', _ -> one Token.SLASH
       | '%', _ -> one Token.PERCENT
-      | '<', Some '=' -> two Token.LE
+      | '<', '=' -> two Token.LE
       | '<', _ -> one Token.LT
-      | '>', Some '=' -> two Token.GE
+      | '>', '=' -> two Token.GE
       | '>', _ -> one Token.GT
-      | '=', Some '=' -> two Token.EQEQ
+      | '=', '=' -> two Token.EQEQ
       | '=', _ -> one Token.ASSIGN
-      | '!', Some '=' -> two Token.NE
+      | '!', '=' -> two Token.NE
       | '!', _ -> one Token.BANG
-      | '&', Some '&' -> two Token.ANDAND
-      | '|', Some '|' -> two Token.OROR
+      | '&', '&' -> two Token.ANDAND
+      | '|', '|' -> two Token.OROR
       | '(', _ -> one Token.LPAREN
       | ')', _ -> one Token.RPAREN
       | '{', _ -> one Token.LBRACE

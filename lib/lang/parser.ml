@@ -378,16 +378,24 @@ let parse_meth st =
   let body = parse_block st in
   { Ast.mname; params = List.rev !params; ret; body }
 
+(* The parser state over the tokens of [src]; a lexical error (a stray
+   character, an unterminated string or comment, an integer literal out of
+   range) is reported as a [Parse_error] at its line, like a syntax error. *)
+let start src =
+  match Lexer.tokenize src with
+  | toks -> { toks = Array.of_list toks; pos = 0 }
+  | exception Lexer.Lex_error (msg, line) -> raise (Parse_error (msg, line))
+
 (** Parse a single method from source text. *)
 let method_of_string src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); pos = 0 } in
+  let st = start src in
   let m = parse_meth st in
   expect st Token.EOF;
   m
 
 (** Parse a file containing any number of methods. *)
 let methods_of_string src =
-  let st = { toks = Array.of_list (Lexer.tokenize src); pos = 0 } in
+  let st = start src in
   let ms = ref [] in
   while not (Token.equal (cur_tok st) Token.EOF) do
     ms := parse_meth st :: !ms

@@ -22,8 +22,10 @@ let binop_to_string = function
   | Ast.And -> "&&"
   | Ast.Or -> "||"
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Every printer below appends to one [Buffer]: a method is printed with
+   no intermediate strings beyond the literals' [string_of_int]. *)
+
+let add_escaped buf s =
   String.iter
     (function
       | '"' -> Buffer.add_string buf "\\\""
@@ -31,77 +33,177 @@ let escape s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+(* [xs] separated by ", " *)
+let add_list buf add xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add buf x)
+    xs
+
+let rec add_expr buf e =
+  match e with
+  | Ast.Int n ->
+      if n < 0 then begin
+        Buffer.add_char buf '(';
+        Buffer.add_string buf (string_of_int n);
+        Buffer.add_char buf ')'
+      end
+      else Buffer.add_string buf (string_of_int n)
+  | Ast.Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Ast.Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+  | Ast.Var x -> Buffer.add_string buf x
+  | Ast.Binop (op, a, b) ->
+      Buffer.add_char buf '(';
+      add_expr buf a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (binop_to_string op);
+      Buffer.add_char buf ' ';
+      add_expr buf b;
+      Buffer.add_char buf ')'
+  | Ast.Unop (op, a) ->
+      Buffer.add_string buf (match op with Ast.Neg -> "(-" | Ast.Not -> "(!");
+      add_expr buf a;
+      Buffer.add_char buf ')'
+  | Ast.Index (a, i) ->
+      add_expr buf a;
+      Buffer.add_char buf '[';
+      add_expr buf i;
+      Buffer.add_char buf ']'
+  | Ast.Field (a, f) ->
+      add_expr buf a;
+      Buffer.add_char buf '.';
+      Buffer.add_string buf f
+  | Ast.Len a ->
+      add_expr buf a;
+      Buffer.add_string buf ".length"
+  | Ast.Call (f, args) ->
+      Buffer.add_string buf f;
+      Buffer.add_char buf '(';
+      add_list buf add_expr args;
+      Buffer.add_char buf ')'
+  | Ast.NewArray e ->
+      Buffer.add_string buf "new int[";
+      add_expr buf e;
+      Buffer.add_char buf ']'
+  | Ast.ArrayLit es ->
+      Buffer.add_char buf '[';
+      add_list buf add_expr es;
+      Buffer.add_char buf ']'
+  | Ast.RecordLit fs ->
+      Buffer.add_char buf '{';
+      add_list buf
+        (fun buf (n, e) ->
+          Buffer.add_string buf n;
+          Buffer.add_string buf ": ";
+          add_expr buf e)
+        fs;
+      Buffer.add_char buf '}'
+
+let expr_to_string e =
+  let buf = Buffer.create 64 in
+  add_expr buf e;
   Buffer.contents buf
 
-let rec expr_to_string e =
-  match e with
-  | Ast.Int n -> if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
-  | Ast.Bool b -> string_of_bool b
-  | Ast.Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | Ast.Var x -> x
-  | Ast.Binop (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (expr_to_string a) (binop_to_string op)
-        (expr_to_string b)
-  | Ast.Unop (Ast.Neg, a) -> Printf.sprintf "(-%s)" (expr_to_string a)
-  | Ast.Unop (Ast.Not, a) -> Printf.sprintf "(!%s)" (expr_to_string a)
-  | Ast.Index (a, i) -> Printf.sprintf "%s[%s]" (expr_to_string a) (expr_to_string i)
-  | Ast.Field (a, f) -> Printf.sprintf "%s.%s" (expr_to_string a) f
-  | Ast.Len a -> Printf.sprintf "%s.length" (expr_to_string a)
-  | Ast.Call (f, args) ->
-      Printf.sprintf "%s(%s)" f (String.concat ", " (List.map expr_to_string args))
-  | Ast.NewArray e -> Printf.sprintf "new int[%s]" (expr_to_string e)
-  | Ast.ArrayLit es ->
-      Printf.sprintf "[%s]" (String.concat ", " (List.map expr_to_string es))
-  | Ast.RecordLit fs ->
-      Printf.sprintf "{%s}"
-        (String.concat ", "
-           (List.map (fun (n, e) -> Printf.sprintf "%s: %s" n (expr_to_string e)) fs))
-
-let rec stmt_to_buf buf indent (s : Ast.stmt) =
-  let pad = String.make indent ' ' in
-  let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (pad ^ str ^ "\n")) fmt in
+(* a declaration or assignment without its ';', as in a for header *)
+let add_simple buf (s : Ast.stmt) =
   match s.Ast.node with
-  | Ast.Decl (t, x, e) -> line "%s %s = %s;" (typ_to_string t) x (expr_to_string e)
-  | Ast.Assign (x, e) -> line "%s = %s;" x (expr_to_string e)
-  | Ast.StoreIndex (x, i, e) -> line "%s[%s] = %s;" x (expr_to_string i) (expr_to_string e)
-  | Ast.StoreField (x, f, e) -> line "%s.%s = %s;" x f (expr_to_string e)
-  | Ast.If (c, b1, b2) ->
-      line "if (%s) {" (expr_to_string c);
-      List.iter (stmt_to_buf buf (indent + 2)) b1;
-      if b2 = [] then line "}"
-      else begin
-        line "} else {";
-        List.iter (stmt_to_buf buf (indent + 2)) b2;
-        line "}"
-      end
+  | Ast.Decl (t, x, e) ->
+      Buffer.add_string buf (typ_to_string t);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf x;
+      Buffer.add_string buf " = ";
+      add_expr buf e
+  | Ast.Assign (x, e) ->
+      Buffer.add_string buf x;
+      Buffer.add_string buf " = ";
+      add_expr buf e
+  | _ -> invalid_arg "Pretty: non-simple statement in for header"
+
+let add_pad buf indent =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done
+
+(* one statement, each of its lines indented by [indent] spaces and ended
+   by a newline *)
+let rec stmt_to_buf buf indent (s : Ast.stmt) =
+  let block b =
+    Buffer.add_string buf "{\n";
+    List.iter (stmt_to_buf buf (indent + 2)) b;
+    add_pad buf indent;
+    Buffer.add_char buf '}'
+  in
+  add_pad buf indent;
+  (match s.Ast.node with
+  | Ast.Decl _ | Ast.Assign _ ->
+      add_simple buf s;
+      Buffer.add_char buf ';'
+  | Ast.StoreIndex (x, i, e) ->
+      Buffer.add_string buf x;
+      Buffer.add_char buf '[';
+      add_expr buf i;
+      Buffer.add_string buf "] = ";
+      add_expr buf e;
+      Buffer.add_char buf ';'
+  | Ast.StoreField (x, f, e) ->
+      Buffer.add_string buf x;
+      Buffer.add_char buf '.';
+      Buffer.add_string buf f;
+      Buffer.add_string buf " = ";
+      add_expr buf e;
+      Buffer.add_char buf ';'
+  | Ast.If (c, b1, b2) -> (
+      Buffer.add_string buf "if (";
+      add_expr buf c;
+      Buffer.add_string buf ") ";
+      block b1;
+      match b2 with
+      | [] -> ()
+      | _ ->
+          Buffer.add_string buf " else ";
+          block b2)
   | Ast.While (c, b) ->
-      line "while (%s) {" (expr_to_string c);
-      List.iter (stmt_to_buf buf (indent + 2)) b;
-      line "}"
+      Buffer.add_string buf "while (";
+      add_expr buf c;
+      Buffer.add_string buf ") ";
+      block b
   | Ast.For (init, c, update, b) ->
-      let simple s =
-        match s.Ast.node with
-        | Ast.Decl (t, x, e) ->
-            Printf.sprintf "%s %s = %s" (typ_to_string t) x (expr_to_string e)
-        | Ast.Assign (x, e) -> Printf.sprintf "%s = %s" x (expr_to_string e)
-        | _ -> invalid_arg "Pretty: non-simple statement in for header"
-      in
-      line "for (%s; %s; %s) {" (simple init) (expr_to_string c) (simple update);
-      List.iter (stmt_to_buf buf (indent + 2)) b;
-      line "}"
-  | Ast.Return e -> line "return %s;" (expr_to_string e)
-  | Ast.Break -> line "break;"
-  | Ast.Continue -> line "continue;"
+      Buffer.add_string buf "for (";
+      add_simple buf init;
+      Buffer.add_string buf "; ";
+      add_expr buf c;
+      Buffer.add_string buf "; ";
+      add_simple buf update;
+      Buffer.add_string buf ") ";
+      block b
+  | Ast.Return e ->
+      Buffer.add_string buf "return ";
+      add_expr buf e;
+      Buffer.add_char buf ';'
+  | Ast.Break -> Buffer.add_string buf "break;"
+  | Ast.Continue -> Buffer.add_string buf "continue;");
+  Buffer.add_char buf '\n'
 
 let meth_to_string (m : Ast.meth) =
   let buf = Buffer.create 256 in
-  let params =
-    String.concat ", "
-      (List.map (fun (t, x) -> Printf.sprintf "%s %s" (typ_to_string t) x) m.Ast.params)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "method %s(%s) : %s {\n" m.Ast.mname params (typ_to_string m.Ast.ret));
+  Buffer.add_string buf "method ";
+  Buffer.add_string buf m.Ast.mname;
+  Buffer.add_char buf '(';
+  add_list buf
+    (fun buf (t, x) ->
+      Buffer.add_string buf (typ_to_string t);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf x)
+    m.Ast.params;
+  Buffer.add_string buf ") : ";
+  Buffer.add_string buf (typ_to_string m.Ast.ret);
+  Buffer.add_string buf " {\n";
   List.iter (stmt_to_buf buf 2) m.Ast.body;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
@@ -109,11 +211,19 @@ let meth_to_string (m : Ast.meth) =
 (** One-line rendering of a single statement (loop/if headers only), used
     when tokenizing statements for the static feature dimension. *)
 let stmt_head_to_string (s : Ast.stmt) =
-  match s.Ast.node with
-  | Ast.If (c, _, _) -> Printf.sprintf "if (%s)" (expr_to_string c)
-  | Ast.While (c, _) -> Printf.sprintf "while (%s)" (expr_to_string c)
-  | Ast.For (_, c, _, _) -> Printf.sprintf "for (;%s;)" (expr_to_string c)
-  | _ ->
-      let buf = Buffer.create 32 in
-      stmt_to_buf buf 0 s;
-      String.trim (Buffer.contents buf)
+  let buf = Buffer.create 32 in
+  (match s.Ast.node with
+  | Ast.If (c, _, _) ->
+      Buffer.add_string buf "if (";
+      add_expr buf c;
+      Buffer.add_char buf ')'
+  | Ast.While (c, _) ->
+      Buffer.add_string buf "while (";
+      add_expr buf c;
+      Buffer.add_char buf ')'
+  | Ast.For (_, c, _, _) ->
+      Buffer.add_string buf "for (;";
+      add_expr buf c;
+      Buffer.add_string buf ";)"
+  | _ -> stmt_to_buf buf 0 s);
+  String.trim (Buffer.contents buf)

@@ -16,9 +16,14 @@ type t =
   | EOF
 [@@deriving show { with_path = false }, eq]
 
-let keywords =
-  [ "int"; "bool"; "string"; "obj"; "method"; "if"; "else"; "while"; "for";
-    "return"; "true"; "false"; "new"; "break"; "continue" ]
+(** The reserved words, which lex as [KW] and never as [IDENT].  A string
+    [match] compiles to a few word comparisons, with no hashing and no
+    polymorphic compare. *)
+let is_keyword = function
+  | "int" | "bool" | "string" | "obj" | "method" | "if" | "else" | "while" | "for"
+  | "return" | "true" | "false" | "new" | "break" | "continue" ->
+      true
+  | _ -> false
 
 (** A token paired with its 1-based source line, for error messages and for
     statement line numbers. *)

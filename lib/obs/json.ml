@@ -33,12 +33,16 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* the C primitive [Printf]'s [%f] conversions end in: the same bytes,
+   without interpreting a format at every call *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (** Deterministic float rendering that is always a valid JSON number
     (JSON has no NaN/infinity; they are clamped to 0). *)
 let of_float x =
   if not (Float.is_finite x) then "0"
-  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6f" x
+  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
+  else format_float "%.6f" x
 
 (* ---------------- parsing ---------------- *)
 

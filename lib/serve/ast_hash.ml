@@ -12,16 +12,20 @@ open Liger_lang
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* a plain loop over a local ref: the compiler keeps [h] unboxed, where a
+   ref captured by a closure allocates an [Int64] box per byte *)
 let of_string s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
   !h
 
-let hex h = Printf.sprintf "%016Lx" h
+(** [h] as 16 lowercase hex digits, most significant first (what
+    [Printf.sprintf "%016Lx" h] prints). *)
+let hex h =
+  String.init 16 (fun i ->
+      "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15])
 
 (** The hash of a method's normalized source, as 16 lowercase hex digits. *)
 let of_meth (m : Ast.meth) = hex (of_string (Pretty.meth_to_string m))

@@ -115,7 +115,22 @@ let test_lexer_errors () =
   Alcotest.(check bool) "bad char" true
     (try ignore (Lexer.tokenize "a # b"); false with Lexer.Lex_error _ -> true);
   Alcotest.(check bool) "unterminated string" true
-    (try ignore (Lexer.tokenize "\"abc"); false with Lexer.Lex_error _ -> true)
+    (try ignore (Lexer.tokenize "\"abc"); false with Lexer.Lex_error _ -> true);
+  (* the parser's entry points report every lexical error as a parse
+     error at its line; a block comment's is the line it opened on *)
+  List.iter
+    (fun (what, src, line) ->
+      match Parser.methods_of_string src with
+      | _ -> Alcotest.failf "%s: parsed" what
+      | exception Parser.Parse_error (_, l) -> Alcotest.(check int) what line l)
+    [
+      ("bad char", "method f() : int {\n  return 1 # 2;\n}", 2);
+      ("unterminated block comment", "method f() : int {\n/* open\n\n}", 2);
+      ("int literal out of range", "method f() : int {\n\n  return 99999999999999999999;\n}", 3);
+    ];
+  match Lexer.tokenize "4611686018427387903" with
+  | [ { Token.tok = Token.INT n; _ }; _ ] -> Alcotest.(check int) "max_int lexes" max_int n
+  | _ -> Alcotest.fail "max_int did not lex as one literal"
 
 (* ------------------------------------------------------------------ *)
 (* Parser + pretty round-trip                                          *)
