@@ -37,6 +37,8 @@ open Liger_core
 open Liger_dataset
 open Liger_eval
 module Obs = Liger_obs.Obs
+module View = Liger_obs_view.Readers
+module Report_html = Liger_obs_view.Report_html
 module Serve = Liger_serve
 
 (* Telemetry flags shared by the long-running subcommands.  The term's
@@ -639,11 +641,11 @@ let stats_cmd =
       exit 1
     in
     if openmetrics then begin
-      match Obs.openmetrics_file file with
+      match View.openmetrics_file file with
       | Error msg -> fail msg
       | Ok text ->
           if validate then (
-            match Liger_obs.Openmetrics.lint text with
+            match Liger_obs_view.Openmetrics_lint.lint text with
             | Ok samples -> Printf.printf "%s: OK (openmetrics, %d samples)\n" file samples
             | Error msg -> fail (Printf.sprintf "%s: %s" file msg))
           else print_string text
@@ -652,16 +654,16 @@ let stats_cmd =
       match file2 with
       | None -> fail "--diff needs two files: liger stats A B --diff"
       | Some b -> (
-          match Obs.diff_files ?threshold file b with
+          match View.diff_files ?threshold file b with
           | Ok text -> print_string text
           | Error msg -> fail msg)
     end
     else if validate then
-      match Obs.validate_file file with
+      match View.validate_file file with
       | Ok summary -> Printf.printf "%s: OK (%s)\n" file summary
       | Error msg -> fail msg
     else
-      match Obs.summarize_file file with
+      match View.summarize_file file with
       | Ok text -> print_string text
       | Error msg -> fail msg
   in
@@ -700,7 +702,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Summarize, validate or diff telemetry files (metrics snapshots, \
-             run ledgers, postmortems, Chrome traces, benchmark histories)")
+             run ledgers, postmortems, Chrome traces)")
     Term.(const run $ file $ file2 $ validate $ diff $ openmetrics $ threshold)
 
 (* ---------------- top ---------------- *)
@@ -711,18 +713,18 @@ let top_cmd =
       match target with
       | Some t when Sys.is_directory t -> Some (Filename.concat t "metrics.jsonl")
       | Some t -> Some t
-      | None -> Obs.latest_run_ledger ()
+      | None -> View.latest_run_ledger ()
     in
     let ledger =
       match resolve () with
       | Some l -> l
       | None ->
           Printf.eprintf "liger top: no run ledger found under %s/\n%s\n"
-            (Obs.runs_root ()) (Obs.no_ledger_hint ());
+            (Obs.runs_root ()) (View.no_ledger_hint ());
           exit 1
     in
     let frame () =
-      match Obs.top_frame ledger with
+      match View.top_frame ledger with
       | Ok text -> Some text
       | Error msg ->
           Printf.eprintf "%s\n" msg;
@@ -775,12 +777,12 @@ let top_cmd =
 let report_cmd =
   let run target compare out check =
     let load arg =
-      match Obs.resolve_run_dir arg with
+      match View.resolve_run_dir arg with
       | Error msg ->
           Printf.eprintf "liger report: %s\n" msg;
           exit 1
       | Ok dir -> (
-          match Obs.load_report_run dir with
+          match View.load_report_run dir with
           | Error msg ->
               Printf.eprintf "liger report: %s\n" msg;
               exit 1
@@ -788,18 +790,18 @@ let report_cmd =
     in
     let main = load target in
     let other = Option.map (fun r -> load (Some r)) compare in
-    let html = Obs.Report_html.render ?other main in
+    let html = Report_html.render ?other main in
     let out = match out with Some p -> p | None -> "report.html" in
     let oc = open_out_bin out in
     output_string oc html;
     close_out oc;
     Printf.printf "wrote %s (%d bytes, run %s%s)\n" out (String.length html)
-      main.Obs.Report_html.label
+      main.Report_html.label
       (match other with
-      | Some o -> " vs " ^ o.Obs.Report_html.label
+      | Some o -> " vs " ^ o.Report_html.label
       | None -> "");
     if check then begin
-      let findings = Obs.Health.evaluate main.Obs.Report_html.lines in
+      let findings = Obs.Health.evaluate main.Report_html.lines in
       List.iter (fun f -> print_endline (Obs.Health.render_finding f)) findings;
       if Obs.Health.healthy findings then print_endline "health: no failing rules"
       else exit 2
@@ -1050,7 +1052,7 @@ let fetch_cmd =
     let meth = match body with Some _ -> "POST" | None -> "GET" in
     let resp = Serve.Client.request ~meth ?body ~port path in
     (if lint then
-       match Liger_obs.Openmetrics.lint resp.Serve.Client.body with
+       match Liger_obs_view.Openmetrics_lint.lint resp.Serve.Client.body with
        | Ok samples -> Printf.printf "openmetrics: OK (%d samples)\n" samples
        | Error msg ->
            Printf.eprintf "openmetrics: %s\n" msg;

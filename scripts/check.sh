@@ -15,6 +15,15 @@ if grep -rnE --include='*.ml' --include='*.mli' '(Sys|Unix)\.getenv' lib bin ben
 fi
 echo "   ok: only lib/obs/config.ml reads the environment"
 
+# The telemetry readers and views (liger stats, top, report) are for the
+# CLI and the tests; an instrumented library must not carry them.
+echo "== layering: no library under lib/ links the view library liger_obs_view"
+if grep -lE 'liger_obs_view|liger\.obs_view' lib/*/dune | grep -v '^lib/obs_view/dune$'; then
+  echo "   ERROR: a library under lib/ links liger_obs_view (only bin/ and test/ may)" >&2
+  exit 1
+fi
+echo "   ok: only bin/ and test/ link liger_obs_view"
+
 # `opam install . --deps-only --with-test` installs what liger.opam lists,
 # so the file must match dune-project and name every library the build
 # links (the package is a library's name up to its first dot).

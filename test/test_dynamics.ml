@@ -11,7 +11,7 @@ module OM = Liger_obs.Metrics
 module Dynamics = Liger_obs.Dynamics
 module Profile = Liger_obs.Profile
 module Health = Liger_obs.Health
-module Report_html = Liger_obs.Report_html
+module Report_html = Liger_obs_view.Report_html
 module Json = Liger_obs.Json
 
 let contains hay needle =
@@ -43,15 +43,18 @@ let scoped name f = Profile.with_layer (Profile.register_layer name) f
 let gauge name labels =
   OM.gauge_value ~labels (OM.snapshot ()) name
 
-(* one synthetic ledger line: {"gauges": {...}} *)
+(* one synthetic ledger line: {"counters": {}, "gauges": {...}} *)
 let line kvs =
   let body =
     String.concat ","
       (List.map (fun (k, v) -> Printf.sprintf "%S: %.17g" k v) kvs)
   in
-  match Json.parse (Printf.sprintf "{\"gauges\": {%s}}" body) with
-  | Ok j -> j
+  match Json.parse (Printf.sprintf "{\"counters\": {}, \"gauges\": {%s}}" body) with
   | Error e -> Alcotest.failf "bad synthetic ledger line: %s" e
+  | Ok j -> (
+      match OM.of_json j with
+      | Ok snap -> snap
+      | Error e -> Alcotest.failf "synthetic ledger line is not a snapshot: %s" e)
 
 let run_of ?(label = "synthetic") lines =
   { Report_html.label; lines; final = None; probe = None; postmortem = None }

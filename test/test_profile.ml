@@ -8,7 +8,7 @@
 
 open Liger_tensor
 open Liger_nn
-module Obs = Liger_obs.Obs
+module View = Liger_obs_view.Readers
 module OM = Liger_obs.Metrics
 module P = Liger_obs.Profile
 module Json = Liger_obs.Json
@@ -228,7 +228,7 @@ let m1 = [ ("speedup", 1.5); ("par_methods_per_second", 4.0) ]
 let m2 = [ ("speedup", 0.6); ("par_methods_per_second", 2.0) ]
 
 let test_diff_golden () =
-  let rendered = Obs.render_diff ~threshold:0.25 m1 m2 in
+  let rendered = View.render_diff ~threshold:0.25 m1 m2 in
   let expected =
     "metric                  before  after  change\n\
      par_methods_per_second       4      2    -50%  !\n\
@@ -236,12 +236,12 @@ let test_diff_golden () =
   in
   Alcotest.(check string) "render_diff golden" expected rendered;
   (* a metric present on one side only is reported with '-' and flagged *)
-  let d = Obs.diff ~threshold:0.5 [ ("a", 1.0) ] [ ("a", 1.2); ("b", 3.0) ] in
+  let d = View.diff ~threshold:0.5 [ ("a", 1.0) ] [ ("a", 1.2); ("b", 3.0) ] in
   Alcotest.(check int) "union of names" 2 (List.length d);
   let a = List.nth d 0 and b = List.nth d 1 in
-  Alcotest.(check bool) "within threshold unflagged" false a.Obs.flagged;
-  Alcotest.(check bool) "missing side flagged" true b.Obs.flagged;
-  Alcotest.(check bool) "missing side is nan" true (Float.is_nan b.Obs.before)
+  Alcotest.(check bool) "within threshold unflagged" false a.View.flagged;
+  Alcotest.(check bool) "missing side flagged" true b.View.flagged;
+  Alcotest.(check bool) "missing side is nan" true (Float.is_nan b.View.before)
 
 let test_stats_diff_files () =
   (* two metrics snapshots with controlled counters *)
@@ -254,7 +254,7 @@ let test_stats_diff_files () =
     path
   in
   let a = write_snapshot 100 and b = write_snapshot 80 in
-  (match Obs.diff_files ~threshold:0.1 a b with
+  (match View.diff_files ~threshold:0.1 a b with
   | Error msg -> Alcotest.fail msg
   | Ok text ->
       let expected =
@@ -283,7 +283,7 @@ let test_validate_profile_section () =
   P.publish ();
   let path = Filename.temp_file "liger" ".metrics.json" in
   OM.write path;
-  (match Obs.validate_file path with
+  (match View.validate_file path with
   | Error msg -> Alcotest.fail ("published snapshot rejected: " ^ msg)
   | Ok summary ->
       Alcotest.(check bool) "summary mentions the profile section" true
@@ -295,7 +295,7 @@ let test_validate_profile_section () =
   output_string oc
     {|{"counters":{"profile.op_count{op=bad.gemm}":1},"fcounters":{},"gauges":{},"histograms":{}}|};
   close_out oc;
-  (match Obs.validate_file bad with
+  (match View.validate_file bad with
   | Ok _ -> Alcotest.fail "incomplete profile section accepted"
   | Error msg ->
       Alcotest.(check bool) "error names the missing metric" true

@@ -10,6 +10,8 @@ module OM = Liger_obs.Metrics
 module Recorder = Liger_obs.Recorder
 module Timeseries = Liger_obs.Timeseries
 module Openmetrics = Liger_obs.Openmetrics
+module Openmetrics_lint = Liger_obs_view.Openmetrics_lint
+module View = Liger_obs_view.Readers
 module Json = Liger_obs.Json
 module Parallel = Liger_parallel.Parallel
 module Train = Liger_eval.Train
@@ -66,21 +68,23 @@ let test_openmetrics_golden () =
   let snap = OM.snapshot () in
   let rendered = Openmetrics.render snap in
   Alcotest.(check string) "golden exposition" expected rendered;
-  (match Openmetrics.lint rendered with
+  (match Openmetrics_lint.lint rendered with
   | Ok n -> Alcotest.(check int) "lint sample count" 9 n
   | Error e -> Alcotest.fail ("lint rejected the golden render: " ^ e));
   (* the snapshot survives a trip through its JSON file format *)
   match Json.parse (OM.to_json snap) with
   | Error e -> Alcotest.fail ("snapshot JSON does not parse: " ^ e)
   | Ok json -> (
-      match Openmetrics.render_json json with
-      | Ok again -> Alcotest.(check string) "JSON round-trip re-renders identically" expected again
-      | Error e -> Alcotest.fail ("render_json failed: " ^ e))
+      match OM.of_json json with
+      | Ok again ->
+          Alcotest.(check string) "JSON round-trip re-renders identically" expected
+            (Openmetrics.render again)
+      | Error e -> Alcotest.fail ("of_json failed: " ^ e))
 
 let test_openmetrics_lint_rejects () =
   List.iter
     (fun (text, what) ->
-      match Openmetrics.lint text with
+      match Openmetrics_lint.lint text with
       | Ok _ -> Alcotest.failf "lint accepted %s" what
       | Error _ -> ())
     [
@@ -141,7 +145,7 @@ let test_ring_wrap_parallel_dump () =
       (* the dump is a valid postmortem document *)
       let path = Filename.temp_file "liger" ".postmortem.json" in
       Recorder.write ~reason:"ring wrap test" path;
-      (match Obs.validate_file path with
+      (match View.validate_file path with
       | Ok s -> Alcotest.(check bool) "validates as a postmortem" true (contains s "postmortem")
       | Error e -> Alcotest.fail ("dump did not validate: " ^ e));
       (match Json.parse_file path with
@@ -255,7 +259,7 @@ let test_ledger_roundtrip () =
   Timeseries.tick ~path ();
   OM.incr "led.count";
   Timeseries.tick ~path ();
-  (match Obs.validate_file path with
+  (match View.validate_file path with
   | Ok s ->
       Alcotest.(check bool)
         (Printf.sprintf "validates as a two-snapshot ledger (got %S)" s)
@@ -281,17 +285,17 @@ let test_ledger_roundtrip () =
           Alcotest.(check bool) "line carries a sequence number" true
             (Json.member "seq" j <> None);
           Alcotest.(check bool) "line is a full snapshot" true
-            (Json.member "counters" j <> None);
+            (Result.is_ok (OM.of_json j));
           Alcotest.(check bool) "line is enriched with GC gauges" true
             (contains line "gc.minor_collections"))
     lines;
   (* the last snapshot renders as lintable OpenMetrics *)
-  (match Obs.openmetrics_file path with
+  (match View.openmetrics_file path with
   | Error e -> Alcotest.fail ("openmetrics_file failed: " ^ e)
   | Ok text ->
       Alcotest.(check bool) "exposition reflects the last tick" true
         (contains text "led_count_total 2");
-      (match Openmetrics.lint text with
+      (match Openmetrics_lint.lint text with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("exposition does not lint: " ^ e)));
   Sys.remove path
@@ -321,7 +325,7 @@ let test_postmortem_injection () =
       | _ -> Alcotest.fail "expected the injected failure to escape fit"
       | exception Obs.Injected_failure "train.epoch" -> ());
       Alcotest.(check bool) "postmortem written on the way out" true (Sys.file_exists path);
-      (match Obs.validate_file path with
+      (match View.validate_file path with
       | Ok s ->
           Alcotest.(check bool) "validates as a postmortem" true (contains s "postmortem");
           Alcotest.(check bool) "summary names the failpoint" true (contains s "train.epoch")
