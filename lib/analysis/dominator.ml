@@ -91,13 +91,3 @@ let strict_doms t b =
     let rec walk acc b = match t.idom.(b) with None -> List.rev acc | Some d -> walk (d :: acc) d in
     walk [] b
   end
-
-let pp ppf (cfg : Cfg.t) t =
-  Fmt.pf ppf "@[<v>";
-  Array.iteri
-    (fun i d ->
-      match d with
-      | Some d -> Fmt.pf ppf "%s  <-  %s@," (Cfg.node_label cfg i) (Cfg.node_label cfg d)
-      | None -> if not t.reachable.(i) then Fmt.pf ppf "%s  (unreachable)@," (Cfg.node_label cfg i))
-    t.idom;
-  Fmt.pf ppf "@]"

@@ -47,7 +47,6 @@ let create ?(dim = 16) ?(seed = 17) ?(path_seed = 2017) vocab (task : Liger_mode
     cache = Hashtbl.create 256; cache_lock = Mutex.create () }
 
 let store t = t.store
-let num_params t = Param.num_params t.store
 
 let terminal_subtokens tok =
   match Subtoken.split tok with [] -> [ tok ] | ts -> ts

@@ -55,7 +55,6 @@ let create ?(dim = 16) ?(seed = 13) ?(path_seed = 1013) vocab ~labels
   }
 
 let store t = t.store
-let num_params t = Param.num_params t.store
 
 (** Register a method's tokens (and its name as a label) into building
     vocabularies — call for every training method {e before} [create],

@@ -44,7 +44,6 @@ let create ?(dim = 16) ?(seed = 11) vocab (task : Liger_model.task) =
   { task; store; vocab; embedding; f1; f2; trace_rnn; decoder; classifier }
 
 let store t = t.store
-let num_params t = Param.num_params t.store
 
 (* ===== Encoding (flat Bigarray engine) =====
 

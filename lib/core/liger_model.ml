@@ -98,7 +98,6 @@ let create ?(config = default_config) ?(seed = 7) vocab task =
 
 let store t = t.store
 let vocab t = t.vocab
-let num_params t = Param.num_params t.store
 
 (** Per-encode diagnostics: average fusion attention allocated to the static
     feature vector (§6.1.2 reports ~0.598). *)

@@ -28,8 +28,6 @@ let holds model (pc : t) =
       with Liger_lang.Interp.Runtime_error _ -> false)
     pc
 
-let inputs (pc : t) = List.fold_left Symval.inputs [] pc
-
 let pp ppf (pc : t) =
   Fmt.pf ppf "@[<hv>%a@]" Fmt.(list ~sep:(any " &&@ ") Symval.pp) (constraints pc)
 

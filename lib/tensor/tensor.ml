@@ -57,11 +57,6 @@ let create rows cols =
 
 let zeros = create
 
-let full rows cols x =
-  let t = create rows cols in
-  A.fill t.data x;
-  t
-
 (** Wrap an existing buffer (e.g. one leased from {!Bufpool}) without
     copying or profiler tracking; the buffer's length must match exactly.
     The caller owns the buffer's lifetime. *)
@@ -113,20 +108,6 @@ let blit_from_array a t =
   for i = 0 to Array.length a - 1 do
     A.unsafe_set t.data i (Array.unsafe_get a i)
   done
-
-let map f t =
-  let r = create t.rows t.cols in
-  for i = 0 to size t - 1 do
-    A.unsafe_set r.data i (f (A.unsafe_get t.data i))
-  done;
-  r
-
-let sum t =
-  let acc = ref 0.0 in
-  for i = 0 to size t - 1 do
-    acc := !acc +. A.unsafe_get t.data i
-  done;
-  !acc
 
 let l2_norm t =
   let acc = ref 0.0 in
@@ -402,16 +383,3 @@ let gemm_tn_slice ?(alpha = 1.0) ?(beta = 1.0) ~ld ~coff a b c =
     invalid_arg "Tensor.gemm_tn_slice: bad slice";
   axpy_body ~alpha ~beta ~m ~n ~k ~ai:1 ~ap:m ~ldb:n ~boff:0 ~ldc:ld ~coff a.data b.data
     c.data
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>tensor %dx%d" t.rows t.cols;
-  for i = 0 to Stdlib.min 4 (t.rows - 1) do
-    Fmt.pf ppf "@,[";
-    for j = 0 to Stdlib.min 7 (t.cols - 1) do
-      Fmt.pf ppf "%s%.4f" (if j > 0 then "; " else "") (get t i j)
-    done;
-    if t.cols > 8 then Fmt.pf ppf "; ...";
-    Fmt.pf ppf "]"
-  done;
-  if t.rows > 5 then Fmt.pf ppf "@,...";
-  Fmt.pf ppf "@]"
