@@ -144,10 +144,16 @@ and parse_unary st =
       advance st;
       (* fold negated literals so that Int (-5) survives a print/parse
          roundtrip: the printer emits "(-5)", which must not come back as
-         Unop (Neg, Int 5) *)
-      match parse_unary st with
-      | Ast.Int n -> Ast.Int (-n)
-      | e -> Ast.Unop (Ast.Neg, e))
+         Unop (Neg, Int 5).  The literal 4611686018427387904 lexes as
+         INT min_int and is only valid here, negated. *)
+      match cur_tok st with
+      | Token.INT n when n = min_int ->
+          advance st;
+          Ast.Int min_int
+      | _ -> (
+          match parse_unary st with
+          | Ast.Int n -> Ast.Int (-n)
+          | e -> Ast.Unop (Ast.Neg, e)))
   | Token.BANG ->
       advance st;
       Ast.Unop (Ast.Not, parse_unary st)
@@ -185,6 +191,7 @@ and parse_args st close =
 
 and parse_primary st =
   match cur_tok st with
+  | Token.INT n when n = min_int -> error st "integer literal out of range"
   | Token.INT n ->
       advance st;
       Ast.Int n
