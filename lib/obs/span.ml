@@ -8,7 +8,22 @@
 
     Tracing is disabled by default; the disabled path is one atomic load
     (args are passed as a thunk so no event payload is even allocated).
-    Enable with {!enable}, or through {!Obs.init}. *)
+    Enable with {!enable}, or through {!Obs.init}.
+
+    This frame stack is separate from {!Profile.with_layer}'s, the layer
+    scope, and must stay so:
+    - A span's self time subtracts only its child spans, the events the
+      trace shows; a layer frame's self time subtracts every child layer
+      call.  A layer reaches the trace only on every 64th call
+      ([Profile.span_every]), so with one shared stack either a span would
+      subtract 63 calls in 64 that its trace never shows, or the profile
+      would miss them.
+    - The two stacks are pushed under different switches: spans when
+      tracing is on ({!enabled}), layer frames when the profiler or the
+      dynamics streams subscribe ([Profile.scope_on]).  Either runs
+      without the other.
+    - perfbench's per-stage figures read {!event.self_us}, so what a span
+      subtracts is part of the benchmark's contract. *)
 
 type event = {
   ev_name : string;
