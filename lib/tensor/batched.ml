@@ -31,10 +31,14 @@
       from {!vstack} + {!gather_rows} + the group reductions {!group_sum} /
       {!group_max}.
 
-    Node storage is leased from {!Bufpool} as exact-length views of
-    size-class buffers; the tape keeps the backing buffers and returns
-    them when it is released, so steady-state training allocates no float
-    storage per step.  Consequently node values are only valid until
+    Every op is built one way: it checks its shapes, counts itself for
+    the profiler, {!push}es its node with a backward closure, which is
+    handed that node when it runs, then fills the node's value.  Node
+    storage is leased from {!Bufpool} as size-class buffers that may run
+    past the node's [lanes × dim] elements; every op reads and writes
+    only those elements.  The tape returns the buffers when it is
+    released, so steady-state training allocates no float storage per
+    step.  Consequently node values are only valid until
     {!backward}/{!discard} — copy out what you need first.
 
     {2 Profiling}
@@ -57,7 +61,7 @@ module BA = Bigarray.Array1
 type node = {
   value : Tensor.t;     (* lanes × dim *)
   grad : Tensor.t;      (* same shape, accumulated by backward *)
-  back : unit -> unit;
+  back : node -> unit;  (* called with this node *)
   tag : int;            (* layer id at creation; -1 = outside any layer *)
 }
 
@@ -65,7 +69,7 @@ type tape = {
   mutable nodes : node list;  (* newest first: reverse topological *)
   mutable n_ops : int;
   mutable alloc_bytes : int;
-  mutable leases : Tensor.buf list;  (* Bufpool backing buffers of every node and scratch *)
+  mutable leases : Tensor.buf list;  (* Bufpool buffers of every node and scratch *)
 }
 
 let tape () = { nodes = []; n_ops = 0; alloc_bytes = 0; leases = [] }
@@ -94,15 +98,15 @@ let row_grad n i =
   Array.init c (fun j -> Tensor.get_idx n.grad (base + j))
 
 (* Leases value (uninitialised) and grad (zeroed) storage from the pool;
-   the op fills the value after pushing.  Safe because [back] can only run
-   once the whole forward pass is on the tape. *)
+   the op fills the value after pushing.  [back] runs once the whole
+   forward pass is on the tape, with the node itself as its argument. *)
 let push tape rows cols back =
   if rows <= 0 || cols <= 0 then invalid_arg "Batched.push: non-positive shape";
   let tag = if P.on () then P.current_layer () else -1 in
   let n_elts = rows * cols in
-  let vbuf, vback = Bufpool.take n_elts in
-  let gbuf, gback = Bufpool.take_zeroed n_elts in
-  tape.leases <- vback :: gback :: tape.leases;
+  let vbuf = Bufpool.take n_elts in
+  let gbuf = Bufpool.take_zeroed n_elts in
+  tape.leases <- vbuf :: gbuf :: tape.leases;
   let value = Tensor.of_buf vbuf rows cols and grad = Tensor.of_buf gbuf rows cols in
   let n = { value; grad; back; tag } in
   tape.nodes <- n :: tape.nodes;
@@ -114,12 +118,12 @@ let push tape rows cols back =
   end;
   n
 
-let no_back () = ()
+let no_back (_ : node) = ()
 
 (* gradient-free scratch (e.g. softmax probs), released with the tape *)
 let take_aux tape n_elts =
-  let b, backing = Bufpool.take n_elts in
-  tape.leases <- backing :: tape.leases;
+  let b = Bufpool.take n_elts in
+  tape.leases <- b :: tape.leases;
   b
 
 (* profiled op ids — registration is idempotent and happens once at module
@@ -172,7 +176,7 @@ let const tape (t : Tensor.t) =
   let n_elts = Tensor.size t in
   if P.on () then P.op op_const ~flops:0.0 ~bytes:(fbytes n_elts);
   let n = push tape t.Tensor.rows t.Tensor.cols no_back in
-  BA.blit t.Tensor.data n.value.Tensor.data;
+  Tensor.blit t n.value;
   n
 
 (** A leaf from a row-major array of [rows * cols] values. *)
@@ -197,20 +201,18 @@ let of_param tape ~lanes (p : Param.t) =
     invalid_arg "Batched.of_param: parameter is not a vector";
   let d = Param.cols p in
   if P.on () then P.op op_of_param ~flops:0.0 ~bytes:(fbytes (lanes * d));
-  let rec n =
-    lazy
-      (push tape lanes d (fun () ->
-           if P.on () then P.op op_of_param_b ~flops:(fi (lanes * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let pg = p.Param.grad.Tensor.data in
-           for i = 0 to lanes - 1 do
-             let base = i * d in
-             for j = 0 to d - 1 do
-               BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get g (base + j))
-             done
-           done))
+  let n =
+    push tape lanes d (fun n ->
+        if P.on () then P.op op_of_param_b ~flops:(fi (lanes * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let pg = p.Param.grad.Tensor.data in
+        for i = 0 to lanes - 1 do
+          let base = i * d in
+          for j = 0 to d - 1 do
+            BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get g (base + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and pv = p.Param.value.Tensor.data in
   for i = 0 to lanes - 1 do
     let base = i * d in
@@ -231,21 +233,19 @@ let rows_of_param tape (p : Param.t) (ids : int array) =
     (fun i -> if i < 0 || i >= rows_p then invalid_arg "Batched.rows_of_param: id out of range")
     ids;
   if P.on () then P.op op_rows ~flops:0.0 ~bytes:(fbytes (l * d));
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_rows_b ~flops:(fi (l * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let pg = p.Param.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let src = i * d and dst = ids.(i) * d in
-             for j = 0 to d - 1 do
-               BA.unsafe_set pg (dst + j)
-                 (BA.unsafe_get pg (dst + j) +. BA.unsafe_get g (src + j))
-             done
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_rows_b ~flops:(fi (l * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let pg = p.Param.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let src = i * d and dst = ids.(i) * d in
+          for j = 0 to d - 1 do
+            BA.unsafe_set pg (dst + j)
+              (BA.unsafe_get pg (dst + j) +. BA.unsafe_get g (src + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and pv = p.Param.value.Tensor.data in
   for i = 0 to l - 1 do
     let dst = i * d and src = ids.(i) * d in
@@ -270,15 +270,13 @@ let matmul_nt tape x (p : Param.t) =
       (Printf.sprintf "Batched.matmul_nt(%s): expected dim %d, got %d" p.Param.name
          (Param.cols p) k);
   if P.on () then P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes (l * out));
-  let rec n =
-    lazy
-      (push tape l out (fun () ->
-           if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Tensor.gemm_nn ~beta:1.0 g p.Param.value x.grad;
-           Tensor.gemm_tn ~beta:1.0 g x.value p.Param.grad))
+  let n =
+    push tape l out (fun n ->
+        if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
+        let g = n.grad in
+        Tensor.gemm_nn ~beta:1.0 g p.Param.value x.grad;
+        Tensor.gemm_tn ~beta:1.0 g x.value p.Param.grad)
   in
-  let n = Lazy.force n in
   Tensor.gemm_nt ~beta:0.0 x.value p.Param.value n.value;
   n
 
@@ -289,23 +287,21 @@ let add_bias tape a (p : Param.t) =
   if p.Param.value.Tensor.rows <> 1 || Param.cols p <> d then
     invalid_arg "Batched.add_bias: bias shape mismatch";
   if P.on () then P.op op_bias ~flops:(fi (l * d)) ~bytes:(fbytes (l * d));
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_bias_b ~flops:(fi (2 * l * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and pg = p.Param.grad.Tensor.data in
-           for i = 0 to (l * d) - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
-           done;
-           for i = 0 to l - 1 do
-             let base = i * d in
-             for j = 0 to d - 1 do
-               BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get g (base + j))
-             done
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_bias_b ~flops:(fi (2 * l * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data and pg = p.Param.grad.Tensor.data in
+        for i = 0 to (l * d) - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
+        done;
+        for i = 0 to l - 1 do
+          let base = i * d in
+          for j = 0 to d - 1 do
+            BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get g (base + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   let pv = p.Param.value.Tensor.data in
   for i = 0 to l - 1 do
@@ -316,44 +312,81 @@ let add_bias tape a (p : Param.t) =
   done;
   n
 
-(* Saturation sampling for the dynamics streams: scan one activation
-   buffer (lanes-major), counting saturated elements and output units dead
-   across every lane, and publish under the outermost layer scope.  Callers
-   gate on [D.on () && D.should_sample ()], so the uninstrumented forward
-   path pays one branch per activation node and the instrumented one scans
-   every [Dynamics.sample_every]-th call. *)
-let sample_activation ~act_name ~is_tanh v l cols =
-  let sat = ref 0 and dead = ref 0 in
-  for j = 0 to cols - 1 do
-    let mag = ref 0.0 in
-    for i = 0 to l - 1 do
-      let y = BA.unsafe_get v ((i * cols) + j) in
-      if is_tanh then begin
-        let a = Float.abs y in
-        if a > 0.99 then incr sat;
-        if a > !mag then mag := a
-      end
-      else begin
-        (* sigmoid saturates at either rail; "dead" means pinned at 0 *)
-        if y > 0.99 || y < 0.01 then incr sat;
-        if y > !mag then mag := y
-      end
-    done;
-    if !mag < (if is_tanh then 1e-3 else 0.01) then incr dead
-  done;
-  D.record_saturation ~act:act_name ~saturated:!sat ~total:(l * cols) ~dead:!dead
-    ~units:cols
+(* The activations.  One set of loops applies each of them wherever a
+   node ends in one: the fused affine and attention-scorer nodes and the
+   standalone {!tanh_} and {!sigmoid}.  Both derivatives are read off the
+   activation's output. *)
+type act = Id | Tanh | Sigmoid
 
-type affine_act = A_id | A_tanh | A_sigmoid
+(* [dst.{i} <- act src.{i}] for [i < n]; [Id] is only ever applied in
+   place ([src == dst]), where it leaves the buffer as it is *)
+let act_forward act (src : Tensor.buf) (dst : Tensor.buf) n =
+  match act with
+  | Id -> ()
+  | Tanh ->
+      for i = 0 to n - 1 do
+        BA.unsafe_set dst i (Stdlib.tanh (BA.unsafe_get src i))
+      done
+  | Sigmoid ->
+      for i = 0 to n - 1 do
+        BA.unsafe_set dst i (1.0 /. (1.0 +. exp (-.BA.unsafe_get src i)))
+      done
+
+(* Fold the derivative into a gradient in place, [g.{i} <- g.{i} * act'],
+   from the output [y], for [i < n].  A node folds its own gradient: safe
+   because backward runs newest-first, so every consumer has already
+   accumulated into it and nothing reads it after the node's closure. *)
+let act_backward act (y : Tensor.buf) (g : Tensor.buf) n =
+  match act with
+  | Id -> ()
+  | Tanh ->
+      for i = 0 to n - 1 do
+        let yi = BA.unsafe_get y i in
+        BA.unsafe_set g i (BA.unsafe_get g i *. (1.0 -. (yi *. yi)))
+      done
+  | Sigmoid ->
+      for i = 0 to n - 1 do
+        let yi = BA.unsafe_get y i in
+        BA.unsafe_set g i (BA.unsafe_get g i *. (yi *. (1.0 -. yi)))
+      done
+
+(* Saturation sampling for the dynamics streams: on every
+   [Dynamics.sample_every]-th activation node while dynamics is on, scan
+   its output (lanes-major), count saturated elements and output units
+   dead across every lane, and publish under the outermost layer scope.
+   The uninstrumented forward path pays one branch per activation node. *)
+let sample_activation act v l cols =
+  if act <> Id && D.on () && D.should_sample () then begin
+    let is_tanh = act = Tanh in
+    let sat = ref 0 and dead = ref 0 in
+    for j = 0 to cols - 1 do
+      let mag = ref 0.0 in
+      for i = 0 to l - 1 do
+        let y = BA.unsafe_get v ((i * cols) + j) in
+        if is_tanh then begin
+          let a = Float.abs y in
+          if a > 0.99 then incr sat;
+          if a > !mag then mag := a
+        end
+        else begin
+          (* sigmoid saturates at either rail; "dead" means pinned at 0 *)
+          if y > 0.99 || y < 0.01 then incr sat;
+          if y > !mag then mag := y
+        end
+      done;
+      if !mag < (if is_tanh then 1e-3 else 0.01) then incr dead
+    done;
+    D.record_saturation
+      ~act:(if is_tanh then "tanh" else "sigmoid")
+      ~saturated:!sat ~total:(l * cols) ~dead:!dead ~units:cols
+  end
 
 (* Fused [act(X·W^T + 1·b^T)] in a single node: the output rows start as
    the bias, the GEMM accumulates on top ([beta = 1]), and the activation
    rewrites the buffer in place.  Backward first folds the activation
-   derivative into this node's own gradient buffer in place — safe because
-   backward runs newest-first, so every consumer has already accumulated
-   into it and nothing reads it after this closure — then runs the usual
-   dX/dW sibling GEMMs and the bias column-sum off the folded gradient.
-   Versus the unfused matmul_nt + add_bias + tanh_ chain this saves two
+   derivative into this node's own gradient, then runs the usual dX/dW
+   sibling GEMMs and the bias column-sum off the folded gradient.  Versus
+   the unfused matmul_nt + add_bias + tanh_ chain this saves two
    value/grad buffer pairs and their memory round-trips per call. *)
 let affine_act tape ~w ~b x act =
   let l = lanes x and k = dim x in
@@ -368,42 +401,28 @@ let affine_act tape ~w ~b x act =
   if P.on () then begin
     P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes n_elts);
     P.op op_bias ~flops:(fi n_elts) ~bytes:0.0;
-    if act <> A_id then P.op op_unary ~flops:(fi n_elts) ~bytes:0.0
+    if act <> Id then P.op op_unary ~flops:(fi n_elts) ~bytes:0.0
   end;
-  let rec n =
-    lazy
-      (push tape l out (fun () ->
-           if P.on () then begin
-             P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
-             P.op op_bias_b ~flops:(fi n_elts) ~bytes:0.0;
-             if act <> A_id then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
-           end;
-           let node = Lazy.force n in
-           let g = node.grad in
-           let gd = g.Tensor.data and v = node.value.Tensor.data in
-           (match act with
-           | A_id -> ()
-           | A_tanh ->
-               for i = 0 to n_elts - 1 do
-                 let y = BA.unsafe_get v i in
-                 BA.unsafe_set gd i (BA.unsafe_get gd i *. (1.0 -. (y *. y)))
-               done
-           | A_sigmoid ->
-               for i = 0 to n_elts - 1 do
-                 let y = BA.unsafe_get v i in
-                 BA.unsafe_set gd i (BA.unsafe_get gd i *. (y *. (1.0 -. y)))
-               done);
-           Tensor.gemm_nn ~beta:1.0 g w.Param.value x.grad;
-           Tensor.gemm_tn ~beta:1.0 g x.value w.Param.grad;
-           let pg = b.Param.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let base = i * out in
-             for j = 0 to out - 1 do
-               BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get gd (base + j))
-             done
-           done))
+  let n =
+    push tape l out (fun n ->
+        if P.on () then begin
+          P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
+          P.op op_bias_b ~flops:(fi n_elts) ~bytes:0.0;
+          if act <> Id then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
+        end;
+        let g = n.grad in
+        let gd = g.Tensor.data in
+        act_backward act n.value.Tensor.data gd n_elts;
+        Tensor.gemm_nn ~beta:1.0 g w.Param.value x.grad;
+        Tensor.gemm_tn ~beta:1.0 g x.value w.Param.grad;
+        let pg = b.Param.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let base = i * out in
+          for j = 0 to out - 1 do
+            BA.unsafe_set pg j (BA.unsafe_get pg j +. BA.unsafe_get gd (base + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and bv = b.Param.value.Tensor.data in
   for i = 0 to l - 1 do
     let base = i * out in
@@ -412,34 +431,18 @@ let affine_act tape ~w ~b x act =
     done
   done;
   Tensor.gemm_nt ~beta:1.0 x.value w.Param.value n.value;
-  (match act with
-  | A_id -> ()
-  | A_tanh ->
-      for i = 0 to n_elts - 1 do
-        BA.unsafe_set v i (Stdlib.tanh (BA.unsafe_get v i))
-      done
-  | A_sigmoid ->
-      for i = 0 to n_elts - 1 do
-        BA.unsafe_set v i (1.0 /. (1.0 +. exp (-.BA.unsafe_get v i)))
-      done);
-  (match act with
-  | A_id -> ()
-  | A_tanh ->
-      if D.on () && D.should_sample () then
-        sample_activation ~act_name:"tanh" ~is_tanh:true v l out
-  | A_sigmoid ->
-      if D.on () && D.should_sample () then
-        sample_activation ~act_name:"sigmoid" ~is_tanh:false v l out);
+  act_forward act v v n_elts;
+  sample_activation act v l out;
   n
 
 (** [affine tape ~w ~b x] is [X·W^T + 1·b^T] (one fused node). *)
-let affine tape ~w ~b x = affine_act tape ~w ~b x A_id
+let affine tape ~w ~b x = affine_act tape ~w ~b x Id
 
 (** Fused [tanh(X·W^T + 1·b^T)]. *)
-let affine_tanh tape ~w ~b x = affine_act tape ~w ~b x A_tanh
+let affine_tanh tape ~w ~b x = affine_act tape ~w ~b x Tanh
 
 (** Fused [sigmoid(X·W^T + 1·b^T)]. *)
-let affine_sigmoid tape ~w ~b x = affine_act tape ~w ~b x A_sigmoid
+let affine_sigmoid tape ~w ~b x = affine_act tape ~w ~b x Sigmoid
 
 (** [matmul_nt_slice tape x p ~off] is [X · W[:, off..off+k)^T] for
     [X : lanes×k] against a column window of the wider parameter
@@ -456,15 +459,13 @@ let matmul_nt_slice tape x (p : Param.t) ~off =
       (Printf.sprintf "Batched.matmul_nt_slice(%s): window [%d, %d) exceeds %d cols"
          p.Param.name off (off + k) ld);
   if P.on () then P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes (l * out));
-  let rec n =
-    lazy
-      (push tape l out (fun () ->
-           if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
-           let g = (Lazy.force n).grad in
-           Tensor.gemm_nn_slice ~beta:1.0 ~ld ~boff:off g p.Param.value x.grad;
-           Tensor.gemm_tn_slice ~beta:1.0 ~ld ~coff:off g x.value p.Param.grad))
+  let n =
+    push tape l out (fun n ->
+        if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
+        let g = n.grad in
+        Tensor.gemm_nn_slice ~beta:1.0 ~ld ~boff:off g p.Param.value x.grad;
+        Tensor.gemm_tn_slice ~beta:1.0 ~ld ~coff:off g x.value p.Param.grad)
   in
-  let n = Lazy.force n in
   Tensor.gemm_nt_slice ~beta:0.0 ~ld ~boff:off x.value p.Param.value n.value;
   n
 
@@ -477,24 +478,22 @@ let add_rows_cycle tape a b =
   if dim b <> d || l = 0 || rows_a mod l <> 0 then
     invalid_arg "Batched.add_rows_cycle: shape mismatch";
   if P.on () then P.op op_ew ~flops:(fi (rows_a * d)) ~bytes:(fbytes (rows_a * d));
-  let rec n =
-    lazy
-      (push tape rows_a d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (2 * rows_a * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-           for i = 0 to (rows_a * d) - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
-           done;
-           for r = 0 to rows_a - 1 do
-             let src = r * d and dst = r mod l * d in
-             for j = 0 to d - 1 do
-               BA.unsafe_set bg (dst + j)
-                 (BA.unsafe_get bg (dst + j) +. BA.unsafe_get g (src + j))
-             done
-           done))
+  let n =
+    push tape rows_a d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (2 * rows_a * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
+        for i = 0 to (rows_a * d) - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
+        done;
+        for r = 0 to rows_a - 1 do
+          let src = r * d and dst = r mod l * d in
+          for j = 0 to d - 1 do
+            BA.unsafe_set bg (dst + j)
+              (BA.unsafe_get bg (dst + j) +. BA.unsafe_get g (src + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   let bv = b.value.Tensor.data in
   for r = 0 to rows_a - 1 do
@@ -508,9 +507,8 @@ let add_rows_cycle tape a b =
 (** Fused [tanh(a[r] + b[r mod l] + bias)] — the attention scorer's
     pre-activation ({!add_rows_cycle} + bias broadcast + tanh) in one node.
     Backward folds the tanh derivative into this node's own gradient in
-    place (safe: backward runs newest-first, so every consumer has already
-    accumulated into it) before routing it to [a], the block-sum into [b]
-    and the column-sum into the bias. *)
+    place before routing it to [a], the block-sum into [b] and the
+    column-sum into the bias. *)
 let add_rows_cycle_bias_tanh tape a b (bias : Param.t) =
   let rows_a = lanes a and l = lanes b and d = dim a in
   if dim b <> d || l = 0 || rows_a mod l <> 0 then
@@ -522,35 +520,29 @@ let add_rows_cycle_bias_tanh tape a b (bias : Param.t) =
     P.op op_ew ~flops:(fi (2 * n_elts)) ~bytes:(fbytes n_elts);
     P.op op_unary ~flops:(fi n_elts) ~bytes:0.0
   end;
-  let rec n =
-    lazy
-      (push tape rows_a d (fun () ->
-           if P.on () then begin
-             P.op op_ew_b ~flops:(fi (3 * n_elts)) ~bytes:0.0;
-             P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
-           end;
-           let node = Lazy.force n in
-           let g = node.grad.Tensor.data and y = node.value.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let yi = BA.unsafe_get y i in
-             BA.unsafe_set g i (BA.unsafe_get g i *. (1.0 -. (yi *. yi)))
-           done;
-           let ag = a.grad.Tensor.data
-           and bg = b.grad.Tensor.data
-           and pg = bias.Param.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
-           done;
-           for r = 0 to rows_a - 1 do
-             let src = r * d and dst = r mod l * d in
-             for j = 0 to d - 1 do
-               let gi = BA.unsafe_get g (src + j) in
-               BA.unsafe_set bg (dst + j) (BA.unsafe_get bg (dst + j) +. gi);
-               BA.unsafe_set pg j (BA.unsafe_get pg j +. gi)
-             done
-           done))
+  let n =
+    push tape rows_a d (fun n ->
+        if P.on () then begin
+          P.op op_ew_b ~flops:(fi (3 * n_elts)) ~bytes:0.0;
+          P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
+        end;
+        let g = n.grad.Tensor.data in
+        act_backward Tanh n.value.Tensor.data g n_elts;
+        let ag = a.grad.Tensor.data
+        and bg = b.grad.Tensor.data
+        and pg = bias.Param.grad.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
+        done;
+        for r = 0 to rows_a - 1 do
+          let src = r * d and dst = r mod l * d in
+          for j = 0 to d - 1 do
+            let gi = BA.unsafe_get g (src + j) in
+            BA.unsafe_set bg (dst + j) (BA.unsafe_get bg (dst + j) +. gi);
+            BA.unsafe_set pg j (BA.unsafe_get pg j +. gi)
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data
   and av = a.value.Tensor.data
   and bv = b.value.Tensor.data
@@ -559,13 +551,11 @@ let add_rows_cycle_bias_tanh tape a b (bias : Param.t) =
     let dst = r * d and src = r mod l * d in
     for j = 0 to d - 1 do
       BA.unsafe_set v (dst + j)
-        (Stdlib.tanh
-           (BA.unsafe_get av (dst + j) +. BA.unsafe_get bv (src + j)
-          +. BA.unsafe_get pv j))
+        (BA.unsafe_get av (dst + j) +. BA.unsafe_get bv (src + j) +. BA.unsafe_get pv j)
     done
   done;
-  if D.on () && D.should_sample () then
-    sample_activation ~act_name:"tanh" ~is_tanh:true v rows_a d;
+  act_forward Tanh v v n_elts;
+  sample_activation Tanh v rows_a d;
   n
 
 (** Fused [a · v^T] + slot-major reshape: for [a : (K·l)×d] and a vector
@@ -580,31 +570,29 @@ let matvec_stack_cols tape a (p : Param.t) ~lanes:l =
   if l <= 0 || rows mod l <> 0 then invalid_arg "Batched.matvec_stack_cols: lanes mismatch";
   let k = rows / l in
   if P.on () then P.op op_gemm ~flops:(fi (2 * rows * d)) ~bytes:(fbytes (l * k));
-  let rec n =
-    lazy
-      (push tape l k (fun () ->
-           if P.on () then P.op op_gemm_b ~flops:(fi (4 * rows * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data
-           and pg = p.Param.grad.Tensor.data
-           and av = a.value.Tensor.data
-           and pv = p.Param.value.Tensor.data in
-           for kk = 0 to k - 1 do
-             for i = 0 to l - 1 do
-               let gi = BA.unsafe_get g ((i * k) + kk) in
-               if gi <> 0.0 then begin
-                 let base = ((kk * l) + i) * d in
-                 for j = 0 to d - 1 do
-                   BA.unsafe_set ag (base + j)
-                     (BA.unsafe_get ag (base + j) +. (gi *. BA.unsafe_get pv j));
-                   BA.unsafe_set pg j
-                     (BA.unsafe_get pg j +. (gi *. BA.unsafe_get av (base + j)))
-                 done
-               end
-             done
-           done))
+  let n =
+    push tape l k (fun n ->
+        if P.on () then P.op op_gemm_b ~flops:(fi (4 * rows * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data
+        and pg = p.Param.grad.Tensor.data
+        and av = a.value.Tensor.data
+        and pv = p.Param.value.Tensor.data in
+        for kk = 0 to k - 1 do
+          for i = 0 to l - 1 do
+            let gi = BA.unsafe_get g ((i * k) + kk) in
+            if gi <> 0.0 then begin
+              let base = ((kk * l) + i) * d in
+              for j = 0 to d - 1 do
+                BA.unsafe_set ag (base + j)
+                  (BA.unsafe_get ag (base + j) +. (gi *. BA.unsafe_get pv j));
+                BA.unsafe_set pg j
+                  (BA.unsafe_get pg j +. (gi *. BA.unsafe_get av (base + j)))
+              done
+            end
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data
   and av = a.value.Tensor.data
   and pv = p.Param.value.Tensor.data in
@@ -635,19 +623,17 @@ let add tape a b =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let gi = BA.unsafe_get g i in
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. gi);
-             BA.unsafe_set bg i (BA.unsafe_get bg i +. gi)
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          let gi = BA.unsafe_get g i in
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. gi);
+          BA.unsafe_set bg i (BA.unsafe_get bg i +. gi)
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let av = a.value.Tensor.data and bv = b.value.Tensor.data in
   for i = 0 to n_elts - 1 do
@@ -660,19 +646,17 @@ let sub tape a b =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let gi = BA.unsafe_get g i in
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. gi);
-             BA.unsafe_set bg i (BA.unsafe_get bg i -. gi)
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          let gi = BA.unsafe_get g i in
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. gi);
+          BA.unsafe_set bg i (BA.unsafe_get bg i -. gi)
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let av = a.value.Tensor.data and bv = b.value.Tensor.data in
   for i = 0 to n_elts - 1 do
@@ -686,20 +670,18 @@ let mul tape a b =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-           let av = a.value.Tensor.data and bv = b.value.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let gi = BA.unsafe_get g i in
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. BA.unsafe_get bv i));
-             BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. BA.unsafe_get av i))
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (4 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
+        let av = a.value.Tensor.data and bv = b.value.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          let gi = BA.unsafe_get g i in
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. BA.unsafe_get bv i));
+          BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. BA.unsafe_get av i))
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let av = a.value.Tensor.data and bv = b.value.Tensor.data in
   for i = 0 to n_elts - 1 do
@@ -709,7 +691,7 @@ let mul tape a b =
 
 (** Fused gated blend [z ⊙ a + (1 - z) ⊙ b] — the GRU update and every
     mask-style interpolation in one node instead of four
-    (one_minus/mul/mul/add), saving three value/grad buffer round-trips
+    ([1 - z], two products and a sum), saving three value/grad buffer round-trips
     per recurrence step. *)
 let lerp tape z a b =
   check_same "lerp" z a;
@@ -717,27 +699,25 @@ let lerp tape z a b =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi (3 * n_elts)) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (7 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let zg = z.grad.Tensor.data
-           and ag = a.grad.Tensor.data
-           and bg = b.grad.Tensor.data in
-           let zv = z.value.Tensor.data
-           and av = a.value.Tensor.data
-           and bv = b.value.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let gi = BA.unsafe_get g i in
-             let zi = BA.unsafe_get zv i in
-             BA.unsafe_set zg i
-               (BA.unsafe_get zg i +. (gi *. (BA.unsafe_get av i -. BA.unsafe_get bv i)));
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. zi));
-             BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. (1.0 -. zi)))
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (7 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let zg = z.grad.Tensor.data
+        and ag = a.grad.Tensor.data
+        and bg = b.grad.Tensor.data in
+        let zv = z.value.Tensor.data
+        and av = a.value.Tensor.data
+        and bv = b.value.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          let gi = BA.unsafe_get g i in
+          let zi = BA.unsafe_get zv i in
+          BA.unsafe_set zg i
+            (BA.unsafe_get zg i +. (gi *. (BA.unsafe_get av i -. BA.unsafe_get bv i)));
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. zi));
+          BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. (1.0 -. zi)))
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let zv = z.value.Tensor.data
   and av = a.value.Tensor.data
@@ -758,28 +738,26 @@ let muladd2 tape a b p q =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi (3 * n_elts)) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (8 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data
-           and bg = b.grad.Tensor.data
-           and pg = p.grad.Tensor.data
-           and qg = q.grad.Tensor.data in
-           let av = a.value.Tensor.data
-           and bv = b.value.Tensor.data
-           and pv = p.value.Tensor.data
-           and qv = q.value.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             let gi = BA.unsafe_get g i in
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. BA.unsafe_get bv i));
-             BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. BA.unsafe_get av i));
-             BA.unsafe_set pg i (BA.unsafe_get pg i +. (gi *. BA.unsafe_get qv i));
-             BA.unsafe_set qg i (BA.unsafe_get qg i +. (gi *. BA.unsafe_get pv i))
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (8 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data
+        and bg = b.grad.Tensor.data
+        and pg = p.grad.Tensor.data
+        and qg = q.grad.Tensor.data in
+        let av = a.value.Tensor.data
+        and bv = b.value.Tensor.data
+        and pv = p.value.Tensor.data
+        and qv = q.value.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          let gi = BA.unsafe_get g i in
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. BA.unsafe_get bv i));
+          BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. BA.unsafe_get av i));
+          BA.unsafe_set pg i (BA.unsafe_get pg i +. (gi *. BA.unsafe_get qv i));
+          BA.unsafe_set qg i (BA.unsafe_get qg i +. (gi *. BA.unsafe_get pv i))
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let av = a.value.Tensor.data
   and bv = b.value.Tensor.data
@@ -796,88 +774,43 @@ let scale tape c a =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_ew ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (2 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. (c *. BA.unsafe_get g i))
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_ew_b ~flops:(fi (2 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. (c *. BA.unsafe_get g i))
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   for i = 0 to n_elts - 1 do
     BA.unsafe_set v i (c *. BA.unsafe_get av i)
   done;
   n
 
-(** [one_minus tape a] is [1 - a] elementwise (GRU update gates). *)
-let one_minus tape a =
-  let l = lanes a and d = dim a in
-  let n_elts = l * d in
-  if P.on () then P.op op_ew ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_ew_b ~flops:(fi (2 * n_elts)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i -. BA.unsafe_get g i)
-           done))
-  in
-  let n = Lazy.force n in
-  let v = n.value.Tensor.data and av = a.value.Tensor.data in
-  for i = 0 to n_elts - 1 do
-    BA.unsafe_set v i (1.0 -. BA.unsafe_get av i)
-  done;
-  n
-
-let unary_from_out tape f df_out a =
+(* [act a] as its own node.  Backward folds the derivative into this
+   node's gradient, then adds that into [a]'s. *)
+let activation tape act a =
   let l = lanes a and d = dim a in
   let n_elts = l * d in
   if P.on () then P.op op_unary ~flops:(fi n_elts) ~bytes:(fbytes n_elts);
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0;
-           let out = Lazy.force n in
-           let g = out.grad.Tensor.data and y = out.value.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             BA.unsafe_set ag i
-               (BA.unsafe_get ag i +. (BA.unsafe_get g i *. df_out (BA.unsafe_get y i)))
-           done))
-  in
-  let n = Lazy.force n in
-  let v = n.value.Tensor.data and av = a.value.Tensor.data in
-  for i = 0 to n_elts - 1 do
-    BA.unsafe_set v i (f (BA.unsafe_get av i))
-  done;
-  n
-
-let tanh_ tape a =
-  let n = unary_from_out tape Stdlib.tanh (fun y -> 1.0 -. (y *. y)) a in
-  if D.on () && D.should_sample () then
-    sample_activation ~act_name:"tanh" ~is_tanh:true n.value.Tensor.data (lanes n) (dim n);
-  n
-
-let sigmoid tape a =
   let n =
-    unary_from_out tape (fun x -> 1.0 /. (1.0 +. exp (-.x))) (fun y -> y *. (1.0 -. y)) a
+    push tape l d (fun n ->
+        if P.on () then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0;
+        let g = n.grad.Tensor.data and ag = a.grad.Tensor.data in
+        act_backward act n.value.Tensor.data g n_elts;
+        for i = 0 to n_elts - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
+        done)
   in
-  if D.on () && D.should_sample () then
-    sample_activation ~act_name:"sigmoid" ~is_tanh:false n.value.Tensor.data (lanes n)
-      (dim n);
+  let v = n.value.Tensor.data in
+  act_forward act a.value.Tensor.data v n_elts;
+  sample_activation act v l d;
   n
 
-let relu tape a =
-  unary_from_out tape
-    (fun x -> if x > 0.0 then x else 0.0)
-    (fun y -> if y > 0.0 then 1.0 else 0.0)
-    a
+let tanh_ tape a = activation tape Tanh a
+let sigmoid tape a = activation tape Sigmoid a
 
 (* ------------------------------------------------------------------ *)
 (* Reshaping: columns, rows, packing                                   *)
@@ -891,27 +824,25 @@ let concat_cols tape xs =
     xs;
   let total = List.fold_left (fun acc x -> acc + dim x) 0 xs in
   if P.on () then P.op op_concat ~flops:0.0 ~bytes:(fbytes (l * total));
-  let rec n =
-    lazy
-      (push tape l total (fun () ->
-           if P.on () then P.op op_concat_b ~flops:(fi (l * total)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let off = ref 0 in
-           List.iter
-             (fun x ->
-               let d = dim x in
-               let xg = x.grad.Tensor.data in
-               for i = 0 to l - 1 do
-                 let src = (i * total) + !off and dst = i * d in
-                 for j = 0 to d - 1 do
-                   BA.unsafe_set xg (dst + j)
-                     (BA.unsafe_get xg (dst + j) +. BA.unsafe_get g (src + j))
-                 done
-               done;
-               off := !off + d)
-             xs))
+  let n =
+    push tape l total (fun n ->
+        if P.on () then P.op op_concat_b ~flops:(fi (l * total)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let off = ref 0 in
+        List.iter
+          (fun x ->
+            let d = dim x in
+            let xg = x.grad.Tensor.data in
+            for i = 0 to l - 1 do
+              let src = (i * total) + !off and dst = i * d in
+              for j = 0 to d - 1 do
+                BA.unsafe_set xg (dst + j)
+                  (BA.unsafe_get xg (dst + j) +. BA.unsafe_get g (src + j))
+              done
+            done;
+            off := !off + d)
+          xs)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let off = ref 0 in
   List.iter
@@ -933,21 +864,19 @@ let slice_cols tape a off len =
   if off < 0 || len <= 0 || off + len > d then
     invalid_arg "Batched.slice_cols: window out of range";
   if P.on () then P.op op_slice ~flops:0.0 ~bytes:(fbytes (l * len));
-  let rec n =
-    lazy
-      (push tape l len (fun () ->
-           if P.on () then P.op op_slice_b ~flops:(fi (l * len)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let src = i * len and dst = (i * d) + off in
-             for j = 0 to len - 1 do
-               BA.unsafe_set ag (dst + j)
-                 (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
-             done
-           done))
+  let n =
+    push tape l len (fun n ->
+        if P.on () then P.op op_slice_b ~flops:(fi (l * len)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let src = i * len and dst = (i * d) + off in
+          for j = 0 to len - 1 do
+            BA.unsafe_set ag (dst + j)
+              (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   for i = 0 to l - 1 do
     let dst = i * len and src = (i * d) + off in
@@ -965,24 +894,22 @@ let vstack tape xs =
   List.iter (fun x -> if dim x <> d then invalid_arg "Batched.vstack: dim mismatch") xs;
   let total = List.fold_left (fun acc x -> acc + lanes x) 0 xs in
   if P.on () then P.op op_vstack ~flops:0.0 ~bytes:(fbytes (total * d));
-  let rec n =
-    lazy
-      (push tape total d (fun () ->
-           if P.on () then P.op op_vstack_b ~flops:(fi (total * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let row = ref 0 in
-           List.iter
-             (fun x ->
-               let nl = lanes x in
-               let xg = x.grad.Tensor.data in
-               let base = !row * d in
-               for i = 0 to (nl * d) - 1 do
-                 BA.unsafe_set xg i (BA.unsafe_get xg i +. BA.unsafe_get g (base + i))
-               done;
-               row := !row + nl)
-             xs))
+  let n =
+    push tape total d (fun n ->
+        if P.on () then P.op op_vstack_b ~flops:(fi (total * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let row = ref 0 in
+        List.iter
+          (fun x ->
+            let nl = lanes x in
+            let xg = x.grad.Tensor.data in
+            let base = !row * d in
+            for i = 0 to (nl * d) - 1 do
+              BA.unsafe_set xg i (BA.unsafe_get xg i +. BA.unsafe_get g (base + i))
+            done;
+            row := !row + nl)
+          xs)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data in
   let row = ref 0 in
   List.iter
@@ -1007,21 +934,19 @@ let gather_rows tape a (idx : int array) =
     (fun i -> if i < 0 || i >= src_l then invalid_arg "Batched.gather_rows: index out of range")
     idx;
   if P.on () then P.op op_gather ~flops:0.0 ~bytes:(fbytes (l * d));
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_gather_b ~flops:(fi (l * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let src = i * d and dst = idx.(i) * d in
-             for j = 0 to d - 1 do
-               BA.unsafe_set ag (dst + j)
-                 (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
-             done
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_gather_b ~flops:(fi (l * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let src = i * d and dst = idx.(i) * d in
+          for j = 0 to d - 1 do
+            BA.unsafe_set ag (dst + j)
+              (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   for i = 0 to l - 1 do
     let dst = i * d and src = idx.(i) * d in
@@ -1042,20 +967,18 @@ let stack_to_cols tape a ~lanes:l =
   if l <= 0 || rows mod l <> 0 then invalid_arg "Batched.stack_to_cols: lanes mismatch";
   let k = rows / l in
   if P.on () then P.op op_gather ~flops:0.0 ~bytes:(fbytes rows);
-  let rec n =
-    lazy
-      (push tape l k (fun () ->
-           if P.on () then P.op op_gather_b ~flops:(fi rows) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for kk = 0 to k - 1 do
-             for i = 0 to l - 1 do
-               let src = (i * k) + kk and dst = (kk * l) + i in
-               BA.unsafe_set ag dst (BA.unsafe_get ag dst +. BA.unsafe_get g src)
-             done
-           done))
+  let n =
+    push tape l k (fun n ->
+        if P.on () then P.op op_gather_b ~flops:(fi rows) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for kk = 0 to k - 1 do
+          for i = 0 to l - 1 do
+            let src = (i * k) + kk and dst = (kk * l) + i in
+            BA.unsafe_set ag dst (BA.unsafe_get ag dst +. BA.unsafe_get g src)
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   for kk = 0 to k - 1 do
     for i = 0 to l - 1 do
@@ -1092,20 +1015,18 @@ let merge_rows tape a ~(idx : int array) b =
       else f i a i
     done
   in
-  let rec node =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_merge_b ~flops:(fi (l * d)) ~bytes:0.0;
-           let g = (Lazy.force node).grad.Tensor.data in
-           route (fun i src r ->
-               let sg = src.grad.Tensor.data in
-               let dst = r * d and base = i * d in
-               for j = 0 to d - 1 do
-                 BA.unsafe_set sg (dst + j)
-                   (BA.unsafe_get sg (dst + j) +. BA.unsafe_get g (base + j))
-               done)))
+  let node =
+    push tape l d (fun node ->
+        if P.on () then P.op op_merge_b ~flops:(fi (l * d)) ~bytes:0.0;
+        let g = node.grad.Tensor.data in
+        route (fun i src r ->
+            let sg = src.grad.Tensor.data in
+            let dst = r * d and base = i * d in
+            for j = 0 to d - 1 do
+              BA.unsafe_set sg (dst + j)
+                (BA.unsafe_get sg (dst + j) +. BA.unsafe_get g (base + j))
+            done))
   in
-  let node = Lazy.force node in
   let v = node.value.Tensor.data in
   route (fun i src r ->
       let sv = src.value.Tensor.data in
@@ -1130,26 +1051,24 @@ let group_sum tape a ~(groups : int array) ~n_groups =
     (fun g -> if g < -1 || g >= n_groups then invalid_arg "Batched.group_sum: bad group id")
     groups;
   if P.on () then P.op op_group_sum ~flops:(fi (l * d)) ~bytes:(fbytes (n_groups * d));
-  let rec n =
-    lazy
-      (push tape n_groups d (fun () ->
-           if P.on () then P.op op_group_sum_b ~flops:(fi (l * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let r = groups.(i) in
-             if r >= 0 then begin
-               let src = r * d and dst = i * d in
-               for j = 0 to d - 1 do
-                 BA.unsafe_set ag (dst + j)
-                   (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
-               done
-             end
-           done))
+  let n =
+    push tape n_groups d (fun n ->
+        if P.on () then P.op op_group_sum_b ~flops:(fi (l * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let r = groups.(i) in
+          if r >= 0 then begin
+            let src = r * d and dst = i * d in
+            for j = 0 to d - 1 do
+              BA.unsafe_set ag (dst + j)
+                (BA.unsafe_get ag (dst + j) +. BA.unsafe_get g (src + j))
+            done
+          end
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
-  BA.fill v 0.0;
+  Tensor.fill n.value 0.0;
   for i = 0 to l - 1 do
     let r = groups.(i) in
     if r >= 0 then begin
@@ -1173,20 +1092,18 @@ let group_max tape a ~(groups : int array) ~n_groups =
     groups;
   let who = Array.make (n_groups * d) (-1) in
   if P.on () then P.op op_group_max ~flops:(fi (l * d)) ~bytes:(fbytes (n_groups * d));
-  let rec n =
-    lazy
-      (push tape n_groups d (fun () ->
-           if P.on () then P.op op_group_max_b ~flops:(fi (n_groups * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to (n_groups * d) - 1 do
-             let w = who.(i) in
-             if w >= 0 then BA.unsafe_set ag w (BA.unsafe_get ag w +. BA.unsafe_get g i)
-           done))
+  let n =
+    push tape n_groups d (fun n ->
+        if P.on () then P.op op_group_max_b ~flops:(fi (n_groups * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to (n_groups * d) - 1 do
+          let w = who.(i) in
+          if w >= 0 then BA.unsafe_set ag w (BA.unsafe_get ag w +. BA.unsafe_get g i)
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
-  BA.fill v 0.0;
+  Tensor.fill n.value 0.0;
   (* two passes: mark winners against -inf, then zero out empty groups *)
   let best = Array.make (n_groups * d) neg_infinity in
   for i = 0 to l - 1 do
@@ -1226,29 +1143,26 @@ let softmax_rows_impl tape a (mask : Tensor.t option) =
     | None -> true
     | Some m -> Tensor.get_idx m ((i * k) + j) > 0.5
   in
-  let rec n =
-    lazy
-      (push tape l k (fun () ->
-           if P.on () then P.op op_softmax_b ~flops:(fi (4 * l * k)) ~bytes:0.0;
-           let out = Lazy.force n in
-           let g = out.grad.Tensor.data and y = out.value.Tensor.data in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to l - 1 do
-             let base = i * k in
-             let s = ref 0.0 in
-             for j = 0 to k - 1 do
-               s := !s +. (BA.unsafe_get g (base + j) *. BA.unsafe_get y (base + j))
-             done;
-             for j = 0 to k - 1 do
-               let yj = BA.unsafe_get y (base + j) in
-               (* masked slots have y = 0, so they add exactly nothing *)
-               BA.unsafe_set ag (base + j)
-                 (BA.unsafe_get ag (base + j)
-                 +. (yj *. (BA.unsafe_get g (base + j) -. !s)))
-             done
-           done))
+  let n =
+    push tape l k (fun n ->
+        if P.on () then P.op op_softmax_b ~flops:(fi (4 * l * k)) ~bytes:0.0;
+        let g = n.grad.Tensor.data and y = n.value.Tensor.data in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to l - 1 do
+          let base = i * k in
+          let s = ref 0.0 in
+          for j = 0 to k - 1 do
+            s := !s +. (BA.unsafe_get g (base + j) *. BA.unsafe_get y (base + j))
+          done;
+          for j = 0 to k - 1 do
+            let yj = BA.unsafe_get y (base + j) in
+            (* masked slots have y = 0, so they add exactly nothing *)
+            BA.unsafe_set ag (base + j)
+              (BA.unsafe_get ag (base + j)
+              +. (yj *. (BA.unsafe_get g (base + j) -. !s)))
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and av = a.value.Tensor.data in
   for i = 0 to l - 1 do
     let base = i * k in
@@ -1294,31 +1208,29 @@ let weighted_sum tape w (vs : node array) =
       if lanes x <> l || dim x <> d then invalid_arg "Batched.weighted_sum: shape mismatch")
     vs;
   if P.on () then P.op op_wsum ~flops:(fi (2 * l * k * d)) ~bytes:(fbytes (l * d));
-  let rec n =
-    lazy
-      (push tape l d (fun () ->
-           if P.on () then P.op op_wsum_b ~flops:(fi (4 * l * k * d)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let wg = w.grad.Tensor.data and wv = w.value.Tensor.data in
-           for j = 0 to k - 1 do
-             let x = vs.(j) in
-             let xg = x.grad.Tensor.data and xv = x.value.Tensor.data in
-             for i = 0 to l - 1 do
-               let base = i * d in
-               let wij = BA.unsafe_get wv ((i * k) + j) in
-               let acc = ref 0.0 in
-               for c = 0 to d - 1 do
-                 let gi = BA.unsafe_get g (base + c) in
-                 acc := !acc +. (gi *. BA.unsafe_get xv (base + c));
-                 BA.unsafe_set xg (base + c) (BA.unsafe_get xg (base + c) +. (wij *. gi))
-               done;
-               BA.unsafe_set wg ((i * k) + j) (BA.unsafe_get wg ((i * k) + j) +. !acc)
-             done
-           done))
+  let n =
+    push tape l d (fun n ->
+        if P.on () then P.op op_wsum_b ~flops:(fi (4 * l * k * d)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let wg = w.grad.Tensor.data and wv = w.value.Tensor.data in
+        for j = 0 to k - 1 do
+          let x = vs.(j) in
+          let xg = x.grad.Tensor.data and xv = x.value.Tensor.data in
+          for i = 0 to l - 1 do
+            let base = i * d in
+            let wij = BA.unsafe_get wv ((i * k) + j) in
+            let acc = ref 0.0 in
+            for c = 0 to d - 1 do
+              let gi = BA.unsafe_get g (base + c) in
+              acc := !acc +. (gi *. BA.unsafe_get xv (base + c));
+              BA.unsafe_set xg (base + c) (BA.unsafe_get xg (base + c) +. (wij *. gi))
+            done;
+            BA.unsafe_set wg ((i * k) + j) (BA.unsafe_get wg ((i * k) + j) +. !acc)
+          done
+        done)
   in
-  let n = Lazy.force n in
   let v = n.value.Tensor.data and wv = w.value.Tensor.data in
-  BA.fill v 0.0;
+  Tensor.fill n.value 0.0;
   for j = 0 to k - 1 do
     let xv = vs.(j).value.Tensor.data in
     for i = 0 to l - 1 do
@@ -1337,17 +1249,15 @@ let weighted_sum tape w (vs : node array) =
 let sum_all tape a =
   let n_elts = lanes a * dim a in
   if P.on () then P.op op_sum ~flops:(fi n_elts) ~bytes:(fbytes 1);
-  let rec n =
-    lazy
-      (push tape 1 1 (fun () ->
-           if P.on () then P.op op_sum_b ~flops:(fi n_elts) ~bytes:0.0;
-           let g = Tensor.get_idx (Lazy.force n).grad 0 in
-           let ag = a.grad.Tensor.data in
-           for i = 0 to n_elts - 1 do
-             BA.unsafe_set ag i (BA.unsafe_get ag i +. g)
-           done))
+  let n =
+    push tape 1 1 (fun n ->
+        if P.on () then P.op op_sum_b ~flops:(fi n_elts) ~bytes:0.0;
+        let g = Tensor.get_idx n.grad 0 in
+        let ag = a.grad.Tensor.data in
+        for i = 0 to n_elts - 1 do
+          BA.unsafe_set ag i (BA.unsafe_get ag i +. g)
+        done)
   in
-  let n = Lazy.force n in
   let av = a.value.Tensor.data in
   let acc = ref 0.0 in
   for i = 0 to n_elts - 1 do
@@ -1373,28 +1283,26 @@ let softmax_xent_rows tape logits ~(targets : int array) ~(weights : float array
   let probs_buf = take_aux tape (l * k) in
   let probs = Tensor.of_buf probs_buf l k in
   if P.on () then P.op op_xent ~flops:(fi (4 * l * k)) ~bytes:(fbytes l);
-  let rec n =
-    lazy
-      (push tape l 1 (fun () ->
-           if P.on () then P.op op_xent_b ~flops:(fi (3 * l * k)) ~bytes:0.0;
-           let g = (Lazy.force n).grad.Tensor.data in
-           let lg = logits.grad.Tensor.data and pv = probs.Tensor.data in
-           for i = 0 to l - 1 do
-             let w = Array.unsafe_get weights i in
-             if w <> 0.0 then begin
-               let gi = w *. BA.unsafe_get g i in
-               let base = i * k in
-               let t = targets.(i) in
-               for j = 0 to k - 1 do
-                 let delta = if j = t then 1.0 else 0.0 in
-                 BA.unsafe_set lg (base + j)
-                   (BA.unsafe_get lg (base + j)
-                   +. (gi *. (BA.unsafe_get pv (base + j) -. delta)))
-               done
-             end
-           done))
+  let n =
+    push tape l 1 (fun n ->
+        if P.on () then P.op op_xent_b ~flops:(fi (3 * l * k)) ~bytes:0.0;
+        let g = n.grad.Tensor.data in
+        let lg = logits.grad.Tensor.data and pv = probs.Tensor.data in
+        for i = 0 to l - 1 do
+          let w = Array.unsafe_get weights i in
+          if w <> 0.0 then begin
+            let gi = w *. BA.unsafe_get g i in
+            let base = i * k in
+            let t = targets.(i) in
+            for j = 0 to k - 1 do
+              let delta = if j = t then 1.0 else 0.0 in
+              BA.unsafe_set lg (base + j)
+                (BA.unsafe_get lg (base + j)
+                +. (gi *. (BA.unsafe_get pv (base + j) -. delta)))
+            done
+          end
+        done)
   in
-  let n = Lazy.force n in
   let lv = logits.value.Tensor.data and pv = probs.Tensor.data in
   for i = 0 to l - 1 do
     let base = i * k in
@@ -1455,11 +1363,11 @@ let backward tape loss =
                cur := n.tag;
                t0 := t
              end;
-             n.back ())
+             n.back n)
            tape.nodes;
          P.add_bwd !cur (P.now () -. !t0)
    end
-   else List.iter (fun n -> n.back ()) tape.nodes);
+   else List.iter (fun n -> n.back n) tape.nodes);
   release_tape tape
 
 (** Drop the recorded graph without propagating (inference); node buffers

@@ -4,23 +4,24 @@
     [lanes × dim] elements, and shuffled ragged batches make those counts
     different from step to step.  So storage is pooled by geometric size
     class: a lease of [n] elements is served from the freelist of the
-    smallest power of two [>= n], and the caller gets an exact-length view
-    ([Bigarray.Array1.sub]) of that backing buffer.  Shapes only need to
-    fall into the same class to reuse each other's storage.
+    smallest power of two [>= n], and the caller gets that size-class
+    buffer itself, which holds at least [n] elements.  Shapes only need to
+    fall into the same class to reuse each other's storage, and every
+    {!Tensor} op reads and writes only the first [rows × cols] elements of
+    its storage, so what lies past them is never seen.
 
     Lifetime rules (see also DESIGN.md):
-    - {!take} transfers ownership to the caller and returns the view and
-      its backing buffer; {!give} takes the {e backing} buffer back.
-      Neither may be used after it is given back.
+    - {!take} transfers ownership of the buffer to the caller; {!give}
+      takes it back, and it may not be used after that.
     - The batched tape ({!Batched}) takes buffers at node creation and
-      gives every backing buffer back in [release_tape] / [discard]; node
-      values are therefore invalid after the tape is released — copy out
-      anything you need first ({!Tensor.to_array}).
+      gives every one back in [release_tape] / [discard]; node values are
+      therefore invalid after the tape is released — copy out anything you
+      need first ({!Tensor.to_array}).
     - Freelists are per-domain ([Domain.DLS]): no locks, and a buffer
       taken on one domain is returned to that domain's list, so pooling
       never creates cross-domain sharing.
-    - Gradients are zero-filled on {!take_zeroed}; values are returned
-      uninitialised.
+    - Gradients are zero-filled on {!take_zeroed} (the first [n]
+      elements); values are returned uninitialised.
 
     The pool bounds itself: it parks a given-back buffer only while its
     pooled elements stay within the high-water mark of the elements it has
@@ -43,17 +44,17 @@ type stats = {
   mutable returned : int;
   mutable leased : int;           (* buffers out on lease right now *)
   mutable hw_leased : int;        (* high-water mark of [leased] *)
-  mutable leased_elems : int;     (* backing elements out on lease *)
+  mutable leased_elems : int;     (* buffer elements out on lease *)
   mutable hw_leased_elems : int;  (* high-water mark of [leased_elems]: the bound *)
   mutable pooled : int;           (* buffers parked in freelists *)
-  mutable pooled_elems : int;     (* backing elements parked in freelists *)
+  mutable pooled_elems : int;     (* buffer elements parked in freelists *)
 }
 
 (* size classes are the powers of two up to 2^62, plus one empty class
    above so the next-class-up lookup needs no bound check *)
 let n_classes = 64
 
-(* [free.(c)] is the stack of parked backing buffers of class [c] *)
+(* [free.(c)] is the stack of parked buffers of class [c] *)
 type pool = { dom : int; free : Tensor.buf list array; stats : stats }
 
 (* every domain registers its pool on first use so [publish] can walk
@@ -97,10 +98,9 @@ let class_of n =
   done;
   !c
 
-(** Lease storage for [n] elements: [(view, backing)], where [view] is
-    exactly [n] elements long and [backing] is the size-class buffer
-    behind it, the one to hand to {!give}.  Contents are unspecified. *)
-let take n : Tensor.buf * Tensor.buf =
+(** Lease storage for [n] elements: a size-class buffer of at least [n]
+    elements, to hand back to {!give}.  Contents are unspecified. *)
+let take n : Tensor.buf =
   if n <= 0 then invalid_arg "Bufpool.take: non-positive size";
   let p = pool () in
   let s = p.stats in
@@ -112,33 +112,32 @@ let take n : Tensor.buf * Tensor.buf =
   if s.leased > s.hw_leased then s.hw_leased <- s.leased;
   s.leased_elems <- s.leased_elems + cap;
   if s.leased_elems > s.hw_leased_elems then s.hw_leased_elems <- s.leased_elems;
-  let backing =
-    match p.free.(c) with
-    | b :: rest ->
-        p.free.(c) <- rest;
-        s.hits <- s.hits + 1;
-        s.pooled <- s.pooled - 1;
-        s.pooled_elems <- s.pooled_elems - cap;
-        b
-    | [] ->
-        s.misses <- s.misses + 1;
-        Tensor.alloc_buf cap
-  in
-  ((if n = cap then backing else Bigarray.Array1.sub backing 0 n), backing)
+  match p.free.(c) with
+  | b :: rest ->
+      p.free.(c) <- rest;
+      s.hits <- s.hits + 1;
+      s.pooled <- s.pooled - 1;
+      s.pooled_elems <- s.pooled_elems - cap;
+      b
+  | [] ->
+      s.misses <- s.misses + 1;
+      Tensor.alloc_buf cap
 
-(** {!take} with the view zero-filled (gradients). *)
+(** {!take} with the first [n] elements zero-filled (gradients). *)
 let take_zeroed n =
-  let ((view, _) as lease) = take n in
-  Bigarray.Array1.fill view 0.0;
-  lease
+  let b = take n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set b i 0.0
+  done;
+  b
 
-(** Return a backing buffer (the second component of a {!take}) to the
-    current domain's pool.  It is parked only while the pooled elements
-    stay within the lease high-water mark; otherwise it is left to the GC. *)
+(** Return a buffer from {!take} to the current domain's pool.  It is
+    parked only while the pooled elements stay within the lease high-water
+    mark; otherwise it is left to the GC. *)
 let give (b : Tensor.buf) =
   let cap = Bigarray.Array1.dim b in
   let c = class_of cap in
-  if 1 lsl c <> cap then invalid_arg "Bufpool.give: not a backing buffer";
+  if 1 lsl c <> cap then invalid_arg "Bufpool.give: not a pool buffer";
   let p = pool () in
   let s = p.stats in
   s.returned <- s.returned + 1;

@@ -3,12 +3,14 @@
 
     Storage is a flat C-layout [Bigarray] of float64 — off the OCaml heap, so
     big activation/parameter blocks neither move during GC nor contribute to
-    minor-heap pressure, and a buffer leased from {!Bufpool} (an exact-length
-    view of a size-class buffer) is wrapped without copying.  Vectors are
-    represented with [rows = 1].  All kernels use [unsafe_get]/[unsafe_set]
-    inner loops over monomorphic bigarrays (the float64 kind is statically
-    known, so access compiles to unboxed loads) because they dominate
-    training time.
+    minor-heap pressure, and a buffer leased from {!Bufpool} (a size-class
+    buffer, possibly longer than the tensor) is wrapped without copying.
+    A tensor is the first [rows × cols] elements of its buffer, and every
+    whole-tensor function here is bounded by that size, never by the
+    buffer's length.  Vectors are represented with [rows = 1].  All
+    kernels use [unsafe_get]/[unsafe_set] inner loops over monomorphic
+    bigarrays (the float64 kind is statically known, so access compiles
+    to unboxed loads) because they dominate training time.
 
     Every {!Batched} node value and gradient is a [lanes × dim] tensor.
     The one helper over a raw [float array], [argmax], picks from a lane
@@ -58,10 +60,11 @@ let create rows cols =
 let zeros = create
 
 (** Wrap an existing buffer (e.g. one leased from {!Bufpool}) without
-    copying or profiler tracking; the buffer's length must match exactly.
+    copying or profiler tracking; the buffer must hold at least
+    [rows * cols] elements, and the tensor is its first [rows * cols].
     The caller owns the buffer's lifetime. *)
 let of_buf data rows cols =
-  if A.dim data <> rows * cols then invalid_arg "Tensor.of_buf: size mismatch";
+  if A.dim data < rows * cols then invalid_arg "Tensor.of_buf: buffer too short";
   { data; rows; cols }
 
 (** Matrix from a row-major nested array. Rows must be nonempty and equal
@@ -81,20 +84,35 @@ let of_rows rows_arr =
     rows_arr;
   t
 
+(** Overwrite [dst]'s elements with [src]'s; their sizes must match. *)
+let blit src dst =
+  if size src <> size dst then invalid_arg "Tensor.blit: size mismatch";
+  for i = 0 to size src - 1 do
+    A.unsafe_set dst.data i (A.unsafe_get src.data i)
+  done
+
 let copy t =
   let c = create t.rows t.cols in
-  A.blit t.data c.data;
+  blit t c;
   c
 
-let get t i j = A.get t.data ((i * t.cols) + j)
-let set t i j x = A.set t.data ((i * t.cols) + j) x
+(** Flat element access (row-major).  The index is checked against
+    [rows × cols], not against the buffer, which may be longer. *)
+let get_idx t i =
+  if i < 0 || i >= size t then invalid_arg "Tensor.get_idx: index out of bounds";
+  A.unsafe_get t.data i
 
-(** Flat element access (row-major). *)
-let get_idx t i = A.get t.data i
+let set_idx t i x =
+  if i < 0 || i >= size t then invalid_arg "Tensor.set_idx: index out of bounds";
+  A.unsafe_set t.data i x
 
-let set_idx t i x = A.set t.data i x
+let get t i j = get_idx t ((i * t.cols) + j)
+let set t i j x = set_idx t ((i * t.cols) + j) x
 
-let fill t x = A.fill t.data x
+let fill t x =
+  for i = 0 to size t - 1 do
+    A.unsafe_set t.data i x
+  done
 
 (** Copy out as a row-major float array. *)
 let to_array t =

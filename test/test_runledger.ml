@@ -212,7 +212,7 @@ let gauge_of snap name labels =
 let test_enriched_gauges_monotone () =
   fresh_metrics ();
   (* touch the pool directly so its freelists are provably non-empty *)
-  Bufpool.give (snd (Bufpool.take 64));
+  Bufpool.give (Bufpool.take 64);
   Timeseries.enrich ();
   let snap1 = OM.snapshot () in
   Alcotest.(check bool) "gc heap gauge present and positive" true

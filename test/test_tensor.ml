@@ -195,16 +195,11 @@ let test_grad_sub_neg_scale () =
       | _ -> assert false)
     [ (2, x); (2, y) ]
 
-let test_grad_sigmoid_relu () =
+let test_grad_sigmoid () =
   let rng = Rng.create 33 in
   let x = rand_vec rng 5 in
   grad_check "sigmoid"
     (fun t -> function [ a ] -> Batched.sum_all t (Batched.sigmoid t a) | _ -> assert false)
-    [ lane x ];
-  (* keep values away from the relu kink *)
-  let x = Array.map (fun v -> if Float.abs v < 0.1 then v +. 0.3 else v) x in
-  grad_check "relu"
-    (fun t -> function [ a ] -> Batched.sum_all t (Batched.relu t a) | _ -> assert false)
     [ lane x ]
 
 (* column concat and slice; a lane's dot product is sum(c ⊙ c) *)
@@ -215,7 +210,7 @@ let test_grad_dot_concat () =
     (fun t -> function
       | [ a; b ] ->
           let c = Batched.concat_cols t [ a; b ] in
-          let s = Batched.one_minus t (Batched.slice_cols t c 1 3) in
+          let s = Batched.scale t (-1.0) (Batched.slice_cols t c 1 3) in
           Batched.add t (Batched.sum_all t (Batched.mul t c c)) (Batched.sum_all t s)
       | _ -> assert false)
     [ (2, x); (2, y) ]
@@ -532,7 +527,7 @@ let () =
         [
           Alcotest.test_case "add/mul/tanh grads" `Quick test_grad_add_mul_tanh;
           Alcotest.test_case "sub/neg/scale grads" `Quick test_grad_sub_neg_scale;
-          Alcotest.test_case "sigmoid/relu grads" `Quick test_grad_sigmoid_relu;
+          Alcotest.test_case "sigmoid grads" `Quick test_grad_sigmoid;
           Alcotest.test_case "concat/dot grads" `Quick test_grad_dot_concat;
           Alcotest.test_case "softmax grads" `Quick test_grad_softmax;
           Alcotest.test_case "weighted_sum grads" `Quick test_grad_weighted_sum;
