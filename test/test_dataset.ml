@@ -246,6 +246,47 @@ let test_pipeline_naming () =
       Alcotest.(check bool) "original >= filtered" true (r.Stats.original >= r.Stats.filtered))
     corpus.Pipeline.stats.Stats.rows
 
+(* The assembled corpus bits: for a naming corpus built at two seeds and at
+   pool sizes 1 and 2, the MD5 of the vocabulary (tokens in id order) and
+   of every encoded example of the three splits, marshalled without
+   sharing so that two equal arrays and one shared array marshal alike.
+   Recorded before the corpus build memoized tokenization and test runs;
+   any change to how the front half of the pipeline schedules its work
+   must leave both digests where they are. *)
+let test_corpus_bits_pinned () =
+  let module Par = Liger_parallel.Parallel in
+  let digests seed =
+    Common.reset_uids ();
+    Ast.reset_sids ();
+    let c = Pipeline.build_naming (Rng.create seed) ~name:"pinned" ~n:60 in
+    let vocab =
+      String.concat "\n" (List.map fst (Liger_trace.Vocab.to_list c.Pipeline.vocab))
+    in
+    let examples =
+      Marshal.to_string (c.Pipeline.train, c.Pipeline.valid, c.Pipeline.test)
+        [ Marshal.No_sharing ]
+    in
+    (Digest.to_hex (Digest.string vocab), Digest.to_hex (Digest.string examples))
+  in
+  let saved = Par.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Par.set_jobs saved)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Par.set_jobs jobs;
+          List.iter
+            (fun (seed, vocab, examples) ->
+              let v, e = digests seed in
+              let what = Printf.sprintf "seed %d, jobs %d" seed jobs in
+              Alcotest.(check string) (what ^ ": vocabulary") vocab v;
+              Alcotest.(check string) (what ^ ": encoded examples") examples e)
+            [
+              (1, "db4909d2b58b6f74fb6980932df7896e", "06801bcd03a59c41ff69a441351f8ade");
+              (2, "4c9d4ffaba1cf18ab70b5cba079ada22", "50b8085d4eade5b5ff6925bc4a714bbe");
+            ])
+        [ 1; 2 ])
+
 let test_pipeline_coset () =
   let rng = Rng.create 14 in
   let corpus = Pipeline.build_coset ~enc_config:small_enc rng ~n:30 in
@@ -386,6 +427,7 @@ let () =
           Alcotest.test_case "naming corpus" `Slow test_pipeline_naming;
           Alcotest.test_case "coset corpus" `Slow test_pipeline_coset;
           Alcotest.test_case "frozen vocab ids" `Slow test_pipeline_unseen_tokens_map_to_unk;
+          Alcotest.test_case "assembled corpus bits pinned" `Slow test_corpus_bits_pinned;
         ] );
       ( "probing",
         [
