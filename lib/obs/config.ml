@@ -1,6 +1,6 @@
 (** The process configuration: the one module that reads the environment.
 
-    Ten [LIGER_*] variables configure a run.  {!get} reads them once per
+    Nine [LIGER_*] variables configure a run.  {!get} reads them once per
     process, and every other module takes its values from the result.  The
     rule is the same for each variable: an empty (or all-blank) value counts
     as unset, and a malformed one raises [Invalid_argument] naming the
@@ -18,7 +18,6 @@
     LIGER_TRACE          1|0|true|false|yes|no|on|off  off
     LIGER_METRICS_EVERY  seconds > 0                   no ledger
     LIGER_SCALE          quick|full                    quick
-    LIGER_BENCH_N        positive integer              60 (bench/batched.exe)
     v} *)
 
 type scale = Quick | Full
@@ -33,7 +32,6 @@ type t = {
   trace : bool;  (** Chrome trace into the run directory *)
   metrics_every : float option;  (** run-ledger interval in seconds *)
   scale : scale;  (** size of the paper's evaluation *)
-  bench_n : int option;  (** methods per corpus in bench/batched.exe *)
 }
 
 let default =
@@ -47,7 +45,6 @@ let default =
     trace = false;
     metrics_every = None;
     scale = Quick;
-    bench_n = None;
   }
 
 let malformed var expected got =
@@ -130,7 +127,6 @@ let parse env =
     trace = read "LIGER_TRACE" flag ~default:default.trace;
     metrics_every = read "LIGER_METRICS_EVERY" (some seconds) ~default:default.metrics_every;
     scale = read "LIGER_SCALE" scale ~default:default.scale;
-    bench_n = read "LIGER_BENCH_N" (some positive_int) ~default:default.bench_n;
   }
 
 (* Parsed on first use rather than at program start, so a malformed value

@@ -110,10 +110,10 @@ let group_of_param param_name =
   Mutex.unlock group_mutex;
   g
 
-(* A non-finite norm must not reach the ledger: the JSON writer clamps
-   NaN/inf to 0, which would read as a *vanished* gradient.  Record a
-   huge finite value instead so the exploding-gradients rule fires — the
-   semantically right verdict for a NaN norm. *)
+(* A non-finite norm must not reach the ledger: the JSON writer writes
+   NaN/inf as null, which the reader drops, so no rule would see it.
+   Record a huge finite value instead so the exploding-gradients rule
+   fires — the semantically right verdict for a NaN norm. *)
 let sanitize v = if Float.is_finite v then v else 1e9
 
 (** Publish one parameter group's pre-clip gradient norm.  An exactly-zero

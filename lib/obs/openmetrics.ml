@@ -104,8 +104,12 @@ let help_for name =
 
 (* ---------------- rendering ---------------- *)
 
+(* OpenMetrics spells the non-finite values out; finite ones render as
+   in JSON *)
 let fmt_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  if Float.is_nan x then "NaN"
+  else if x = Float.infinity then "+Inf"
+  else if x = Float.neg_infinity then "-Inf"
   else Json.of_float x
 
 (** Render a snapshot in OpenMetrics text format, terminated by

@@ -6,7 +6,17 @@
     twofold, as in Randoop: inputs that produce a new path (or deepen an
     under-populated path group) are kept and their observed values are fed
     back into the generation pool; inputs that crash the method are
-    remembered only as evidence for filtering. *)
+    remembered only as evidence for filtering.
+
+    Random draws from a small pool repeat inputs (a third of the attempts
+    on a generated corpus, timeouts included), so each call remembers the
+    trace of every argument list it has run and runs a repeat no more: a
+    trace is a function of the method, the arguments and the fuel alone
+    ({!Interp.exec} snapshots its arguments and keeps no state between
+    runs).  Everything else an attempt does, a repeat does too: it counts
+    as an attempt (and as a crash or timeout), joins its path group, and
+    if kept, is kept again and feeds the pool, so the result is the one
+    running every input would give. *)
 
 open Liger_lang
 open Liger_trace
@@ -24,7 +34,8 @@ let default_budget = { max_attempts = 400; target_paths = 20; per_path = 5; fuel
 
 type result = {
   traces : Exec_trace.t list;  (* successful traces only *)
-  n_attempts : int;
+  n_attempts : int;           (* inputs considered *)
+  n_executions : int;         (* interpreter runs: distinct inputs *)
   n_crashes : int;
   n_timeouts : int;
   gave_up : bool;  (* no successful execution within the budget *)
@@ -41,33 +52,54 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   let n_attempts = ref 0 in
   let n_crashes = ref 0 in
   let n_timeouts = ref 0 in
+  let n_executions = ref 0 in
+  (* the trace of every argument list run so far; only a kept trace keeps
+     its steps here, since a repeat of any other is never kept *)
+  let runs : (Value.t list, Exec_trace.t) Hashtbl.t = Hashtbl.create 64 in
   let full_groups () =
     Hashtbl.fold (fun _ count acc -> if !count >= budget.per_path then acc + 1 else acc)
       groups 0
   in
   let consider args =
     incr n_attempts;
-    let tr = Exec_trace.run ~fuel:budget.fuel ~keep_steps:64 prepared args in
-    match tr.Exec_trace.outcome with
-    | Interp.Crashed _ -> incr n_crashes
-    | Interp.Timeout -> incr n_timeouts
-    | Interp.Returned ret ->
-        let key = path_key tr in
-        let count =
-          match Hashtbl.find_opt groups key with
-          | Some c -> c
-          | None ->
-              let c = ref 0 in
-              Hashtbl.add groups key c;
-              c
-        in
-        if !count < budget.per_path then begin
-          incr count;
-          kept := tr :: !kept;
-          (* feed observed values back into the pool *)
-          List.iter (Randgen.remember pool) args;
-          Randgen.remember pool ret
-        end
+    let seen = Hashtbl.find_opt runs args in
+    let tr =
+      match seen with
+      | Some tr -> tr
+      | None ->
+          incr n_executions;
+          Exec_trace.run ~fuel:budget.fuel ~keep_steps:64 prepared args
+    in
+    let keep =
+      match tr.Exec_trace.outcome with
+      | Interp.Crashed _ ->
+          incr n_crashes;
+          false
+      | Interp.Timeout ->
+          incr n_timeouts;
+          false
+      | Interp.Returned ret ->
+          let key = path_key tr in
+          let count =
+            match Hashtbl.find_opt groups key with
+            | Some c -> c
+            | None ->
+                let c = ref 0 in
+                Hashtbl.add groups key c;
+                c
+          in
+          if !count < budget.per_path then begin
+            incr count;
+            kept := tr :: !kept;
+            (* feed observed values back into the pool *)
+            List.iter (Randgen.remember pool) args;
+            Randgen.remember pool ret;
+            true
+          end
+          else false
+    in
+    if Option.is_none seen then
+      Hashtbl.add runs args (if keep then tr else { tr with Exec_trace.steps = [] })
   in
   (* phase 1: directed inputs from symbolic execution *)
   let directed =
@@ -91,6 +123,7 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   let gave_up = Hashtbl.length groups = 0 in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.add "testgen.attempts" !n_attempts;
+    Obs.Metrics.add "testgen.executions" !n_executions;
     Obs.Metrics.add "testgen.crashes" !n_crashes;
     Obs.Metrics.add "testgen.timeouts" !n_timeouts;
     if gave_up then Obs.Metrics.incr "testgen.gave_up"
@@ -98,6 +131,7 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   {
     traces = List.rev !kept;
     n_attempts = !n_attempts;
+    n_executions = !n_executions;
     n_crashes = !n_crashes;
     n_timeouts = !n_timeouts;
     gave_up;

@@ -343,7 +343,6 @@ let config_table =
     ("LIGER_TRACE", "on", { C.default with C.trace = true }, "2");
     ("LIGER_METRICS_EVERY", "0.5", { C.default with C.metrics_every = Some 0.5 }, "-1");
     ("LIGER_SCALE", "full", { C.default with C.scale = C.Full }, "ful");
-    ("LIGER_BENCH_N", "20", { C.default with C.bench_n = Some 20 }, "abc");
   ]
 
 let test_config_parse () =
@@ -359,7 +358,7 @@ let test_config_parse () =
       | _ -> Alcotest.failf "%s=%S was accepted" var bad
       | exception Invalid_argument msg -> check ("message names it: " ^ msg) (contains msg var))
     config_table;
-  Alcotest.(check int) "every variable in the table" 10 (List.length config_table)
+  Alcotest.(check int) "every variable in the table" 9 (List.length config_table)
 
 (* ------------------------------------------------------------------ *)
 (* Train.fit: empty validation split makes best-epoch selection vacuous *)

@@ -57,10 +57,10 @@ let test_openmetrics_golden () =
         "req_count_total 2";
         "# HELP time_seconds LiGer metric time.seconds";
         "# TYPE time_seconds counter";
-        "time_seconds_total 1.500000";
+        "time_seconds_total 1.5";
         "# HELP train_loss Mean training loss of the last epoch";
         "# TYPE train_loss gauge";
-        "train_loss{model=\"LiGer\"} 0.250000";
+        "train_loss{model=\"LiGer\"} 0.25";
         "# EOF";
         "";
       ]

@@ -471,6 +471,16 @@ let test_feedback_deterministic () =
   Alcotest.(check int) "attempts equal" (Feedback.generate (Rng.create 7) m).Feedback.n_attempts
     (Feedback.generate (Rng.create 7) m).Feedback.n_attempts
 
+(* A method of one bool has two distinct inputs: however many attempts
+   the budget allows, the interpreter runs at most twice.  400 attempts
+   and 10 kept traces are what running every input gave. *)
+let test_feedback_runs_each_input_once () =
+  let m = parse "method pick(bool b) : int { if (b) { return 1; } return 0; }" in
+  let r = Feedback.generate (Rng.create 11) m in
+  Alcotest.(check bool) "at most 2 executions" true (r.Feedback.n_executions <= 2);
+  Alcotest.(check int) "attempts" 400 r.Feedback.n_attempts;
+  Alcotest.(check int) "kept traces" 10 (List.length r.Feedback.traces)
+
 (* ------------------------------------------------------------------ *)
 (* Pinned output                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -846,6 +856,7 @@ let () =
           Alcotest.test_case "sorting paths" `Quick test_feedback_sorting_method;
           Alcotest.test_case "gives up" `Quick test_feedback_gives_up_on_hopeless;
           Alcotest.test_case "deterministic" `Quick test_feedback_deterministic;
+          Alcotest.test_case "runs each input once" `Quick test_feedback_runs_each_input_once;
         ] );
       ( "pinned",
         [
