@@ -5,11 +5,15 @@
     closure over it.  [exec] runs the compiled method on concrete argument
     values under a fuel budget and calls its observer after every executed
     statement with the statement id, the branch outcome (for conditions)
-    and a function that deep-copies the program state on demand — the
+    and a function that copies the program state on demand — the
     instrumentation the paper obtains by rewriting Java/C# sources (§6).
     The sequence of observer calls is an execution trace in the sense of
     Definition 2.1; a state is copied only when the observer asks for it,
-    so a run without an observer copies nothing.
+    so a run without an observer copies nothing.  A statement changes one
+    or two variables, so a copy shares with the run's previous copy the
+    cell of every variable that still holds the same immutable value or an
+    array with the same elements (and the list tail after the last
+    changed variable): each state has the values a deep copy would give.
 
     Evaluation order, results and crash messages are the language's
     definition: the right operand of a binary operator is evaluated before
@@ -405,18 +409,52 @@ let compile (meth : Ast.meth) =
   let body = compile_block sc meth.Ast.body in
   { params; layout; n_slots = sc.next; body }
 
-(* A deep copy of the state, in layout order. *)
-let copy_state layout vars : state =
-  Array.fold_right
-    (fun (x, i) acc ->
-      let v = vars.(i) in
-      (x, if v == unbound then None else Some (Value.snapshot v)) :: acc)
-    layout []
+(* A copier of one run's state, in layout order.  A slot that holds the
+   block it held at the last copy, when that block is immutable (an int, a
+   bool, a string, unbound) or an array whose elements still equal that
+   copy's, keeps its cell of the last copy; a suffix of such slots keeps
+   the last copy's list.  Nothing writes into a copied state, so sharing
+   changes no value.  A record is copied every time: its fields are
+   mutable and it is rare. *)
+let state_copier layout vars : unit -> state =
+  let n = Array.length layout in
+  let seen = Array.make n unbound in
+  let tails : state array = Array.make n [] in
+  let copied = ref false in
+  fun () ->
+    let acc = ref [] and shared = ref true in
+    for k = n - 1 downto 0 do
+      let x, i = Array.unsafe_get layout k in
+      let v = Array.unsafe_get vars i in
+      let prev = tails.(k) in
+      let same =
+        !copied && v == seen.(k)
+        &&
+        match (v, prev) with
+        | (Value.VInt _ | Value.VBool _ | Value.VStr _), _ -> true
+        | Value.VArr a, (_, Some (Value.VArr c)) :: _ -> a = c
+        | _ -> false
+      in
+      if not (same && !shared) then begin
+        shared := false;
+        let cell =
+          match prev with
+          | cell :: _ when same -> cell
+          | _ -> (x, if v == unbound then None else Some (Value.snapshot v))
+        in
+        acc := cell :: !acc
+      end
+      else acc := prev;
+      seen.(k) <- v;
+      tails.(k) <- !acc
+    done;
+    copied := true;
+    !acc
 
 (** Execute a compiled method on [args].  [fuel] bounds the number of
     executed statements.  After each one, [on_step sid branch copy] is
     called with the statement id, the condition's outcome ([None] for
-    non-conditions) and [copy], which deep-copies the current state when
+    non-conditions) and [copy], which copies the current state when
     called during that [on_step] (the state moves on afterwards).  Nothing
     is copied unless [copy] is called.  Never raises (except what
     [on_step] raises): runtime errors and fuel exhaustion are reified in
@@ -429,7 +467,7 @@ let exec ?(fuel = 20_000) ?on_step (c : compiled) args =
   else begin
     let vars = Array.make c.n_slots unbound in
     List.iteri (fun k v -> vars.(c.params.(k)) <- Value.snapshot v) args;
-    let fr = { vars; fuel; observe = on_step; snap = (fun () -> copy_state c.layout vars) } in
+    let fr = { vars; fuel; observe = on_step; snap = state_copier c.layout vars } in
     try
       match c.body fr with
       | SReturn v -> Returned v
