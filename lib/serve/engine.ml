@@ -124,7 +124,7 @@ let encode_method ?(config = default_config) ~vocab (meth : Ast.meth) hash =
 let encode t meth hash = encode_method ~config:t.config ~vocab:t.vocab meth hash
 
 let vector_json v =
-  "[" ^ String.concat "," (List.map Json.of_float (Array.to_list v)) ^ "]"
+  "[" ^ String.concat "," (List.map Json.of_float_17 (Array.to_list v)) ^ "]"
 
 (** The embedding of [meth], through cache and coalescer.  Returns the
     cache entry and whether it was served from cache. *)
@@ -162,7 +162,7 @@ let embed_body hash ~cached v = embed_json hash ~cached ~dim:(Array.length v) (v
 
 let search_body hash neighbors =
   let neighbor (score, key) =
-    String.concat "" [ "{\"key\":\""; Json.escape key; "\",\"score\":"; Json.of_float score; "}" ]
+    String.concat "" [ "{\"key\":\""; Json.escape key; "\",\"score\":"; Json.of_float_17 score; "}" ]
   in
   String.concat ""
     [ "{\"hash\":\""; hash; "\",\"neighbors\":["; String.concat "," (List.map neighbor neighbors); "]}" ]
