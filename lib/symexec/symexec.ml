@@ -365,10 +365,9 @@ let explore ?(config = default_config) ?absint (meth : Ast.meth) ~shape : path_r
              finish st (Sym_aborted "fell through without return")
          | SAbort (st, msg) -> finish st (Sym_aborted msg))
 
-(** Solve a path's condition and materialize concrete argument values.
-    Returns the arguments in parameter order, ready for [Interp.run]. *)
-let concretize ?domain rng (meth : Ast.meth) ~shape (r : path_result) =
-  let vars = shape_inputs meth shape in
+(* [concretize] over the input variables [vars] of [shape], computed once
+   per method by [generate_inputs] *)
+let solve_path ?domain rng ~vars ~shape (r : path_result) =
   match Solver.solve ?domain rng ~vars r.pc with
   | None -> None
   | Some model ->
@@ -380,15 +379,21 @@ let concretize ?domain rng (meth : Ast.meth) ~shape (r : path_result) =
       in
       Some args
 
+(** Solve a path's condition and materialize concrete argument values.
+    Returns the arguments in parameter order, ready for [Interp.run]. *)
+let concretize ?domain rng (meth : Ast.meth) ~shape (r : path_result) =
+  solve_path ?domain rng ~vars:(shape_inputs meth shape) ~shape r
+
 (** End-to-end directed generation: enumerate paths, solve each feasible
     one, return concrete inputs (deduplicated) that together exercise every
     solved path. *)
 let generate_inputs ?config ?domain rng (meth : Ast.meth) =
   let shape = shape_of_params meth.Ast.params in
+  let vars = shape_inputs meth shape in
   let results = explore ?config meth ~shape in
   results
   |> List.filter_map (fun r ->
          match r.outcome with
-         | Sym_returned _ -> concretize ?domain rng meth ~shape r
+         | Sym_returned _ -> solve_path ?domain rng ~vars ~shape r
          | Sym_aborted _ -> None)
   |> List.sort_uniq compare

@@ -56,10 +56,8 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   (* the trace of every argument list run so far; only a kept trace keeps
      its steps here, since a repeat of any other is never kept *)
   let runs : (Value.t list, Exec_trace.t) Hashtbl.t = Hashtbl.create 64 in
-  let full_groups () =
-    Hashtbl.fold (fun _ count acc -> if !count >= budget.per_path then acc + 1 else acc)
-      groups 0
-  in
+  (* groups holding [per_path] traces, counted as each fills *)
+  let n_full = ref 0 in
   let consider args =
     incr n_attempts;
     let seen = Hashtbl.find_opt runs args in
@@ -86,10 +84,12 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
             | None ->
                 let c = ref 0 in
                 Hashtbl.add groups key c;
+                if budget.per_path <= 0 then incr n_full;
                 c
           in
           if !count < budget.per_path then begin
             incr count;
+            if !count = budget.per_path then incr n_full;
             kept := tr :: !kept;
             (* feed observed values back into the pool *)
             List.iter (Randgen.remember pool) args;
@@ -116,7 +116,7 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
       while
         !n_attempts < budget.max_attempts
         && not (Hashtbl.length groups >= budget.target_paths
-                && full_groups () >= min budget.target_paths (Hashtbl.length groups))
+                && !n_full >= min budget.target_paths (Hashtbl.length groups))
       do
         consider (Randgen.args ~pool rng meth)
       done);
