@@ -95,7 +95,7 @@ let run_serve_bench ~qps ~duration =
   say "%s\n%!" (String.make 72 '-');
   (* seed-scale model over a 40-method fixture corpus *)
   let enc =
-    { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
+    { Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
   in
   let corpus =
     Liger_dataset.Pipeline.build_naming ~enc_config:enc (Rng.create 777)

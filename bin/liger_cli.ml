@@ -841,6 +841,16 @@ let report_cmd =
 
 (* ---------------- serve / index / fetch ---------------- *)
 
+(* an int flag that must be at least [lo]: a smaller value is a usage
+   error, not an exception from the library it reaches *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let serve_cmd =
   let run () model_dir index_dir port port_file max_inflight batch_window_ms
       cache_capacity deadline_ms =
@@ -925,7 +935,7 @@ let serve_cmd =
                    (for scripts using --port 0).")
   in
   let max_inflight =
-    Arg.(value & opt int 8
+    Arg.(value & opt (int_at_least 1) 8
          & info [ "max-inflight" ] ~docv:"K"
              ~doc:"Admission cap: over $(docv) concurrently handled requests, \
                    answer 429 with Retry-After instead of queueing.")
@@ -937,7 +947,7 @@ let serve_cmd =
                    within $(docv) ms share one batched forward.")
   in
   let cache_capacity =
-    Arg.(value & opt int 512
+    Arg.(value & opt (int_at_least 1) 512
          & info [ "cache-capacity" ] ~docv:"N"
              ~doc:"AST-hash-keyed LRU embedding cache entries.")
   in
@@ -986,19 +996,22 @@ let index_cmd =
                   None))
         (from_files @ generated)
     in
-    if items = [] then failwith "nothing to index (no FILES and --generate 0?)";
-    (* content-addressing: an existing index under --out seeds vector reuse *)
-    let previous =
-      match Serve.Index.load ~dir:out with Ok t -> Some t | Error _ -> None
-    in
-    let idx, report =
-      Serve.Index.build ~dim ?previous
-        ~embed_batch:(fun exs -> Liger_model.embed_programs model exs)
-        items
-    in
-    Serve.Index.save idx ~dir:out;
-    Printf.printf "index %s: %d entries (embedded %d, reused %d)\n" out
-      (Serve.Index.size idx) report.Serve.Index.embedded report.Serve.Index.reused
+    if items = [] then `Error (false, "nothing to index (no FILES and --generate 0?)")
+    else begin
+      (* content-addressing: an existing index under --out seeds vector reuse *)
+      let previous =
+        match Serve.Index.load ~dir:out with Ok t -> Some t | Error _ -> None
+      in
+      let idx, report =
+        Serve.Index.build ~dim ?previous
+          ~embed_batch:(fun exs -> Liger_model.embed_programs model exs)
+          items
+      in
+      Serve.Index.save idx ~dir:out;
+      Printf.printf "index %s: %d entries (embedded %d, reused %d)\n" out
+        (Serve.Index.size idx) report.Serve.Index.embedded report.Serve.Index.reused;
+      `Ok ()
+    end
   in
   let model_dir =
     Arg.(required & opt (some dir) None
@@ -1015,7 +1028,7 @@ let index_cmd =
          & info [] ~docv:"FILE" ~doc:"MiniJava source files to index (all methods).")
   in
   let generate =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "generate" ] ~docv:"N"
              ~doc:"Also index $(docv) generated corpus methods (deterministic in \
                    --seed).")
@@ -1026,7 +1039,7 @@ let index_cmd =
        ~doc:"Build or refresh the content-addressed embedding index behind \
              serve's /search: methods are keyed by AST hash, so rebuilding over \
              an edited corpus re-embeds only what changed")
-    Term.(const run $ obs_term $ model_dir $ out $ files $ generate $ seed)
+    Term.(ret (const run $ obs_term $ model_dir $ out $ files $ generate $ seed))
 
 let fetch_cmd =
   let run url data lint =

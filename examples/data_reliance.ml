@@ -13,7 +13,7 @@ open Liger_eval
 let () =
   let rng = Rng.create 555 in
   let enc =
-    { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
+    { Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
   in
   Printf.printf "Building corpus...\n%!";
   let corpus = Pipeline.build_naming ~enc_config:enc rng ~name:"reliance" ~n:160 in

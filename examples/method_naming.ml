@@ -14,7 +14,7 @@ let () =
   let rng = Rng.create 2024 in
   Printf.printf "Building corpus (generate -> filter -> trace -> encode)...\n%!";
   let enc =
-    { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
+    { Common.max_paths = 4; max_concrete = 3; max_steps = 16 }
   in
   let corpus = Pipeline.build_naming ~enc_config:enc rng ~name:"example" ~n:150 in
   let n_train, n_valid, n_test = Pipeline.sizes corpus in

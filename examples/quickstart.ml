@@ -69,7 +69,7 @@ let () =
   (* embed the program *)
   let enc = Common.default_enc_config in
   let vocab = Vocab.create () in
-  Common.register_example enc vocab blended (Common.Name meth.Ast.mname);
+  Common.register_example vocab blended (Common.Name meth.Ast.mname);
   Vocab.freeze vocab;
   let ex = Common.encode_example enc vocab meth blended (Common.Name meth.Ast.mname) in
   let model = Liger_model.create vocab Liger_model.Naming in

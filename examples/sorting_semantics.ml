@@ -130,7 +130,7 @@ let () =
   Printf.printf "== 3. LiGer embeddings after training on the sorting problem ==\n";
   (* tiny classification setup: bubble vs insertion vs selection variants *)
   let rng = Rng.create 11 in
-  let enc = { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 } in
+  let enc = { Common.max_paths = 4; max_concrete = 3; max_steps = 16 } in
   let budget = { Feedback.max_attempts = 200; target_paths = 6; per_path = 3; fuel = 8000 } in
   let train_programs =
     List.concat_map
@@ -149,7 +149,7 @@ let () =
       train_programs
   in
   let vocab = Vocab.create () in
-  List.iter (fun (_, b, l) -> Common.register_example enc vocab b l) raw;
+  List.iter (fun (_, b, l) -> Common.register_example vocab b l) raw;
   Vocab.freeze vocab;
   let examples = List.map (fun (m, b, l) -> Common.encode_example enc vocab m b l) raw in
   let wrapper, model =

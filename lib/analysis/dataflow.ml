@@ -26,13 +26,12 @@ module Solver (F : FACT) = struct
       popped off the worklist before convergence. *)
   type result = { before : F.t array; after : F.t array; iterations : int }
 
-  (** [`Rpo] (the default) pops the worklist in reverse postorder of the flow
-      direction — for a forward pass that is RPO over successor edges, for a
-      backward pass RPO of the reversed graph (i.e. postorder) — so a node is
-      processed after as many of its flow predecessors as the loop structure
-      allows and facts converge in near-linear sweeps.  [`Fifo] is the
-      original queue order, kept for the iteration-count regression test. *)
-  let solve ?(direction = Forward) ?(strategy = `Rpo) (cfg : Cfg.t) ~(init : F.t)
+  (** The worklist pops in reverse postorder of the flow direction: for a
+      forward pass that is RPO over successor edges, for a backward pass
+      RPO of the reversed graph (i.e. postorder).  A node is then processed
+      after as many of its flow predecessors as the loop structure allows,
+      and facts converge in near-linear sweeps. *)
+  let solve ?(direction = Forward) (cfg : Cfg.t) ~(init : F.t)
       ~(transfer : Cfg.node -> F.t -> F.t) : result =
     let n = Cfg.n_nodes cfg in
     let before = Array.make n F.bottom in
@@ -46,11 +45,8 @@ module Solver (F : FACT) = struct
        DFS from [start] cannot reach sort last (they only ever enter the
        list in degenerate graphs). *)
     let order =
-      match strategy with
-      | `Fifo -> Array.make n 0
-      | `Rpo ->
-          let rpo, _, _ = Dominator.compute_rpo n flow_succs start in
-          Array.map (fun i -> if i < 0 then n else i) rpo
+      let rpo, _, _ = Dominator.compute_rpo n flow_succs start in
+      Array.map (fun i -> if i < 0 then n else i) rpo
     in
     (* Seed the worklist with the start node only.  Seeding every node looks
        harmless but is not: a node processed before the start fact reaches it
@@ -62,8 +58,8 @@ module Solver (F : FACT) = struct
     let queued = Array.make n false in
     let visited = Array.make n false in
     let iterations = ref 0 in
-    (* FIFO queue for `Fifo (all priorities equal), priority set for `Rpo;
-       the seq number breaks priority ties in insertion order *)
+    (* priority set; the seq number breaks priority ties in insertion
+       order *)
     let module PQ = Set.Make (struct
       type t = int * int * int (* priority, seq, node *)
 

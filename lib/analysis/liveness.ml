@@ -37,9 +37,9 @@ type result = {
   iterations : int;
 }
 
-let analyze ?cfg ?strategy (meth : Ast.meth) : result =
+let analyze ?cfg (meth : Ast.meth) : result =
   let cfg = match cfg with Some c -> c | None -> Cfg.build meth in
-  let r = S.solve ~direction:Dataflow.Backward ?strategy cfg ~init:VarSet.empty ~transfer in
+  let r = S.solve ~direction:Dataflow.Backward cfg ~init:VarSet.empty ~transfer in
   { cfg; live_out = r.S.before; live_in = r.S.after; iterations = r.S.iterations }
 
 (** Strong definitions whose value no path ever reads: the [sid]s of

@@ -7,10 +7,12 @@
     data the blended trace carries), then closes backwards over definitions:
     if a relevant variable is defined from [ys], the [ys] are relevant.
 
-    The point (following Henkel et al.'s abstracted traces): a state trace
-    may drop the columns of variables outside the slice without changing
-    which function the program computes, so the encoder can carry less.  The
-    mutator's dead declarations are exactly such columns. *)
+    The point (following Henkel et al.'s abstracted traces): the
+    statements outside the slice can go without changing which function
+    the program computes.  [liger analyze] reports the relevant variables,
+    and the fuzz [analysis] oracle runs the sliced method against the
+    original.  The mutator's dead declarations are exactly such
+    statements. *)
 
 open Liger_lang
 module VarSet = Dataflow.VarSet
@@ -55,13 +57,6 @@ let relevant_vars ?cfg (meth : Ast.meth) : VarSet.t =
       !defs
   done;
   !relevant
-
-(** Keep-predicate over state-trace columns, the form the encoder consumes.
-    Everything is kept when the method has no return-relevant structure at
-    all (defensive: a malformed method yields the identity filter). *)
-let keep_filter ?cfg (meth : Ast.meth) : string -> bool =
-  let r = relevant_vars ?cfg meth in
-  if VarSet.is_empty r then fun _ -> true else fun x -> VarSet.mem x r
 
 (** Statements in the backward slice: definitions of relevant variables,
     branches, jumps and returns — the [sid]s [liger analyze] highlights. *)

@@ -35,9 +35,14 @@ let context_of (pa, la) (pb, lb) =
   let path = List.rev_map (fun l -> "^" ^ l) up @ down in
   { left = la; path; right = lb }
 
+let max_contexts = 60
+let max_len = 9
+let max_leaves = 40
+
 (** Extract up to [max_contexts] path contexts, each at most [max_len]
-    interior nodes long.  Deterministic given [rng]. *)
-let extract ?(max_contexts = 60) ?(max_len = 9) ?(max_leaves = 40) rng tree =
+    interior nodes long, between at most [max_leaves] sampled leaves.
+    Deterministic given [rng]. *)
+let extract rng tree =
   let leaves = Array.of_list (leaves_with_paths tree) in
   let leaves =
     if Array.length leaves <= max_leaves then leaves

@@ -27,12 +27,11 @@ type t = {
   combine : Linear.t;
   decoder : Decoder.t option;
   classifier : Linear.t option;
-  path_seed : int;
   cache : (int, enc_path list) Hashtbl.t;
   cache_lock : Mutex.t;  (* predictions run in parallel; see Train.predictions *)
 }
 
-let create ?(dim = 16) ?(seed = 17) ?(path_seed = 2017) vocab (task : Liger_model.task) =
+let create ?(dim = 16) ?(seed = 17) vocab (task : Liger_model.task) =
   let store = Param.create_store ~seed () in
   let embedding = Embedding_layer.create store "tok" vocab ~dim in
   let path_rnn = Rnn_cell.create ~kind:Rnn_cell.Gru store "path" ~dim_in:dim ~dim_hidden:dim in
@@ -43,7 +42,7 @@ let create ?(dim = 16) ?(seed = 17) ?(path_seed = 2017) vocab (task : Liger_mode
         (Some (Decoder.create store "dec" embedding ~dim_hidden:dim ~dim_mem:dim), None)
     | Liger_model.Classify n -> (None, Some (Linear.create store "cls" ~dim_in:dim ~dim_out:n))
   in
-  { task; store; vocab; embedding; path_rnn; combine; decoder; classifier; path_seed;
+  { task; store; vocab; embedding; path_rnn; combine; decoder; classifier;
     cache = Hashtbl.create 256; cache_lock = Mutex.create () }
 
 let store t = t.store
@@ -51,13 +50,15 @@ let store t = t.store
 let terminal_subtokens tok =
   match Subtoken.split tok with [] -> [ tok ] | ts -> ts
 
+(* a method's path sample is seeded by its name *)
+let path_rng (meth : Ast.meth) = Rng.create (2017 + Hashtbl.hash meth.Ast.mname)
+
 (** Register a method's sub-tokens and path node types into a building
     vocabulary — call for every training method {e before} [create]. *)
-let register ?(path_seed = 2017) vocab (meth : Ast.meth) =
+let register vocab (meth : Ast.meth) =
   (* the method's own sub-tokens are decoder targets *)
   List.iter (fun s -> ignore (Vocab.id vocab s)) (terminal_subtokens meth.Ast.mname);
-  let rng = Rng.create (path_seed + Hashtbl.hash meth.Ast.mname) in
-  let contexts = Ast_paths.extract rng (Encode.meth_tree meth) in
+  let contexts = Ast_paths.extract (path_rng meth) (Encode.meth_tree meth) in
   List.iter
     (fun (c : Ast_paths.context) ->
       List.iter (fun s -> ignore (Vocab.id vocab s)) (terminal_subtokens c.Ast_paths.left);
@@ -70,9 +71,8 @@ let paths_of t (ex : Common.enc_example) =
   | Some ps -> ps
   | None ->
       let meth = ex.Common.meth in
-      let rng = Rng.create (t.path_seed + Hashtbl.hash meth.Ast.mname) in
       let ps =
-        Ast_paths.extract rng (Encode.meth_tree meth)
+        Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
         |> List.map (fun (c : Ast_paths.context) ->
                {
                  left = List.map (Vocab.id t.vocab) (terminal_subtokens c.Ast_paths.left);

@@ -24,7 +24,6 @@ type t = {
   attention_vec : Param.t;
   out : Linear.t;
   n_classes : int option;     (* Some n when used as a classifier instead *)
-  path_seed : int;
   cache : (int, enc_context list) Hashtbl.t;
   cache_lock : Mutex.t;  (* predictions run in parallel; see Train.predictions *)
 }
@@ -32,7 +31,7 @@ type t = {
 (** [create vocab ~labels task]: for naming, [labels] must contain every
     training method name (built by {!register_names}); for classification,
     pass the class count. *)
-let create ?(dim = 16) ?(seed = 13) ?(path_seed = 1013) vocab ~labels
+let create ?(dim = 16) ?(seed = 13) vocab ~labels
     (task : Liger_model.task) =
   let store = Param.create_store ~seed () in
   let n_out, n_classes =
@@ -49,19 +48,21 @@ let create ?(dim = 16) ?(seed = 13) ?(path_seed = 1013) vocab ~labels
     attention_vec = Param.matrix store "att" 1 dim;
     out = Linear.create store "out" ~dim_in:dim ~dim_out:n_out;
     n_classes;
-    path_seed;
     cache = Hashtbl.create 256;
     cache_lock = Mutex.create ();
   }
 
 let store t = t.store
 
+(* a method's path sample is seeded by its name *)
+let path_rng (meth : Liger_lang.Ast.meth) =
+  Rng.create (1013 + Hashtbl.hash meth.Liger_lang.Ast.mname)
+
 (** Register a method's tokens (and its name as a label) into building
     vocabularies — call for every training method {e before} [create],
     which freezes nothing itself but requires frozen vocabularies. *)
-let register ?(path_seed = 1013) vocab ~labels (meth : Liger_lang.Ast.meth) =
-  let rng = Rng.create (path_seed + Hashtbl.hash meth.Liger_lang.Ast.mname) in
-  let contexts = Ast_paths.extract rng (Encode.meth_tree meth) in
+let register vocab ~labels (meth : Liger_lang.Ast.meth) =
+  let contexts = Ast_paths.extract (path_rng meth) (Encode.meth_tree meth) in
   List.iter
     (fun (c : Ast_paths.context) ->
       ignore (Vocab.id vocab c.Ast_paths.left);
@@ -75,9 +76,8 @@ let contexts_of t (ex : Common.enc_example) =
   | Some cs -> cs
   | None ->
       let meth = ex.Common.meth in
-      let rng = Rng.create (t.path_seed + Hashtbl.hash meth.Liger_lang.Ast.mname) in
       let cs =
-        Ast_paths.extract rng (Encode.meth_tree meth)
+        Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
         |> List.map (fun (c : Ast_paths.context) ->
                {
                  left = Vocab.id t.vocab c.Ast_paths.left;

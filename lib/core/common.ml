@@ -62,11 +62,10 @@ type enc_config = {
   max_paths : int;     (* symbolic traces kept per method (full setting) *)
   max_concrete : int;  (* concrete traces kept per path (full setting) *)
   max_steps : int;     (* blended-trace truncation *)
-  trace_cfg : Encode.config;
 }
 
 let default_enc_config =
-  { max_paths = 6; max_concrete = 4; max_steps = 24; trace_cfg = Encode.default_config }
+  { max_paths = 6; max_concrete = 4; max_steps = 24 }
 
 (* Atomic: examples are encoded in parallel.  Pipelines that need
    jobs-independent uids reassign them sequentially after the parallel
@@ -92,16 +91,15 @@ type memo = {
   mutable states : int;  (* states encoded *)
 }
 
-(** Intern one blended trace.  [keep] filters state columns (the slicing
-    flag of [cfg.trace_cfg] decides what the caller passes). *)
-let encode_trace ~keep cfg vocab memo (b : Blended.t) : enc_trace =
+(** Intern one blended trace. *)
+let encode_trace cfg vocab memo (b : Blended.t) : enc_trace =
   let b = Blended.truncate cfg.max_steps (Blended.limit_concrete cfg.max_concrete b) in
   let value_ids v =
     match Hashtbl.find_opt memo.values v with
     | Some ids -> ids
     | None ->
         let ids =
-          Array.of_list (List.map (Vocab.lookup vocab) (Encode.value_tokens cfg.trace_cfg v))
+          Array.of_list (List.map (Vocab.lookup vocab) (Encode.value_tokens v))
         in
         Hashtbl.add memo.values v ids;
         ids
@@ -125,8 +123,7 @@ let encode_trace ~keep cfg vocab memo (b : Blended.t) : enc_trace =
           Array.map
             (fun env ->
               memo.states <- memo.states + 1;
-              Array.of_list
-                (List.filter_map (fun (x, v) -> if keep x then Some (value_ids v) else None) env))
+              Array.of_list (List.map (fun (_, v) -> value_ids v) env))
             step.Blended.states
         in
         { tree; memo_key = memo_key_of step; var_tokens })
@@ -154,17 +151,12 @@ let encode_example cfg vocab meth (blended : Blended.t list) label : enc_example
     | Name name -> List.map (fun t -> Vocab.lookup vocab t) (Subtoken.split name)
     | Class c -> [ c ]
   in
-  (* the slice keep-predicate prunes value columns and the name layout in
-     lockstep, so var_name_ids.(i) stays aligned with var_tokens.(_).(i) *)
-  let keep = Encode.slice_keep cfg.trace_cfg meth in
   let var_name_ids =
     Array.of_list
-      (List.filter_map
-         (fun x -> if keep x then Some (Vocab.lookup vocab ("var_" ^ x)) else None)
-         (Ast.declared_vars meth))
+      (List.map (fun x -> Vocab.lookup vocab ("var_" ^ x)) (Ast.declared_vars meth))
   in
   let memo = { trees = Hashtbl.create 64; values = Hashtbl.create 64; states = 0 } in
-  let traces = Array.of_list (List.map (encode_trace ~keep cfg vocab memo) chosen) in
+  let traces = Array.of_list (List.map (encode_trace cfg vocab memo) chosen) in
   Liger_obs.Metrics.add "encode.states" memo.states;
   Liger_obs.Metrics.add "encode.values_tokenized" (Hashtbl.length memo.values);
   { uid = fresh_uid (); meth; traces; label; target_ids; var_name_ids }
@@ -173,9 +165,9 @@ let encode_example cfg vocab meth (blended : Blended.t list) label : enc_example
     building vocabulary; call over the training split before freezing.
     Each statement head, variable name and value of the method is
     tokenized once ({!Encode.register_blended}). *)
-let register_example cfg vocab (blended : Blended.t list) label =
+let register_example vocab (blended : Blended.t list) label =
   let seen = Encode.new_seen () in
-  List.iter (Encode.register_blended seen cfg.trace_cfg vocab) blended;
+  List.iter (Encode.register_blended seen vocab) blended;
   Liger_obs.Metrics.add "encode.values_tokenized" (Hashtbl.length seen.Encode.values);
   match label with
   | Name name -> List.iter (fun t -> ignore (Vocab.id vocab t)) (Subtoken.split name)

@@ -77,11 +77,11 @@ let outcomes_agree a b =
   | Interp.Crashed _, Interp.Crashed _ -> true
   | _ -> false
 
-(** Differential check against the pristine template variant on [trials]
+(** Differential check against the pristine template variant on 12
     random inputs — the "passes all test cases" gate. *)
-let passes_tests ?(trials = 12) rng ~reference (m : Ast.meth) =
+let passes_tests rng ~reference (m : Ast.meth) =
   let ok = ref true in
-  for _ = 1 to trials do
+  for _ = 1 to 12 do
     if !ok then begin
       let args = Liger_testgen.Randgen.args rng reference in
       if not (outcomes_agree (Interp.run reference args) (Interp.run m args)) then
@@ -90,14 +90,14 @@ let passes_tests ?(trials = 12) rng ~reference (m : Ast.meth) =
   done;
   !ok
 
-(** Generate one candidate program (possibly buggy). *)
-let generate_item ?(p_buggy = 0.06) rng =
+(** Generate one candidate program, buggy with probability 0.06. *)
+let generate_item rng =
   let problem = Rng.choose_list rng Templates.coset_problems in
   let tpl = Rng.choose_list rng (Templates.by_problem problem) in
   let variant = Rng.choose_list rng tpl.Templates.variants in
   let reference = Parser.method_of_string variant.Templates.source in
   let meth = Mutate.variant rng reference in
-  let meth = if Rng.bernoulli rng p_buggy then inject_bug rng meth else meth in
+  let meth = if Rng.bernoulli rng 0.06 then inject_bug rng meth else meth in
   (reference, { meth; problem; algo = variant.Templates.algo; class_id = class_id variant.Templates.algo })
 
 (** Generate [n] {e clean} programs: candidates failing the differential

@@ -44,7 +44,7 @@ let assemble ~name ~enc_config ~stats splits =
   let train_raw, valid_raw, test_raw = splits in
   Obs.Span.with_ ~name:"pipeline.vocab" (fun () ->
       List.iter
-        (fun (_, blended, label) -> Common.register_example enc_config vocab blended label)
+        (fun (_, blended, label) -> Common.register_example vocab blended label)
         train_raw;
       Vocab.freeze vocab);
   let encode_all raw =

@@ -35,7 +35,7 @@ let quick =
     coset_n = 220;
     dim = 20;
     epochs = 10;
-    enc = { Common.default_enc_config with Common.max_paths = 4; max_concrete = 3; max_steps = 16 };
+    enc = { Common.max_paths = 4; max_concrete = 3; max_steps = 16 };
     concrete_points = [ 3; 2; 1 ];
     symbolic_points = [ 4; 2; 1 ];
     symbolic_concrete = 3;
@@ -50,7 +50,7 @@ let full =
     coset_n = 600;
     dim = 24;
     epochs = 16;
-    enc = { Common.default_enc_config with Common.max_paths = 6; max_concrete = 5; max_steps = 24 };
+    enc = { Common.max_paths = 6; max_concrete = 5; max_steps = 24 };
     concrete_points = [ 5; 4; 3; 2; 1 ];
     symbolic_points = [ 6; 5; 4; 3; 2; 1 ];
     symbolic_concrete = 3;

@@ -53,13 +53,12 @@ type options = {
   epochs : int;
   lr : float;
   clip : float;
-  log : bool;
   eval_every : int;  (* validate every k epochs (and always the last one) *)
   batch_size : int;  (* examples per optimizer step; 1 = one-lane tapes *)
 }
 
 let default_options =
-  { epochs = 8; lr = 3e-3; clip = 5.0; log = false; eval_every = 1; batch_size = 1 }
+  { epochs = 8; lr = 3e-3; clip = 5.0; eval_every = 1; batch_size = 1 }
 
 (* snapshot / restore parameter values (best-epoch selection) *)
 let snapshot store =
@@ -159,8 +158,8 @@ let fit_inner ~options ~hooks rng model ~train ~valid =
   let examples = Array.of_list train in
   let vacuous = valid = [] in
   if vacuous then
-    (* not gated on options.log: silently "selecting" among all-zero tied
-       scores is exactly the failure mode worth hearing about *)
+    (* silently "selecting" among all-zero tied scores is exactly the
+       failure mode worth hearing about *)
     Logs.warn (fun m ->
         m "[%s] validation set is empty; best-epoch selection is vacuous (the \
            last evaluated epoch is kept)"
@@ -221,11 +220,7 @@ let fit_inner ~options ~hooks rng model ~train ~valid =
         (* clip_grads zeroed the poisoned gradients; skip the update so a
            single NaN cannot reach Adam's moment estimates *)
         incr skipped;
-        Obs.Metrics.incr "train.skipped_steps";
-        if options.log then
-          Logs.warn (fun m ->
-              m "[%s] epoch %d: non-finite gradient norm, step skipped"
-                model.name epoch)
+        Obs.Metrics.incr "train.skipped_steps"
       end
     in
     (* one Adam step per chunk on the mean of the per-example losses (at
@@ -290,10 +285,6 @@ let fit_inner ~options ~hooks rng model ~train ~valid =
       let v = if vacuous then 0.0 else score ~batch:options.batch_size model valid in
       scores := v :: !scores;
       Obs.Metrics.gauge "train.valid_score" ~labels:[ ("model", model.name) ] v;
-      if options.log then
-        Logs.info (fun m ->
-            m "[%s] epoch %d: loss %.4f valid %.4f (%.2fs)" model.name epoch
-              mean_loss v dt);
       (* >= not >: [best] starts at the untrained model's score, so on a
          validation plateau a strict comparison would keep the untrained
          snapshot and discard every trained epoch *)

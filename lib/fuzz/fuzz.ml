@@ -120,8 +120,7 @@ let default_oracles = Oracle.all
     between chunks).  When [persist_failures] (default), shrunk failures are
     written under [out_dir]. *)
 let run ?(oracles = default_oracles) ?(iters = 200) ?budget_s
-    ?(out_dir = Filename.concat "fuzz" "corpus") ?(persist_failures = true)
-    ?(gen_config = Gen.default_config) ~seed () : summary =
+    ?(out_dir = Filename.concat "fuzz" "corpus") ?(persist_failures = true) ~seed () : summary =
   Span.with_ ~name:"fuzz.run" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   Ast.reset_sids ();
@@ -173,7 +172,7 @@ let run ?(oracles = default_oracles) ?(iters = 200) ?budget_s
       Obs.Recorder.note ~detail:(Printf.sprintf "iters %d..%d" lo (hi - 1)) "fuzz.chunk";
     (* generation is sequential: the statement-id counter is global *)
     let meths =
-      Array.init (hi - lo) (fun k -> Gen.gen ~config:gen_config (Rng.create gen_seeds.(lo + k)))
+      Array.init (hi - lo) (fun k -> Gen.gen (Rng.create gen_seeds.(lo + k)))
     in
     programs := !programs + Array.length meths;
     (* all (program, per-program oracle) pairs of the chunk go on the pool *)

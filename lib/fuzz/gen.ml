@@ -26,17 +26,12 @@
 open Liger_lang
 open Liger_tensor
 
-type config = {
-  max_stmts : int;       (* statement budget for the whole body *)
-  max_depth : int;       (* nesting depth of if/while/for *)
-  max_expr_depth : int;  (* operator nesting inside one expression *)
-}
-
-let default_config = { max_stmts = 12; max_depth = 2; max_expr_depth = 3 }
+let max_stmts = 12      (* statement budget for the whole body *)
+let max_depth = 2       (* nesting depth of if/while/for *)
+let max_expr_depth = 3  (* operator nesting inside one expression *)
 
 type st = {
   rng : Rng.t;
-  cfg : config;
   mutable n_names : int;  (* fresh-name counter: names are never reused *)
   mutable budget : int;   (* remaining statement budget *)
 }
@@ -229,10 +224,10 @@ let rec gen_block st env ~depth ~in_loop ~protected ~ret n =
    environment for the rest of the block. *)
 and gen_stmt st env ~depth ~in_loop ~protected ~ret =
   st.budget <- st.budget - 1;
-  let expr t = gen_expr st env t (Rng.int_range st.rng 1 st.cfg.max_expr_depth) in
+  let expr t = gen_expr st env t (Rng.int_range st.rng 1 max_expr_depth) in
   let rhs t =
     match t with
-    | Ast.Tarray | Ast.Tobj -> container st env t st.cfg.max_expr_depth
+    | Ast.Tarray | Ast.Tobj -> container st env t max_expr_depth
     | t -> expr t
   in
   let decl () =
@@ -325,15 +320,14 @@ and gen_stmt st env ~depth ~in_loop ~protected ~ret =
 
 (** Generate one well-typed method.  Deterministic given [rng] (up to the
     global statement-id counter, which oracles never depend on). *)
-let gen ?(config = default_config) rng : Ast.meth =
-  let st = { rng; cfg = config; n_names = 0; budget = config.max_stmts } in
+let gen rng : Ast.meth =
+  let st = { rng; n_names = 0; budget = max_stmts } in
   let n_params = Rng.int_range rng 1 3 in
   let params = List.init n_params (fun i -> (gen_typ st, Printf.sprintf "p%d" i)) in
   let ret = gen_typ st in
   let env = List.map (fun (t, x) -> (x, t)) params in
   let body =
-    gen_block st env ~depth:config.max_depth ~in_loop:false ~protected:[] ~ret
-      config.max_stmts
+    gen_block st env ~depth:max_depth ~in_loop:false ~protected:[] ~ret max_stmts
   in
   (* guaranteed final return so "fell through without a value" only appears
      if the shrinker deliberately removes it *)

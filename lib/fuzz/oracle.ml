@@ -106,7 +106,7 @@ let check_soundness ~seed (m : Ast.meth) =
 (* 3. symbolic path replay vs. concrete ground truth                    *)
 (* ------------------------------------------------------------------ *)
 
-let symexec_config = { Symexec.max_paths = 24; max_steps = 300; max_unrolls = 12 }
+let symexec_config = { Symexec.max_paths = 24; max_steps = 300 }
 let symexec_replays = 4  (* solved paths replayed per program *)
 
 let sig_to_string s =

@@ -1,8 +1,7 @@
 (** Greedy shrinking of failing fuzz programs.
 
     The contract: every candidate edit must (a) keep the method well-typed
-    (re-validated through {!Liger_lang.Typecheck} — the [validate] hook
-    exists only so ill-typedness itself can be shrunk) and (b) keep the
+    (re-validated through {!Liger_lang.Typecheck}) and (b) keep the
     failure predicate true.  Edits are tried in rounds — statement deletion,
     branch flattening, expression hole-filling, integer-constant narrowing —
     and any accepted edit restarts the rounds, so the result is a local
@@ -227,15 +226,15 @@ let candidates_for e =
 (* The greedy loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Shrink [m0] while [still_fails] holds.  [validate] defaults to
-    well-typedness; [max_attempts] bounds the total number of candidate
-    evaluations (each one runs [still_fails], i.e. the failing oracle). *)
-let run ?(validate = Typecheck.is_well_typed) ?(max_attempts = 2000) ~still_fails m0 =
+(** Shrink [m0] while it stays well-typed and [still_fails] holds.
+    [max_attempts] bounds the total number of candidate evaluations (each
+    one runs [still_fails], i.e. the failing oracle). *)
+let run ?(max_attempts = 2000) ~still_fails m0 =
   let attempts = ref 0 in
   let steps = ref 0 in
   let accept m =
     incr attempts;
-    !attempts <= max_attempts && validate m && still_fails m
+    !attempts <= max_attempts && Typecheck.is_well_typed m && still_fails m
   in
   let try_first candidates =
     List.find_map

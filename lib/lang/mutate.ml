@@ -285,10 +285,10 @@ let insert_defensive_guard rng (m : Ast.meth) =
 (** Apply the full variation pipeline with independent random choices; used
     by the corpus generators to expand each template into many surface
     forms. *)
-let variant ?(rename = true) ?(rewrite = true) ?(loops = true) ?(dead = true) rng m =
-  let m = if rewrite then rewrite_exprs rng m else m in
-  let m = if loops then for_to_while rng m else m in
-  let m = if dead && Rng.bernoulli rng 0.4 then insert_dead_code rng m else m in
-  let m = if dead && Rng.bernoulli rng 0.3 then insert_defensive_guard rng m else m in
+let variant ?(rename = true) rng m =
+  let m = rewrite_exprs rng m in
+  let m = for_to_while rng m in
+  let m = if Rng.bernoulli rng 0.4 then insert_dead_code rng m else m in
+  let m = if Rng.bernoulli rng 0.3 then insert_defensive_guard rng m else m in
   let m = if rename then rename_random rng m else m in
   m

@@ -7,7 +7,8 @@
     sub-token's embedding concatenated with the context vector, and emits a
     distribution over the vocabulary.  Training uses teacher forcing;
     inference is greedy (the corpus names are short, beam search buys
-    nothing at our scale).  One lane per example throughout. *)
+    nothing at our scale) and emits at most [max_len] sub-tokens.  The
+    cell is a GRU.  One lane per example throughout. *)
 
 open Liger_tensor
 open Liger_trace
@@ -15,27 +16,27 @@ module P = Liger_obs.Profile
 
 let layer = P.register_layer "decoder"
 
+let max_len = 8
+
 type t = {
   cell : Rnn_cell.t;
   bridge : Linear.t;  (* program embedding -> initial decoder state *)
   out : Linear.t;     (* hidden ++ context -> vocabulary logits *)
   att : Attention.t;
   embedding : Embedding_layer.t;
-  max_len : int;
 }
 
-let create ?(kind = Rnn_cell.Gru) ?(max_len = 8) store name embedding ~dim_hidden ~dim_mem =
+let create store name embedding ~dim_hidden ~dim_mem =
   let dim_emb = Embedding_layer.dim embedding in
   {
     cell =
-      Rnn_cell.create ~kind store (name ^ ".cell") ~dim_in:(dim_emb + dim_mem) ~dim_hidden;
+      Rnn_cell.create store (name ^ ".cell") ~dim_in:(dim_emb + dim_mem) ~dim_hidden;
     bridge = Linear.create store (name ^ ".bridge") ~dim_in:dim_mem ~dim_out:dim_hidden;
     out =
       Linear.create store (name ^ ".out") ~dim_in:(dim_hidden + dim_mem)
         ~dim_out:(Embedding_layer.vocab_size embedding);
     att = Attention.create store (name ^ ".att") ~dim_h:dim_mem ~dim_q:dim_hidden ~dim_att:dim_hidden;
     embedding;
-    max_len;
   }
 
 let init_batch_impl t btape ~program_embedding =
@@ -108,7 +109,7 @@ let decode_batch t btape ~memory ~memory_mask ~program_embedding =
   let out = Array.make g_lanes [] in
   let hproj = Attention.project_batch t.att btape memory in
   (try
-     for _ = 1 to t.max_len do
+     for _ = 1 to max_len do
        if Array.for_all Fun.id finished then raise Exit;
        let h', logits = step_batch t btape ~hproj ~memory ~memory_mask ~h:!h ~prev_ids:!prev in
        let next = Array.make g_lanes Vocab.eos_id in

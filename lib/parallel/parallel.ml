@@ -87,20 +87,11 @@ let record_batch ~n ~wall_dt =
     Liger_obs.Metrics.observe ~buckets:size_buckets "parallel.batch_tasks" (float_of_int n)
   end
 
-(** Compatibility view over the registry entries above.  Callers that want
-    the raw metrics (the bench harness, [liger stats]) should read
-    {!Liger_obs.Metrics.snapshot} directly. *)
+(** Reading the registry entries above: the counters are plain
+    {!Liger_obs.Metrics} counters; the per-slot busy time is one labelled
+    float counter per slot. *)
 module Stats = struct
-  type snapshot = {
-    tasks : int;
-    batches : int;
-    wall_seconds : float;
-    busy_seconds : float array;  (* indexed by slot; 0 = caller *)
-  }
-
-  (* recording requires [Liger_obs.Metrics.enable ()] *)
-  let reset () = Liger_obs.Metrics.reset_prefix "parallel."
-
+  (** Busy seconds by pool slot (0 = the caller) in a metrics snapshot. *)
   let busy_of_snapshot snap =
     let entries = Liger_obs.Metrics.entries_with snap "parallel.busy_seconds" in
     let slot_of (e : Liger_obs.Metrics.entry) =
@@ -121,15 +112,6 @@ module Stats = struct
         | _ -> ())
       entries;
     arr
-
-  let snapshot () =
-    let snap = Liger_obs.Metrics.snapshot () in
-    {
-      tasks = Liger_obs.Metrics.counter_value snap "parallel.tasks";
-      batches = Liger_obs.Metrics.counter_value snap "parallel.batches";
-      wall_seconds = Liger_obs.Metrics.fcounter_value snap "parallel.wall_seconds";
-      busy_seconds = busy_of_snapshot snap;
-    }
 end
 
 (* ------------------------------------------------------------------ *)

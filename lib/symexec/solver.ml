@@ -32,11 +32,12 @@
     tried, then kept or undone.
 
     {b Tabulated single-input objective.}  A failed search runs the whole
-    budget.  When its condition reads one bound input, the objective is a pure function of that
-    input's value (the same constraints summed in [pc] order; every other
-    constraint is constant), so [search] keeps it in a table indexed by
-    the value: 2 entries for a bool, one per domain value for an int, each
-    filled on first use by a full scoring and returned on every later one.
+    budget.  When its condition reads one bound input, the objective is a
+    pure function of that input's value (the same constraints summed in
+    [pc] order; every other constraint is constant), so [search] keeps it
+    in a table indexed by the value: 2 entries for a bool, one per value
+    of the fixed domain [int_min]..[int_max] (65) for an int, each filled
+    on first use by a full scoring and returned on every later one.
     A move of a variable the condition does not read returns the current
     entry.  A value outside the domain (only [scores] builds one) is scored
     each time.  A table entry is the float a scoring of the same model
@@ -56,9 +57,12 @@
 open Liger_lang
 open Liger_tensor
 
-type domain = { int_min : int; int_max : int }
-
-let default_domain = { int_min = -32; int_max = 32 }
+(* The domain of every int input, [int_min] to [int_max]; each search
+   makes [restarts] random starts of at most [steps] pattern steps. *)
+let int_min = -32
+let int_max = 32
+let restarts = 12
+let steps = 200
 
 let big_penalty = 1e9
 
@@ -319,10 +323,11 @@ type problem = {
   mutable computed : int;                  (* evaluations not served from a table *)
 }
 
-(* The widest int domain tabulated; a wider one keeps incremental scoring. *)
-let max_table = 4096
-
-let compile_problem ~domain ~lo ~hi (vars : (string * Ast.typ) list) (pc : Path.t) =
+(* A condition that reads exactly one variable is tabulated: the domain
+   is small enough to tabulate every int input.  Any other condition is
+   scored in ints when its constants and [lo]..[hi], the range its models
+   take, fit the integer kernel, and in floats otherwise. *)
+let compile_problem ~lo ~hi (vars : (string * Ast.typ) list) (pc : Path.t) =
   let n = List.length vars in
   let kinds = Array.make n Ast.Tint in
   List.iteri (fun i (_, ty) -> kinds.(i) <- ty) vars;
@@ -354,12 +359,12 @@ let compile_problem ~domain ~lo ~hi (vars : (string * Ast.typ) list) (pc : Path.
     { scorers = Array.map (distance slot kinds ~want:true) constraints;
       dist = Array.make m 0.0; saved = Array.make !widest 0.0 }
   in
-  let width = domain.int_max - domain.int_min + 1 in
   let kernel =
     if read >= 0 && kinds.(read) = Ast.Tbool then
       Table { read; base = 0; table = Array.make 2 Float.nan; f = floats () }
-    else if read >= 0 && width > 0 && width <= max_table then
-      Table { read; base = domain.int_min; table = Array.make width Float.nan; f = floats () }
+    else if read >= 0 then
+      Table { read; base = int_min; table = Array.make (int_max - int_min + 1) Float.nan;
+              f = floats () }
     else if within lo && within hi && m < max_int_constraints
             && Array.for_all (fits_ints slot kinds) constraints then begin
       let code = Array.make (4 * m) 0 in
@@ -476,8 +481,8 @@ let[@inline] undo p i =
     every variable of [vars]).  A model that differs from the one before it
     in one variable only is scored incrementally and committed, as an
     accepted hill-climbing move is; any other is scored from scratch.  A
-    condition that reads one variable is tabulated over [default_domain],
-    as in [solve]; a condition of int comparisons over several variables
+    condition that reads one variable is tabulated over the domain, as in
+    [solve]; a condition of int comparisons over several variables
     is scored in ints when its constants and every model value lie within
     the integer kernel's bounds.  For tests. *)
 let scores ~vars pc models =
@@ -493,10 +498,10 @@ let scores ~vars pc models =
   let lo, hi =
     List.fold_left
       (Array.fold_left (fun (lo, hi) v -> (min lo v, max hi v)))
-      (default_domain.int_min, default_domain.int_max)
+      (int_min, int_max)
       models
   in
-  let p = compile_problem ~domain:default_domain ~lo ~hi vars pc in
+  let p = compile_problem ~lo ~hi vars pc in
   let prev = ref None in
   List.map
     (fun m ->
@@ -520,7 +525,7 @@ let scores ~vars pc models =
 
 let deltas = [| 1; -1; 2; -2; 4; -4; 8; -8; 16; -16 |]
 
-let search ~domain ~restarts ~steps rng vars p =
+let search rng vars p =
   let kinds = p.kinds in
   let n = Array.length kinds in
   let model = Array.make (n + 1) 0 in
@@ -532,7 +537,7 @@ let search ~domain ~restarts ~steps rng vars p =
       model.(i) <-
         (match kinds.(i) with
         | Ast.Tbool -> Bool.to_int (Rng.bool rng)
-        | _ -> Rng.int_range rng domain.int_min domain.int_max)
+        | _ -> Rng.int_range rng int_min int_max)
     done;
     let score = ref (score_all p model) in
     let step = ref 0 in
@@ -556,7 +561,7 @@ let search ~domain ~restarts ~steps rng vars p =
           let current = model.(i) in
           for d = 0 to Array.length deltas - 1 do
             let saved = model.(i) in
-            model.(i) <- Int.max domain.int_min (Int.min domain.int_max (current + deltas.(d)));
+            model.(i) <- Int.max int_min (Int.min int_max (current + deltas.(d)));
             let s = try_move p model i in
             (* equal-score moves are accepted half the time: coupled
                equalities create plateaus that strict descent cannot cross *)
@@ -585,12 +590,11 @@ let search ~domain ~restarts ~steps rng vars p =
     to [symexec.solves], [symexec.solves_failed],
     [symexec.objective_evals] and [symexec.objective_computed] (the
     evaluations not served from a single-input table). *)
-let solve ?(domain = default_domain) ?(restarts = 12) ?(steps = 200) rng
-    ~(vars : (string * Ast.typ) list) (pc : Path.t) =
-  let p = compile_problem ~domain ~lo:domain.int_min ~hi:domain.int_max vars pc in
+let solve rng ~(vars : (string * Ast.typ) list) (pc : Path.t) =
+  let p = compile_problem ~lo:int_min ~hi:int_max vars pc in
   let result =
     if vars = [] then if Path.holds [] pc then Some [] else None
-    else search ~domain ~restarts ~steps rng vars p
+    else search rng vars p
   in
   if Liger_obs.Metrics.enabled () then begin
     Liger_obs.Metrics.incr "symexec.solves";

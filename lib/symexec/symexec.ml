@@ -45,9 +45,11 @@ type path_result = {
    (the pc gains the negated guard), so replay stays exact; only deeper
    iteration counts go unenumerated.  Concrete guards never count against
    the bound: concretely-bounded loops already terminate by themselves. *)
-type config = { max_paths : int; max_steps : int; max_unrolls : int }
+let max_unrolls = 12
 
-let default_config = { max_paths = 64; max_steps = 600; max_unrolls = 12 }
+type config = { max_paths : int; max_steps : int }
+
+let default_config = { max_paths = 64; max_steps = 600 }
 
 exception Abort of string
 
@@ -267,8 +269,8 @@ and exec_loop ?(unrolls = 0) ctx st (s : Ast.stmt) cond body update : signal lis
     try
       let guard, st = eval_pc ctx st s.Ast.sid cond in
       let symbolic = match guard with Symval.Const _ -> false | _ -> true in
-      if symbolic && unrolls >= ctx.cfg.max_unrolls then
-        (* unroll bound: follow only the exit arm (see [config]) *)
+      if symbolic && unrolls >= max_unrolls then
+        (* unroll bound: follow only the exit arm (see [max_unrolls]) *)
         match Path.add (Symval.not_ guard) st.pc with
         | None -> [ SAbort (st, "loop unroll budget exceeded") ]
         | Some pc -> [ SNormal (record { st with pc } s.Ast.sid (Some false)) ]
@@ -296,8 +298,9 @@ and exec_loop ?(unrolls = 0) ctx st (s : Ast.stmt) cond body update : signal lis
 
 (** Build the initial symbolic binding for each parameter: scalars become
     inputs; arrays become length-[array_len] vectors of fresh symbolic
-    cells; strings and objects are concretized with simple defaults. *)
-let shape_of_params ?(array_len = 4) ?(string_len = 3) (params : (Ast.typ * string) list) =
+    cells; strings and objects are concretized with simple defaults
+    (a string is ["abc"]). *)
+let shape_of_params ?(array_len = 4) (params : (Ast.typ * string) list) =
   List.map
     (fun (t, x) ->
       let v =
@@ -306,7 +309,7 @@ let shape_of_params ?(array_len = 4) ?(string_len = 3) (params : (Ast.typ * stri
         | Ast.Tarray ->
             Symval.Arr (Array.init array_len (fun i -> Symval.Input (Printf.sprintf "%s_%d" x i)))
         | Ast.Tstring ->
-            Symval.Const (Value.VStr (String.init string_len (fun i -> Char.chr (97 + (i mod 26)))))
+            Symval.Const (Value.VStr "abc")
         | Ast.Tobj -> Symval.Obj [| ("x", Symval.Input (x ^ "_x")); ("y", Symval.Input (x ^ "_y")) |]
       in
       (x, v))
@@ -339,16 +342,12 @@ let absint_params_of_shape (meth : Ast.meth) shape =
       | _ -> Absint.of_type ty)
     meth.Ast.params
 
-(** Explore all bounded paths of [meth] under [shape].  [absint] defaults to
-    a fresh abstract-interpretation run specialized to the shape's array and
-    string lengths (sound for every execution symexec can start); pass an
-    explicit result to reuse a shape-agnostic run instead. *)
-let explore ?(config = default_config) ?absint (meth : Ast.meth) ~shape : path_result list =
-  let absint =
-    match absint with
-    | Some r -> r
-    | None -> Absint.analyze ~params:(absint_params_of_shape meth shape) meth
-  in
+(** Explore all bounded paths of [meth] under [shape].  Branches are
+    pruned with an abstract-interpretation run specialized to the shape's
+    array and string lengths, which is sound for every execution symexec
+    can start. *)
+let explore ?(config = default_config) (meth : Ast.meth) ~shape : path_result list =
+  let absint = Absint.analyze ~params:(absint_params_of_shape meth shape) meth in
   let env =
     List.fold_left (fun env (x, v) -> StrMap.add x v env) StrMap.empty shape
   in
@@ -367,8 +366,8 @@ let explore ?(config = default_config) ?absint (meth : Ast.meth) ~shape : path_r
 
 (* [concretize] over the input variables [vars] of [shape], computed once
    per method by [generate_inputs] *)
-let solve_path ?domain rng ~vars ~shape (r : path_result) =
-  match Solver.solve ?domain rng ~vars r.pc with
+let solve_path rng ~vars ~shape (r : path_result) =
+  match Solver.solve rng ~vars r.pc with
   | None -> None
   | Some model ->
       let args =
@@ -381,19 +380,19 @@ let solve_path ?domain rng ~vars ~shape (r : path_result) =
 
 (** Solve a path's condition and materialize concrete argument values.
     Returns the arguments in parameter order, ready for [Interp.run]. *)
-let concretize ?domain rng (meth : Ast.meth) ~shape (r : path_result) =
-  solve_path ?domain rng ~vars:(shape_inputs meth shape) ~shape r
+let concretize rng (meth : Ast.meth) ~shape (r : path_result) =
+  solve_path rng ~vars:(shape_inputs meth shape) ~shape r
 
 (** End-to-end directed generation: enumerate paths, solve each feasible
     one, return concrete inputs (deduplicated) that together exercise every
     solved path. *)
-let generate_inputs ?config ?domain rng (meth : Ast.meth) =
+let generate_inputs ?config rng (meth : Ast.meth) =
   let shape = shape_of_params meth.Ast.params in
   let vars = shape_inputs meth shape in
   let results = explore ?config meth ~shape in
   results
   |> List.filter_map (fun r ->
          match r.outcome with
-         | Sym_returned _ -> solve_path ?domain rng ~vars ~shape r
+         | Sym_returned _ -> solve_path rng ~vars ~shape r
          | Sym_aborted _ -> None)
   |> List.sort_uniq compare

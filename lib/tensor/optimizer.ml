@@ -1,8 +1,8 @@
 (** First-order optimizers over a {!Param.store}.
 
     The paper trains with Adam at its default hyperparameters
-    (lr = 1e-4, beta1 = 0.9, beta2 = 0.999); we default to the same shape of
-    configuration but expose the learning rate since our models are far
+    (lr = 1e-4, beta1 = 0.9, beta2 = 0.999); we keep the betas and
+    epsilon fixed but expose the learning rate since our models are far
     smaller. *)
 
 module P = Liger_obs.Profile
@@ -48,20 +48,19 @@ let record_layer_updates tbl =
 let op_adam = P.register_op "optim.adam_step"
 let op_clip = P.register_op "optim.clip_grads"
 
-(* Adam's hyperparameters and per-parameter moment estimates *)
+(* Adam's fixed hyperparameters *)
+let beta1 = 0.9
+let beta2 = 0.999
+let eps = 1e-8
+
+(* the learning rate and per-parameter moment estimates *)
 type t = {
   lr : float;
-  beta1 : float;
-  beta2 : float;
-  eps : float;
-  weight_decay : float;  (* decoupled (AdamW-style); 0 disables *)
   mutable step : int;
   state : (string, float array * float array) Hashtbl.t;
 }
 
-let adam ?(lr = 1e-3) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
-    ?(weight_decay = 0.0) () =
-  { lr; beta1; beta2; eps; weight_decay; step = 0; state = Hashtbl.create 64 }
+let adam ?(lr = 1e-3) () = { lr; step = 0; state = Hashtbl.create 64 }
 
 (** Clip gradients to a global L2 norm of [max_norm]; returns the pre-clip
     norm. Stabilizes recurrent training on long traces.
@@ -112,7 +111,7 @@ let step a store =
   let dtbl = if D.on () then Some (Hashtbl.create 16) else None in
   a.step <- a.step + 1;
   let t' = float_of_int a.step in
-  let bc1 = 1.0 -. (a.beta1 ** t') and bc2 = 1.0 -. (a.beta2 ** t') in
+  let bc1 = 1.0 -. (beta1 ** t') and bc2 = 1.0 -. (beta2 ** t') in
   Param.iter store (fun p ->
       let m, v2 = adam_state a.state p in
       let v = p.Param.value.Tensor.data and g = p.Param.grad.Tensor.data in
@@ -120,22 +119,21 @@ let step a store =
       | None ->
           for i = 0 to Param.size p - 1 do
             let gi = BA.unsafe_get g i in
-            m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
-            v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
+            m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. gi);
+            v2.(i) <- (beta2 *. v2.(i)) +. ((1.0 -. beta2) *. gi *. gi);
             let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
             let vi = BA.unsafe_get v i in
-            BA.unsafe_set v i
-              (vi -. (a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi))))
+            BA.unsafe_set v i (vi -. (a.lr *. (mhat /. (sqrt vhat +. eps))))
           done
       | Some tbl ->
           let du = ref 0.0 and dw = ref 0.0 in
           for i = 0 to Param.size p - 1 do
             let gi = BA.unsafe_get g i in
-            m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
-            v2.(i) <- (a.beta2 *. v2.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
+            m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. gi);
+            v2.(i) <- (beta2 *. v2.(i)) +. ((1.0 -. beta2) *. gi *. gi);
             let mhat = m.(i) /. bc1 and vhat = v2.(i) /. bc2 in
             let vi = BA.unsafe_get v i in
-            let d = a.lr *. ((mhat /. (sqrt vhat +. a.eps)) +. (a.weight_decay *. vi)) in
+            let d = a.lr *. (mhat /. (sqrt vhat +. eps)) in
             let v' = vi -. d in
             BA.unsafe_set v i v';
             du := !du +. (d *. d);

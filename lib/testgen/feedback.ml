@@ -105,7 +105,7 @@ let generate ?(budget = default_budget) rng (meth : Ast.meth) : result =
   let directed =
     Obs.Span.with_ ~name:"testgen.symexec" (fun () ->
         Symexec.generate_inputs
-          ~config:{ Symexec.max_paths = 48; max_steps = 400; max_unrolls = 12 }
+          ~config:{ Symexec.max_paths = 48; max_steps = 400 }
           rng meth)
   in
   Obs.Span.with_ ~name:"testgen.exec" (fun () ->

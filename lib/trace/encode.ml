@@ -16,7 +16,6 @@
     the first-occurrence order, and with it every id, unchanged. *)
 
 open Liger_lang
-open Liger_analysis
 
 type tree = Leaf of string | Node of string * tree list
 
@@ -28,20 +27,9 @@ let rec tree_tokens = function
   | Leaf tok -> [ tok ]
   | Node (label, children) -> label :: List.concat_map tree_tokens children
 
-(** Caps keeping model inputs bounded; [max_flat] limits the flattened
-    length of one value, [max_steps] the length of one blended trace.
-    [slice] prunes state traces to the method's return-value slice
-    ({!Liger_analysis.Slice}): variables that provably never influence the
-    result (nor control flow) are dropped from every encoded state. *)
-type config = { max_flat : int; max_steps : int; slice : bool }
-
-let default_config = { max_flat = 12; max_steps = 48; slice = false }
-
-(** The state-column filter [config.slice] selects for [meth]: the identity
-    when slicing is off, otherwise membership in the backward slice from the
-    method's returns. *)
-let slice_keep cfg (meth : Ast.meth) : string -> bool =
-  if cfg.slice then Slice.keep_filter meth else fun _ -> true
+(** The flattened length of one value is capped at [max_flat] tokens,
+    keeping model inputs bounded. *)
+let max_flat = 12
 
 (* ---------------- value tokens (D_d) ---------------- *)
 
@@ -81,7 +69,7 @@ let prim_tokens = function
 
 (** Flatten a value to a bounded token sequence: arrays/objects become their
     primitive constituents prefixed by a length marker. *)
-let value_tokens cfg v =
+let value_tokens v =
   let rec take k = function
     | [] -> []
     | _ when k = 0 -> []
@@ -91,14 +79,14 @@ let value_tokens cfg v =
   | None -> [ "bot" ]
   | Some (Value.VArr a) ->
       let elems = Array.to_list (Array.map (fun n -> int_token n) a) in
-      Printf.sprintf "alen_%s" (len_bucket (Array.length a)) :: take (cfg.max_flat - 1) elems
+      Printf.sprintf "alen_%s" (len_bucket (Array.length a)) :: take (max_flat - 1) elems
   | Some (Value.VObj fields) ->
       let elems =
         List.concat_map (fun v -> prim_tokens v)
           (List.concat_map (fun (_, v) -> Value.flatten v) (Array.to_list fields))
       in
-      Printf.sprintf "olen_%s" (len_bucket (Array.length fields)) :: take (cfg.max_flat - 1) elems
-  | Some prim -> take cfg.max_flat (prim_tokens prim)
+      Printf.sprintf "olen_%s" (len_bucket (Array.length fields)) :: take (max_flat - 1) elems
+  | Some prim -> take max_flat (prim_tokens prim)
 
 (* ---------------- statement trees (D_s) ---------------- *)
 
@@ -192,7 +180,7 @@ let first tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.add tbl k (); true)
 (** Register every token a blended trace can produce, so a training pass
     builds the complete vocabulary before freezing.  Each statement head,
     variable name and value is tokenized only if [seen] does not hold it. *)
-let register_blended seen cfg vocab (b : Blended.t) =
+let register_blended seen vocab (b : Blended.t) =
   let states = ref 0 in
   List.iter
     (fun (step : Blended.step) ->
@@ -205,7 +193,7 @@ let register_blended seen cfg vocab (b : Blended.t) =
             (fun (x, v) ->
               if first seen.names x then ignore (Vocab.id vocab ("var_" ^ x));
               if first seen.values v then
-                List.iter (fun t -> ignore (Vocab.id vocab t)) (value_tokens cfg v))
+                List.iter (fun t -> ignore (Vocab.id vocab t)) (value_tokens v))
             env)
         step.Blended.states)
     b.Blended.steps;

@@ -7,6 +7,48 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# count SNAPSHOT NAME: the integer metric NAME in a metrics snapshot,
+# summed over its label sets when it is kept per label set (NAME{...});
+# empty when the snapshot has none.
+count() {
+  re=$(printf '%s' "$2" | sed 's/[.]/\\./g')
+  sed -n "s/.*\"$re\({[^}]*}\)\{0,1\}\": *\([0-9][0-9]*\)[,}]*\$/\2/p" "$1" \
+    | awk '{ s += $1 } END { if (NR > 0) printf "%.0f\n", s }'
+}
+# cap_counts SNAPSHOT NAME:BUDGET...: each integer metric in the snapshot
+# must be present and at most BUDGET.
+cap_counts() {
+  snap=$1
+  shift
+  for pair in "$@"; do
+    name=${pair%%:*}
+    budget=${pair#*:}
+    got=$(count "$snap" "$name")
+    test -n "$got" || {
+      echo "   ERROR: no integer $name in $snap" >&2; exit 1; }
+    if [ "$got" -gt "$budget" ]; then
+      echo "   ERROR: $name $got exceeds the budget $budget" >&2
+      exit 1
+    fi
+    echo "   ok: $name $got within the budget $budget"
+  done
+}
+# pin_counts SNAPSHOT NAME:COUNT...: each integer metric in the snapshot
+# must read exactly COUNT.
+pin_counts() {
+  snap=$1
+  shift
+  for pair in "$@"; do
+    name=${pair%%:*}
+    want=${pair#*:}
+    got=$(count "$snap" "$name")
+    if [ "$got" != "$want" ]; then
+      echo "   ERROR: $name is ${got:-missing} in $snap, expected $want" >&2
+      exit 1
+    fi
+  done
+}
+
 echo "== config: lib/obs/config.ml is the only reader of the environment"
 if grep -rnE --include='*.ml' --include='*.mli' '(Sys|Unix)\.getenv' lib bin bench \
   | grep -v '^lib/obs/config\.ml:'; then
@@ -65,35 +107,20 @@ echo "   ok: runs/ci-profile/metrics.json has a consistent profile section"
 # Masked recurrences step only their live lanes: 120,887,821 FLOPs, where
 # running every lane in lockstep to the longest one counted 167,836,257.
 # Exceeding the budget means padded work came back.
-FLOPS_BUDGET=120887821
-flops=$(sed -n 's/.*"profile.total_flops": *\([0-9][0-9]*\)[,}]*$/\1/p' \
-  runs/ci-profile/metrics.json | head -n 1)
-test -n "$flops" || {
-  echo "   ERROR: no integer profile.total_flops in runs/ci-profile/metrics.json" >&2; exit 1; }
-if [ "$flops" -gt "$FLOPS_BUDGET" ]; then
-  echo "   ERROR: profile.total_flops $flops exceeds the budget $FLOPS_BUDGET" >&2
-  exit 1
-fi
-echo "   ok: profile.total_flops $flops within the budget $FLOPS_BUDGET"
+#
 # Buffer-pool miss budget for the same run, summed over the per-domain
 # bufpool.misses gauges.  Leases follow tensor shapes only, so the count
 # repeats exactly across runs and at LIGER_JOBS 1 and 2.  Power-of-two
 # size classes read 2,907 misses; exact-size classes read 7,195.
 # Exceeding the budget means leases stopped finding pooled storage.
-MISSES_BUDGET=2907
-misses=$(sed -n 's/.*"bufpool\.misses{[^}]*}": *\([0-9][0-9]*\)[,}]*$/\1/p' \
-  runs/ci-profile/metrics.json | awk '{ s += $1 } END { if (NR > 0) print s }')
-test -n "$misses" || {
-  echo "   ERROR: no bufpool.misses gauge in runs/ci-profile/metrics.json" >&2; exit 1; }
-if [ "$misses" -gt "$MISSES_BUDGET" ]; then
-  echo "   ERROR: bufpool.misses $misses exceeds the budget $MISSES_BUDGET" >&2
-  exit 1
-fi
-echo "   ok: bufpool.misses $misses within the budget $MISSES_BUDGET"
+#
 # Allocation budget for the same run: words allocated on the minor heaps
 # over the whole process (corpus, training, evaluation).  Allocation
 # follows the work done, not the clock, so on one domain it repeats
-# exactly (OCaml 5.1.1, no flambda): 4,349,108 words.  Float scoring
+# exactly (OCaml 5.1.1, no flambda): 4,175,488 words.  It read 4,349,108
+# while options nothing set were still options; about 160,000 words of
+# that went to encoding, which passed every state column through a keep
+# filter that kept them all.  Float scoring
 # compiles a comparison to a closure, which boxes each distance it
 # returns, and each solve lists the constraints of every variable; with
 # comparisons kept as records and those lists as one flat int array it
@@ -110,16 +137,8 @@ echo "   ok: bufpool.misses $misses within the budget $MISSES_BUDGET"
 # why the step above runs at LIGER_JOBS=1.  The budget is the count
 # rounded up to the next 10,000 words.  Exceeding it means the run
 # allocates more.
-MINOR_WORDS_BUDGET=4350000
-minor=$(sed -n 's/.*"gc\.minor_words": *\([0-9][0-9]*\)[,}]*$/\1/p' \
-  runs/ci-profile/metrics.json | head -n 1)
-test -n "$minor" || {
-  echo "   ERROR: no integer gc.minor_words in runs/ci-profile/metrics.json" >&2; exit 1; }
-if [ "$minor" -gt "$MINOR_WORDS_BUDGET" ]; then
-  echo "   ERROR: gc.minor_words $minor exceeds the budget $MINOR_WORDS_BUDGET" >&2
-  exit 1
-fi
-echo "   ok: gc.minor_words $minor within the budget $MINOR_WORDS_BUDGET"
+cap_counts runs/ci-profile/metrics.json profile.total_flops:120887821 \
+  bufpool.misses:2907 gc.minor_words:4350000
 
 # Batch size 1 is the default of `liger train` and of every experiment:
 # one-lane tapes on the batched engine, for LiGer and for a baseline.
@@ -157,31 +176,13 @@ grep -q "symexec.paths_pruned_by_absint" runs/ci-obs/metrics.json || {
 grep -q "symexec.solves_failed" runs/ci-obs/metrics.json || {
   echo "   ERROR: no solver counters in the metrics snapshot" >&2; exit 1; }
 echo "   ok: runs/ci-obs/{trace,metrics}.json validate (absint pruning, solver counters live)"
-# cap_counts NAME:BUDGET...: each integer metric in the ci-obs snapshot
-# must be present and at most BUDGET.
-cap_counts() {
-  for pair in "$@"; do
-    name=${pair%%:*}
-    budget=${pair#*:}
-    re=$(printf '%s' "$name" | sed 's/[.]/\\./g')
-    got=$(sed -n "s/.*\"$re\": *\([0-9][0-9]*\)[,}]*\$/\1/p" \
-      runs/ci-obs/metrics.json | head -n 1)
-    test -n "$got" || {
-      echo "   ERROR: no $name counter in runs/ci-obs/metrics.json" >&2; exit 1; }
-    if [ "$got" -gt "$budget" ]; then
-      echo "   ERROR: $name $got exceeds the budget $budget" >&2
-      exit 1
-    fi
-    echo "   ok: $name $got within the budget $budget"
-  done
-}
 # Budget for the solver objectives this run computes rather than looks up
 # in a single-input table.  Solves are seeded per method, so the count
 # repeats exactly across runs and at LIGER_JOBS 1 and 2: 3,355,821 of the
 # 5,276,055 evaluations requested.  Before the table every evaluation was
 # computed (the parent's symexec.objective_evals, 5,276,055).  Exceeding the
 # budget means evaluations stopped being served from the table.
-cap_counts symexec.objective_computed:3355821
+cap_counts runs/ci-obs/metrics.json symexec.objective_computed:3355821
 # Budgets for the work the corpus build does once per distinct job, both
 # exact at LIGER_JOBS 1 and 2.  Test generation runs 3,766 of its 5,381
 # inputs: a repeated argument list reuses the trace of its first run.
@@ -189,29 +190,14 @@ cap_counts symexec.objective_computed:3355821
 # tokenizes a distinct value once, where tokenizing every value of every
 # state made 179,345 calls.  Exceeding a budget means repeats are being
 # redone.
-cap_counts testgen.executions:3766 encode.values_tokenized:2467
-# pin_counts NAME:COUNT...: each integer metric in the ci-obs snapshot
-# must read exactly COUNT.
-pin_counts() {
-  for pair in "$@"; do
-    name=${pair%%:*}
-    want=${pair#*:}
-    re=$(printf '%s' "$name" | sed 's/[.]/\\./g')
-    got=$(sed -n "s/.*\"$re\": *\([0-9][0-9]*\)[,}]*\$/\1/p" \
-      runs/ci-obs/metrics.json | head -n 1)
-    if [ "$got" != "$want" ]; then
-      echo "   ERROR: $name is ${got:-missing} in runs/ci-obs/metrics.json, expected $want" >&2
-      exit 1
-    fi
-  done
-}
+cap_counts runs/ci-obs/metrics.json testgen.executions:3766 encode.values_tokenized:2467
 # Concrete execution tripwire: test generation's attempt, timeout and
 # crash counts for this run.  Inputs are seeded per method, so the counts
 # repeat exactly across runs and at LIGER_JOBS 1 and 2 (5,381 attempts,
 # 10 timeouts, 0 crashes, measured before the interpreter was compiled to
 # closures and after).  A different count means concrete execution, or an
 # input it is given, changed behaviour.
-pin_counts testgen.attempts:5381 testgen.timeouts:10 testgen.crashes:0
+pin_counts runs/ci-obs/metrics.json testgen.attempts:5381 testgen.timeouts:10 testgen.crashes:0
 echo "   ok: testgen.attempts, testgen.timeouts and testgen.crashes match the pinned counts"
 # Solver search tripwire: how many conditions this run solves, how many
 # of those searches fail, and how many objective evaluations they request.
@@ -220,14 +206,14 @@ echo "   ok: testgen.attempts, testgen.timeouts and testgen.crashes match the pi
 # evaluations, the same before and after multi-input comparisons were
 # scored in ints).  A different count means the search tried different
 # moves, which moves the corpus.
-pin_counts symexec.solves:467 symexec.solves_failed:218 symexec.objective_evals:5276055
+pin_counts runs/ci-obs/metrics.json symexec.solves:467 symexec.solves_failed:218 symexec.objective_evals:5276055
 echo "   ok: symexec.solves, symexec.solves_failed and symexec.objective_evals match the pinned counts"
 # Domain-pool tripwire: this run must use 2 domains, and corpus
 # generation must hand the pool the same tasks in the same batches.
 # Batching depends on the task lists only, not on timing: 104 tasks in
 # 9 batches, at LIGER_JOBS 2 and at 1.  A different count means a stage
 # left the pool or changed how it splits work.
-pin_counts parallel.jobs:2 parallel.tasks:104 parallel.batches:9
+pin_counts runs/ci-obs/metrics.json parallel.jobs:2 parallel.tasks:104 parallel.batches:9
 echo "   ok: parallel.jobs, parallel.tasks and parallel.batches match the pinned counts"
 
 echo "== run ledger smoke: 1s snapshots, OpenMetrics exposition, liger top"
@@ -350,6 +336,23 @@ test -f runs/ci-serve/metrics.json || {
   echo "   ERROR: SIGTERM shutdown left no final ledger tick" >&2; exit 1; }
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-serve/metrics.jsonl
 echo "   ok: all endpoints answered; clean SIGTERM left the final ledger tick"
+
+# A flag value the command cannot use is a usage error: cmdliner prints
+# it and exits non-zero, where an exception from the library it reached
+# would end in "Fatal error".  The timeout ends a server that wrongly
+# accepted its flags.
+echo "== CLI usage errors: zero-sized serve flags and an empty index are rejected"
+for args in "serve --model runs/ci-serve-model --port 0 --cache-capacity 0" \
+  "serve --model runs/ci-serve-model --port 0 --max-inflight 0" \
+  "index --model runs/ci-serve-model --out runs/ci-usage-index --generate 0"; do
+  if timeout 60 ./_build/default/bin/liger_cli.exe $args > runs/ci-usage.out 2>&1; then
+    echo "   ERROR: liger $args exited 0" >&2; exit 1
+  fi
+  if grep -q "Fatal error" runs/ci-usage.out; then
+    echo "   ERROR: liger $args died with an uncaught exception" >&2; exit 1
+  fi
+done
+echo "   ok: serve --cache-capacity 0, serve --max-inflight 0 and index --generate 0 are usage errors"
 
 echo "== serve loopback bench: sustained QPS + p99 gates"
 dune exec --no-build bench/main.exe -- serve --qps 50 --duration 10 --check-regression > /dev/null

@@ -814,7 +814,6 @@ let small_corpus =
   lazy
     (let enc =
        {
-         Liger_core.Common.default_enc_config with
          Liger_core.Common.max_paths = 3;
          max_concrete = 2;
          max_steps = 10;
@@ -1171,7 +1170,6 @@ let fit_deterministic ~batch_size make () =
           { Liger_eval.Train.default_options with
             Liger_eval.Train.epochs = 2;
             batch_size;
-            log = false;
           }
         in
         ignore
@@ -1208,7 +1206,6 @@ let test_training_bits_pinned () =
       { Liger_eval.Train.default_options with
         Liger_eval.Train.epochs = 3;
         batch_size;
-        log = false;
       }
     in
     let h = Liger_eval.Train.fit ~options (Rng.create 11) wrap ~train ~valid:[] in
@@ -1375,7 +1372,6 @@ let test_bufpool_bound_over_fit () =
       Liger_eval.Train.default_options with
       Liger_eval.Train.epochs = 3;
       batch_size = 3;
-      log = false;
     }
   in
   ignore

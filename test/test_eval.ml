@@ -7,7 +7,7 @@ open Liger_core
 open Liger_eval
 open Liger_dataset
 
-let enc = { Common.default_enc_config with Common.max_paths = 3; max_concrete = 2; max_steps = 10 }
+let enc = { Common.max_paths = 3; max_concrete = 2; max_steps = 10 }
 
 let corpus =
   lazy (Pipeline.build_naming ~enc_config:enc (Rng.create 8787) ~name:"eval-corpus" ~n:40)

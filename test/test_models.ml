@@ -9,7 +9,7 @@ open Liger_dataset
 open Liger_eval
 
 (* one small shared corpus for all model tests (built once) *)
-let enc = { Common.default_enc_config with Common.max_paths = 3; max_concrete = 3; max_steps = 12 }
+let enc = { Common.max_paths = 3; max_concrete = 3; max_steps = 12 }
 
 let corpus =
   lazy (Pipeline.build_naming ~enc_config:enc (Rng.create 4242) ~name:"test-corpus" ~n:50)

@@ -47,27 +47,29 @@ let test_exception_propagation_and_reuse () =
   (* pool telemetry lives in the metrics registry and records only while the
      registry is enabled *)
   Liger_obs.Metrics.enable ();
-  Parallel.Stats.reset ();
+  OM.reset_prefix "parallel.";
   (match Parallel.map_list (fun x -> if x = 7 then failwith "boom" else x) (List.init 20 Fun.id) with
   | _ -> Alcotest.fail "expected the task failure to re-raise"
   | exception Failure msg -> Alcotest.(check string) "task error surfaces" "boom" msg);
   (* the pool must survive a failing batch *)
   let got = Parallel.map_list (fun x -> x + 1) (List.init 20 Fun.id) in
   Alcotest.(check (list int)) "pool reusable after failure" (List.init 20 (fun x -> x + 1)) got;
-  let s = Parallel.Stats.snapshot () in
-  Alcotest.(check int) "both batches counted" 2 s.Parallel.Stats.batches;
-  Alcotest.(check int) "all tasks ran (failing batch completes)" 40 s.Parallel.Stats.tasks
+  let s = OM.snapshot () in
+  Alcotest.(check int) "both batches counted" 2 (OM.counter_value s "parallel.batches");
+  Alcotest.(check int) "all tasks ran (failing batch completes)" 40
+    (OM.counter_value s "parallel.tasks")
 
 let test_stats_counts () =
   Parallel.set_jobs 3;
   Liger_obs.Metrics.enable ();
-  Parallel.Stats.reset ();
+  OM.reset_prefix "parallel.";
   ignore (Parallel.map (fun x -> x) (Array.init 10 Fun.id));
   ignore (Parallel.map (fun x -> x) (Array.init 5 Fun.id));
-  let s = Parallel.Stats.snapshot () in
-  Alcotest.(check int) "tasks accumulate" 15 s.Parallel.Stats.tasks;
-  Alcotest.(check int) "batches accumulate" 2 s.Parallel.Stats.batches;
-  Alcotest.(check bool) "wall time recorded" true (s.Parallel.Stats.wall_seconds >= 0.0)
+  let s = OM.snapshot () in
+  Alcotest.(check int) "tasks accumulate" 15 (OM.counter_value s "parallel.tasks");
+  Alcotest.(check int) "batches accumulate" 2 (OM.counter_value s "parallel.batches");
+  Alcotest.(check bool) "wall time recorded" true
+    (OM.fcounter_value s "parallel.wall_seconds" >= 0.0)
 
 let spin_for seconds =
   let t0 = Unix.gettimeofday () in
@@ -81,7 +83,7 @@ let test_diagnostics_histograms () =
   Parallel.set_jobs 2;
   OM.enable ();
   OM.reset ();
-  Parallel.Stats.reset ();
+  OM.reset_prefix "parallel.";
   ignore (Parallel.map (fun x -> spin_for 0.001; x) (Array.init 12 Fun.id));
   let snap = OM.snapshot () in
   (match OM.hist_view snap "parallel.batch_tasks" with
@@ -106,7 +108,7 @@ let test_min_batch_floor () =
   Parallel.set_jobs 2;
   OM.enable ();
   OM.reset ();
-  Parallel.Stats.reset ();
+  OM.reset_prefix "parallel.";
   (* default floor is 4: a 3-element map must not touch the pool *)
   let got = Parallel.map (fun x -> x * 2) [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "sequential result correct" [| 2; 4; 6 |] got;
@@ -114,9 +116,9 @@ let test_min_batch_floor () =
      pool was never dispatched to *)
   Alcotest.(check bool) "no dispatch below the floor" true
     (OM.hist_view (OM.snapshot ()) "parallel.dispatch_seconds" = None);
-  let s = Parallel.Stats.snapshot () in
-  Alcotest.(check int) "batch still counted" 1 s.Parallel.Stats.batches;
-  Alcotest.(check int) "tasks still counted" 3 s.Parallel.Stats.tasks
+  let s = OM.snapshot () in
+  Alcotest.(check int) "batch still counted" 1 (OM.counter_value s "parallel.batches");
+  Alcotest.(check int) "tasks still counted" 3 (OM.counter_value s "parallel.tasks")
 
 (* Regression for the busy-time double count: a nested map (the sequential
    fallback inside a worker, or a nested parallel call on the caller's lane)
@@ -125,15 +127,15 @@ let test_min_batch_floor () =
 let test_busy_accounting_bounded () =
   Parallel.set_jobs 3;
   Liger_obs.Metrics.enable ();
-  Parallel.Stats.reset ();
+  OM.reset_prefix "parallel.";
   let t0 = Unix.gettimeofday () in
   ignore
     (Parallel.map_list
        (fun _ -> Parallel.map_list (fun _ -> spin_for 0.004) [ 0; 1; 2 ])
        (List.init 9 Fun.id));
   let wall = Unix.gettimeofday () -. t0 in
-  let s = Parallel.Stats.snapshot () in
-  let total_busy = Array.fold_left ( +. ) 0.0 s.Parallel.Stats.busy_seconds in
+  let busy = Parallel.Stats.busy_of_snapshot (OM.snapshot ()) in
+  let total_busy = Array.fold_left ( +. ) 0.0 busy in
   Alcotest.(check bool) "work was recorded" true (total_busy > 0.0);
   Array.iteri
     (fun i busy ->
@@ -141,7 +143,7 @@ let test_busy_accounting_bounded () =
         (Printf.sprintf "lane %d busy (%.3fs) within wall (%.3fs)" i busy wall)
         true
         (busy <= wall +. 0.05))
-    s.Parallel.Stats.busy_seconds;
+    busy;
   Alcotest.(check bool)
     (Printf.sprintf "total busy (%.3fs) within wall x lanes (%.3fs)" total_busy (3.0 *. wall))
     true
@@ -161,7 +163,7 @@ let test_share_accounting_before_return () =
     ~finally:(fun () -> Parallel.For_testing.set_after_drain ignore)
     (fun () ->
       ignore (Parallel.map (fun x -> x) (Array.init 8 Fun.id));
-      let busy () = (Parallel.Stats.snapshot ()).Parallel.Stats.busy_seconds in
+      let busy () = Parallel.Stats.busy_of_snapshot (OM.snapshot ()) in
       let queue_waits () =
         match OM.hist_view (OM.snapshot ()) "parallel.queue_wait_seconds" with
         | Some h -> h.OM.count
@@ -193,7 +195,7 @@ let test_map_rng_jobs_independent () =
 (* The determinism property: jobs=1 vs jobs=4 corpora and scores       *)
 (* ------------------------------------------------------------------ *)
 
-let enc = { Common.default_enc_config with Common.max_paths = 2; max_concrete = 2; max_steps = 8 }
+let enc = { Common.max_paths = 2; max_concrete = 2; max_steps = 8 }
 
 let build_corpus ~jobs ~seed =
   Parallel.set_jobs jobs;

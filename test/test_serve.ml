@@ -49,7 +49,7 @@ let tmp_dir name =
    serving pipeline (parse → trace → encode → batched forward) does not
    need trained weights to be exercised *)
 let enc =
-  { Common.default_enc_config with Common.max_paths = 3; max_concrete = 3; max_steps = 12 }
+  { Common.max_paths = 3; max_concrete = 3; max_steps = 12 }
 
 let fixture =
   lazy

@@ -243,7 +243,7 @@ let test_explores_all_scalar_paths () =
 let test_loop_paths_bounded () =
   let m = parse sum_src in
   let shape = Symexec.shape_of_params m.Ast.params in
-  let results = Symexec.explore ~config:{ Symexec.max_paths = 16; max_steps = 200; max_unrolls = 12 } m ~shape in
+  let results = Symexec.explore ~config:{ Symexec.max_paths = 16; max_steps = 200 } m ~shape in
   Alcotest.(check bool) "several unrollings" true (List.length results > 3);
   Alcotest.(check bool) "bounded" true (List.length results <= 40)
 

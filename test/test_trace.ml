@@ -249,8 +249,6 @@ let test_vocab_growth () =
 (* Encode                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let cfg = Encode.default_config
-
 let test_int_tokens () =
   Alcotest.(check string) "small" "i7" (Encode.int_token 7);
   Alcotest.(check string) "negative" "i-3" (Encode.int_token (-3));
@@ -258,24 +256,24 @@ let test_int_tokens () =
   Alcotest.(check string) "large" "i_pos_big" (Encode.int_token 5000)
 
 let test_value_tokens_array () =
-  let toks = Encode.value_tokens cfg (Some (Value.VArr [| 1; 2; 3 |])) in
+  let toks = Encode.value_tokens (Some (Value.VArr [| 1; 2; 3 |])) in
   Alcotest.(check (list string)) "array" [ "alen_3"; "i1"; "i2"; "i3" ] toks
 
 let test_value_tokens_bot () =
-  Alcotest.(check (list string)) "bot" [ "bot" ] (Encode.value_tokens cfg None)
+  Alcotest.(check (list string)) "bot" [ "bot" ] (Encode.value_tokens None)
 
 let test_value_tokens_cap () =
   let big = Some (Value.VArr (Array.make 100 1)) in
-  Alcotest.(check int) "capped" cfg.Encode.max_flat
-    (List.length (Encode.value_tokens cfg big))
+  Alcotest.(check int) "capped" Encode.max_flat
+    (List.length (Encode.value_tokens big))
 
 let test_value_tokens_string () =
-  let toks = Encode.value_tokens cfg (Some (Value.VStr "ab")) in
+  let toks = Encode.value_tokens (Some (Value.VStr "ab")) in
   Alcotest.(check (list string)) "string" [ "slen_2"; "c_a"; "c_b" ] toks
 
 let test_value_tokens_object () =
   let toks =
-    Encode.value_tokens cfg (Some (Value.VObj [| ("x", Value.VInt 1); ("y", Value.VBool true) |]))
+    Encode.value_tokens (Some (Value.VObj [| ("x", Value.VInt 1); ("y", Value.VBool true) |]))
   in
   Alcotest.(check (list string)) "object" [ "olen_2"; "i1"; "v_true" ] toks
 
@@ -308,7 +306,7 @@ let test_register_blended_builds_vocab () =
   let traces = collect_many m [ [ Value.VInt (-4) ]; [ Value.VInt 4 ] ] in
   let bs = Blended.group m traces in
   let v = Vocab.create () in
-  List.iter (Encode.register_blended (Encode.new_seen ()) cfg v) bs;
+  List.iter (Encode.register_blended (Encode.new_seen ()) v) bs;
   Alcotest.(check bool) "vocab grew" true (Vocab.size v > 10);
   Alcotest.(check bool) "has statement token" true (Vocab.mem v "If");
   Alcotest.(check bool) "has value token" true (Vocab.mem v "i4" || Vocab.mem v "i-4");
