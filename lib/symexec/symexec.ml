@@ -297,17 +297,17 @@ and exec_loop ?(unrolls = 0) ctx st (s : Ast.stmt) cond body update : signal lis
 (* ---------------- shapes and the public API ---------------- *)
 
 (** Build the initial symbolic binding for each parameter: scalars become
-    inputs; arrays become length-[array_len] vectors of fresh symbolic
-    cells; strings and objects are concretized with simple defaults
-    (a string is ["abc"]). *)
-let shape_of_params ?(array_len = 4) (params : (Ast.typ * string) list) =
+    inputs; arrays become length-4 vectors of fresh symbolic cells;
+    strings and objects are concretized with simple defaults (a string is
+    ["abc"]). *)
+let shape_of_params (params : (Ast.typ * string) list) =
   List.map
     (fun (t, x) ->
       let v =
         match t with
         | Ast.Tint | Ast.Tbool -> Symval.Input x
         | Ast.Tarray ->
-            Symval.Arr (Array.init array_len (fun i -> Symval.Input (Printf.sprintf "%s_%d" x i)))
+            Symval.Arr (Array.init 4 (fun i -> Symval.Input (Printf.sprintf "%s_%d" x i)))
         | Ast.Tstring ->
             Symval.Const (Value.VStr "abc")
         | Ast.Tobj -> Symval.Obj [| ("x", Symval.Input (x ^ "_x")); ("y", Symval.Input (x ^ "_y")) |]

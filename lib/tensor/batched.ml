@@ -49,7 +49,9 @@
     bytes are [16 * lanes * dim] of its output node (value + grad buffers,
     8 bytes per float each); GEMM counts [2mnk] forward FLOPs and [2mnk]
     per backward GEMM (4mnk for the usual dX+dW pair); a transcendental
-    application counts 1.  Nodes are tagged with
+    application counts 1.  The GEMM ops ([bad.gemm], [bad.gemm.bwd]) also
+    record the seconds their kernels run; with profiling off each such site
+    is one branch and reads no clock.  Nodes are tagged with
     {!Liger_obs.Profile.current_layer} at creation so {!backward} can
     attribute backward time to the layer whose forward created each node,
     reading the clock only at tag boundaries. *)
@@ -259,6 +261,11 @@ let rows_of_param tape (p : Param.t) (ids : int array) =
 (* GEMM-backed linear algebra                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The backward GEMM pair of [X · W^T]: [dX += dY·W] and [dW += dY^T·X]. *)
+let nt_backward g (w : Param.t) x =
+  Tensor.gemm_nn ~beta:1.0 g w.Param.value x.grad;
+  Tensor.gemm_tn ~beta:1.0 g x.value w.Param.grad
+
 (** [matmul_nt tape x p] is [X · W^T] for parameter matrix [W : out×in] and
     [X : lanes×in] (one matrix-vector product per lane).  Backward
     runs the two sibling GEMMs [dX += dY·W] and [dW += dY^T·X]. *)
@@ -269,15 +276,23 @@ let matmul_nt tape x (p : Param.t) =
     invalid_arg
       (Printf.sprintf "Batched.matmul_nt(%s): expected dim %d, got %d" p.Param.name
          (Param.cols p) k);
-  if P.on () then P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes (l * out));
   let n =
     push tape l out (fun n ->
-        if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
         let g = n.grad in
-        Tensor.gemm_nn ~beta:1.0 g p.Param.value x.grad;
-        Tensor.gemm_tn ~beta:1.0 g x.value p.Param.grad)
+        if P.on () then begin
+          let t0 = P.now () in
+          nt_backward g p x;
+          P.op_timed op_gemm_b ~seconds:(P.now () -. t0) ~flops:(fi (4 * l * out * k)) ~bytes:0.0
+        end
+        else nt_backward g p x)
   in
-  Tensor.gemm_nt ~beta:0.0 x.value p.Param.value n.value;
+  if P.on () then begin
+    let t0 = P.now () in
+    Tensor.gemm_nt ~beta:0.0 x.value p.Param.value n.value;
+    P.op_timed op_gemm ~seconds:(P.now () -. t0) ~flops:(fi (2 * l * out * k))
+      ~bytes:(fbytes (l * out))
+  end
+  else Tensor.gemm_nt ~beta:0.0 x.value p.Param.value n.value;
   n
 
 (** Add a broadcast vector parameter to every lane ([X + 1·b^T]); backward
@@ -398,23 +413,20 @@ let affine_act tape ~w ~b x act =
   if b.Param.value.Tensor.rows <> 1 || Param.cols b <> out then
     invalid_arg "Batched.affine: bias shape mismatch";
   let n_elts = l * out in
-  if P.on () then begin
-    P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes n_elts);
-    P.op op_bias ~flops:(fi n_elts) ~bytes:0.0;
-    if act <> Id then P.op op_unary ~flops:(fi n_elts) ~bytes:0.0
-  end;
   let n =
     push tape l out (fun n ->
-        if P.on () then begin
-          P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
-          P.op op_bias_b ~flops:(fi n_elts) ~bytes:0.0;
-          if act <> Id then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
-        end;
         let g = n.grad in
         let gd = g.Tensor.data in
         act_backward act n.value.Tensor.data gd n_elts;
-        Tensor.gemm_nn ~beta:1.0 g w.Param.value x.grad;
-        Tensor.gemm_tn ~beta:1.0 g x.value w.Param.grad;
+        if P.on () then begin
+          let t0 = P.now () in
+          nt_backward g w x;
+          P.op_timed op_gemm_b ~seconds:(P.now () -. t0) ~flops:(fi (4 * l * out * k))
+            ~bytes:0.0;
+          P.op op_bias_b ~flops:(fi n_elts) ~bytes:0.0;
+          if act <> Id then P.op op_unary_b ~flops:(fi (3 * n_elts)) ~bytes:0.0
+        end
+        else nt_backward g w x;
         let pg = b.Param.grad.Tensor.data in
         for i = 0 to l - 1 do
           let base = i * out in
@@ -430,7 +442,15 @@ let affine_act tape ~w ~b x act =
       BA.unsafe_set v (base + j) (BA.unsafe_get bv j)
     done
   done;
-  Tensor.gemm_nt ~beta:1.0 x.value w.Param.value n.value;
+  if P.on () then begin
+    let t0 = P.now () in
+    Tensor.gemm_nt ~beta:1.0 x.value w.Param.value n.value;
+    P.op_timed op_gemm ~seconds:(P.now () -. t0) ~flops:(fi (2 * l * out * k))
+      ~bytes:(fbytes n_elts);
+    P.op op_bias ~flops:(fi n_elts) ~bytes:0.0;
+    if act <> Id then P.op op_unary ~flops:(fi n_elts) ~bytes:0.0
+  end
+  else Tensor.gemm_nt ~beta:1.0 x.value w.Param.value n.value;
   act_forward act v v n_elts;
   sample_activation act v l out;
   n
@@ -443,6 +463,11 @@ let affine_tanh tape ~w ~b x = affine_act tape ~w ~b x Tanh
 
 (** Fused [sigmoid(X·W^T + 1·b^T)]. *)
 let affine_sigmoid tape ~w ~b x = affine_act tape ~w ~b x Sigmoid
+
+(* {!nt_backward} against the column window [off, off + dim x) of [w]. *)
+let nt_slice_backward g (w : Param.t) x ~ld ~off =
+  Tensor.gemm_nn_slice ~beta:1.0 ~ld ~boff:off g w.Param.value x.grad;
+  Tensor.gemm_tn_slice ~beta:1.0 ~ld ~coff:off g x.value w.Param.grad
 
 (** [matmul_nt_slice tape x p ~off] is [X · W[:, off..off+k)^T] for
     [X : lanes×k] against a column window of the wider parameter
@@ -458,15 +483,23 @@ let matmul_nt_slice tape x (p : Param.t) ~off =
     invalid_arg
       (Printf.sprintf "Batched.matmul_nt_slice(%s): window [%d, %d) exceeds %d cols"
          p.Param.name off (off + k) ld);
-  if P.on () then P.op op_gemm ~flops:(fi (2 * l * out * k)) ~bytes:(fbytes (l * out));
   let n =
     push tape l out (fun n ->
-        if P.on () then P.op op_gemm_b ~flops:(fi (4 * l * out * k)) ~bytes:0.0;
         let g = n.grad in
-        Tensor.gemm_nn_slice ~beta:1.0 ~ld ~boff:off g p.Param.value x.grad;
-        Tensor.gemm_tn_slice ~beta:1.0 ~ld ~coff:off g x.value p.Param.grad)
+        if P.on () then begin
+          let t0 = P.now () in
+          nt_slice_backward g p x ~ld ~off;
+          P.op_timed op_gemm_b ~seconds:(P.now () -. t0) ~flops:(fi (4 * l * out * k)) ~bytes:0.0
+        end
+        else nt_slice_backward g p x ~ld ~off)
   in
-  Tensor.gemm_nt_slice ~beta:0.0 ~ld ~boff:off x.value p.Param.value n.value;
+  if P.on () then begin
+    let t0 = P.now () in
+    Tensor.gemm_nt_slice ~beta:0.0 ~ld ~boff:off x.value p.Param.value n.value;
+    P.op_timed op_gemm ~seconds:(P.now () -. t0) ~flops:(fi (2 * l * out * k))
+      ~bytes:(fbytes (l * out))
+  end
+  else Tensor.gemm_nt_slice ~beta:0.0 ~ld ~boff:off x.value p.Param.value n.value;
   n
 
 (** [add_rows_cycle tape a b]: for [a : (S·l)×d] (slot-major stack of [S]
@@ -558,6 +591,37 @@ let add_rows_cycle_bias_tanh tape a b (bias : Param.t) =
   sample_activation Tanh v rows_a d;
   n
 
+(* The loops of {!matvec_stack_cols}, named so that its profiled and
+   unprofiled paths share them without building a closure.  Forward:
+   [v[i*k + kk] = a[kk*l + i, :] . pv]; backward folds [g] into the
+   gradients of [a] and of the vector. *)
+let stack_cols_forward (v : Tensor.buf) (av : Tensor.buf) (pv : Tensor.buf) ~l ~k ~d =
+  for kk = 0 to k - 1 do
+    for i = 0 to l - 1 do
+      let base = ((kk * l) + i) * d in
+      let acc = ref 0.0 in
+      for j = 0 to d - 1 do
+        acc := !acc +. (BA.unsafe_get av (base + j) *. BA.unsafe_get pv j)
+      done;
+      BA.unsafe_set v ((i * k) + kk) !acc
+    done
+  done
+
+let stack_cols_backward (g : Tensor.buf) (ag : Tensor.buf) (pg : Tensor.buf) (av : Tensor.buf)
+    (pv : Tensor.buf) ~l ~k ~d =
+  for kk = 0 to k - 1 do
+    for i = 0 to l - 1 do
+      let gi = BA.unsafe_get g ((i * k) + kk) in
+      if gi <> 0.0 then begin
+        let base = ((kk * l) + i) * d in
+        for j = 0 to d - 1 do
+          BA.unsafe_set ag (base + j) (BA.unsafe_get ag (base + j) +. (gi *. BA.unsafe_get pv j));
+          BA.unsafe_set pg j (BA.unsafe_get pg j +. (gi *. BA.unsafe_get av (base + j)))
+        done
+      end
+    done
+  done
+
 (** Fused [a · v^T] + slot-major reshape: for [a : (K·l)×d] and a vector
     parameter [v : 1×d], computes the [l×K] score matrix
     [out[i, kk] = a[kk·l+i, :] · v] directly — the attention scorer's
@@ -569,43 +633,30 @@ let matvec_stack_cols tape a (p : Param.t) ~lanes:l =
     invalid_arg "Batched.matvec_stack_cols: vector shape mismatch";
   if l <= 0 || rows mod l <> 0 then invalid_arg "Batched.matvec_stack_cols: lanes mismatch";
   let k = rows / l in
-  if P.on () then P.op op_gemm ~flops:(fi (2 * rows * d)) ~bytes:(fbytes (l * k));
   let n =
     push tape l k (fun n ->
-        if P.on () then P.op op_gemm_b ~flops:(fi (4 * rows * d)) ~bytes:0.0;
-        let g = n.grad.Tensor.data in
-        let ag = a.grad.Tensor.data
+        let g = n.grad.Tensor.data
+        and ag = a.grad.Tensor.data
         and pg = p.Param.grad.Tensor.data
         and av = a.value.Tensor.data
         and pv = p.Param.value.Tensor.data in
-        for kk = 0 to k - 1 do
-          for i = 0 to l - 1 do
-            let gi = BA.unsafe_get g ((i * k) + kk) in
-            if gi <> 0.0 then begin
-              let base = ((kk * l) + i) * d in
-              for j = 0 to d - 1 do
-                BA.unsafe_set ag (base + j)
-                  (BA.unsafe_get ag (base + j) +. (gi *. BA.unsafe_get pv j));
-                BA.unsafe_set pg j
-                  (BA.unsafe_get pg j +. (gi *. BA.unsafe_get av (base + j)))
-              done
-            end
-          done
-        done)
+        if P.on () then begin
+          let t0 = P.now () in
+          stack_cols_backward g ag pg av pv ~l ~k ~d;
+          P.op_timed op_gemm_b ~seconds:(P.now () -. t0) ~flops:(fi (4 * rows * d)) ~bytes:0.0
+        end
+        else stack_cols_backward g ag pg av pv ~l ~k ~d)
   in
   let v = n.value.Tensor.data
   and av = a.value.Tensor.data
   and pv = p.Param.value.Tensor.data in
-  for kk = 0 to k - 1 do
-    for i = 0 to l - 1 do
-      let base = ((kk * l) + i) * d in
-      let acc = ref 0.0 in
-      for j = 0 to d - 1 do
-        acc := !acc +. (BA.unsafe_get av (base + j) *. BA.unsafe_get pv j)
-      done;
-      BA.unsafe_set v ((i * k) + kk) !acc
-    done
-  done;
+  if P.on () then begin
+    let t0 = P.now () in
+    stack_cols_forward v av pv ~l ~k ~d;
+    P.op_timed op_gemm ~seconds:(P.now () -. t0) ~flops:(fi (2 * rows * d))
+      ~bytes:(fbytes (l * k))
+  end
+  else stack_cols_forward v av pv ~l ~k ~d;
   n
 
 (* ------------------------------------------------------------------ *)

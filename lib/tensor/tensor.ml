@@ -7,24 +7,34 @@
     buffer, possibly longer than the tensor) is wrapped without copying.
     A tensor is the first [rows × cols] elements of its buffer, and every
     whole-tensor function here is bounded by that size, never by the
-    buffer's length.  Vectors are represented with [rows = 1].  All
-    kernels use [unsafe_get]/[unsafe_set] inner loops over monomorphic
+    buffer's length.  Vectors are represented with [rows = 1].  The
+    OCaml loops here use [unsafe_get]/[unsafe_set] over monomorphic
     bigarrays (the float64 kind is statically known, so access compiles
-    to unboxed loads) because they dominate training time.
+    to unboxed loads).
 
     Every {!Batched} node value and gradient is a [lanes × dim] tensor.
     The one helper over a raw [float array], [argmax], picks from a lane
     copied out of a node ({!Batched.row_value}).
 
     The engine's matrix work runs on the {!gemm_nt}/{!gemm_nn}/{!gemm_tn}
-    kernels and their [_slice] twins: [gemm_nt] is a cache-blocked, 4-way
-    unrolled dot over two output columns at a time; [gemm_nn]/[gemm_tn]
-    accumulate B rows into a C row, register-blocked over four terms at a
-    time.  Each output element sees a documented, fixed sequence of float
-    operations (see {!nt_body} and {!axpy_body}; [test/test_batched.ml]
-    pins it bit for bit).  Above
-    {!gemm_par_flops} FLOPs per call the output rows are partitioned across
-    the domain pool.  [lib/tensor] cannot depend on [lib/parallel] (which
+    kernels and their [_slice] twins, whose bodies are C ([gemm_stubs.c],
+    bound by {!nt_body} and {!axpy_body}): [gemm_nt] is a cache-blocked dot
+    over four output columns at a time, its four partial sums the lanes of
+    one 4-wide vector; [gemm_nn]/[gemm_tn] accumulate B rows into a C row,
+    four columns per vector and four terms per pass.  Each output element
+    sees a documented, fixed sequence of float operations (see {!nt_body}
+    and {!axpy_body}; [test/test_batched.ml] pins it bit for bit against
+    ordered scalar reference loops).  Vectors run only across
+    independent lanes or columns, and the C file is compiled with
+    [-ffp-contract=off] so that no multiply and add fuse into an FMA (GNU
+    C fuses by default whenever the compile target has FMA: any aarch64
+    build, or x86-64 with [-march=haswell] and later).  It takes no
+    [-march] flag and no CPU dispatch: one baseline build (SSE2 on x86-64)
+    runs the same instructions on every host, and an AVX2 build trained no
+    faster beyond the host's run-to-run spread.
+
+    Above {!gemm_par_flops} FLOPs per call the output rows are partitioned
+    across the domain pool.  [lib/tensor] cannot depend on [lib/parallel] (which
     uses {!Rng}), so the pool injects itself through {!set_parallel_runner};
     partitioning is over disjoint output-row blocks, so parallel results
     are bitwise equal to sequential ones (the [jobs=1 ≡ jobs=N] contract
@@ -187,160 +197,59 @@ let gemm_check name ~am ~ak ~bm ~bk ~cm ~cn a b c =
   if c.rows <> cm || c.cols <> cn then
     invalid_arg (Printf.sprintf "%s: C is %dx%d, expected %dx%d" name c.rows c.cols cm cn)
 
-(* The dot-product body shared by [gemm_nt] and [gemm_nt_slice]: B rows
-   start at [j*ld + boff].  Per output element: four partial sums take
-   terms p = 0, 1, 2, 3 (mod 4) of the first 4*(k/4) terms, the tail goes
-   into the first, the dot is ((s0 + s1) + s2) + s3, and the element
-   becomes (beta = 0 ? 0 : beta*c) + alpha*dot.  Output columns go in
-   pairs that share each load of the A row; the last column of an odd
-   tile runs alone, with the same operations. *)
-let nt_body ~alpha ~beta ~m ~n ~k ~ld ~boff (ad : buf) (bd : buf) (cd : buf) =
-  let tile = 32 in
-  let body i0 i1 =
-    let jb = ref 0 in
-    while !jb < n do
-      let j1 = Stdlib.min n (!jb + tile) in
-      for i = i0 to i1 - 1 do
-        let abase = i * k in
-        (* two output columns per pass share the loads of the A row *)
-        let j = ref !jb in
-        while !j + 1 < j1 do
-          let ba = (!j * ld) + boff in
-          let bb = ba + ld in
-          let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
-          let b0 = ref 0.0 and b1 = ref 0.0 and b2 = ref 0.0 and b3 = ref 0.0 in
-          let p = ref 0 in
-          while !p + 3 < k do
-            let q = !p in
-            let x0 = A.unsafe_get ad (abase + q) and x1 = A.unsafe_get ad (abase + q + 1) in
-            let x2 = A.unsafe_get ad (abase + q + 2) and x3 = A.unsafe_get ad (abase + q + 3) in
-            a0 := !a0 +. (x0 *. A.unsafe_get bd (ba + q));
-            a1 := !a1 +. (x1 *. A.unsafe_get bd (ba + q + 1));
-            a2 := !a2 +. (x2 *. A.unsafe_get bd (ba + q + 2));
-            a3 := !a3 +. (x3 *. A.unsafe_get bd (ba + q + 3));
-            b0 := !b0 +. (x0 *. A.unsafe_get bd (bb + q));
-            b1 := !b1 +. (x1 *. A.unsafe_get bd (bb + q + 1));
-            b2 := !b2 +. (x2 *. A.unsafe_get bd (bb + q + 2));
-            b3 := !b3 +. (x3 *. A.unsafe_get bd (bb + q + 3));
-            p := q + 4
-          done;
-          while !p < k do
-            let x = A.unsafe_get ad (abase + !p) in
-            a0 := !a0 +. (x *. A.unsafe_get bd (ba + !p));
-            b0 := !b0 +. (x *. A.unsafe_get bd (bb + !p));
-            incr p
-          done;
-          let ci = (i * n) + !j in
-          let prev = if beta = 0.0 then 0.0 else beta *. A.unsafe_get cd ci in
-          A.unsafe_set cd ci (prev +. (alpha *. (!a0 +. !a1 +. !a2 +. !a3)));
-          let prev = if beta = 0.0 then 0.0 else beta *. A.unsafe_get cd (ci + 1) in
-          A.unsafe_set cd (ci + 1) (prev +. (alpha *. (!b0 +. !b1 +. !b2 +. !b3)));
-          j := !j + 2
-        done;
-        if !j < j1 then begin
-          let bbase = (!j * ld) + boff in
-          let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
-          let p = ref 0 in
-          while !p + 3 < k do
-            let q = !p in
-            acc0 := !acc0 +. (A.unsafe_get ad (abase + q) *. A.unsafe_get bd (bbase + q));
-            acc1 :=
-              !acc1 +. (A.unsafe_get ad (abase + q + 1) *. A.unsafe_get bd (bbase + q + 1));
-            acc2 :=
-              !acc2 +. (A.unsafe_get ad (abase + q + 2) *. A.unsafe_get bd (bbase + q + 2));
-            acc3 :=
-              !acc3 +. (A.unsafe_get ad (abase + q + 3) *. A.unsafe_get bd (bbase + q + 3));
-            p := q + 4
-          done;
-          while !p < k do
-            acc0 := !acc0 +. (A.unsafe_get ad (abase + !p) *. A.unsafe_get bd (bbase + !p));
-            incr p
-          done;
-          let ci = (i * n) + !j in
-          let prev = if beta = 0.0 then 0.0 else beta *. A.unsafe_get cd ci in
-          A.unsafe_set cd ci (prev +. (alpha *. (!acc0 +. !acc1 +. !acc2 +. !acc3)))
-        end
-      done;
-      jb := j1
-    done
-  in
-  run_rows ~m ~flops:(2 * m * n * k) body
+(* The two GEMM bodies, in [gemm_stubs.c].  Each fills output rows
+   [i0, i1) of C; the gemm entry points below check shapes and hand the row
+   range to {!run_rows}.
 
-(* [c[cbase, cbase+n) += s * b[bbase, bbase+n)], skipped when [s = 0]. *)
-let axpy_row (cd : buf) cbase (bd : buf) bbase n s =
-  if s <> 0.0 then
-    for j = 0 to n - 1 do
-      A.unsafe_set cd (cbase + j)
-        (A.unsafe_get cd (cbase + j) +. (s *. A.unsafe_get bd (bbase + j)))
-    done
+   [nt_body]: the dot-product body shared by [gemm_nt] and [gemm_nt_slice];
+   A is m×k, B row j starts at [j*ld + boff], C is m×n.  Per output
+   element: four partial sums take terms p = 0, 1, 2, 3 (mod 4) of the
+   first 4*(k/4) terms, the tail goes into the first, the dot is
+   ((s0 + s1) + s2) + s3, and the element becomes
+   (beta = 0 ? 0 : beta*c) + alpha*dot.  The four sums are the lanes of one
+   4-wide vector; four output columns share each load of the A row. *)
+external nt_body :
+  alpha:(float[@unboxed]) -> beta:(float[@unboxed]) -> i0:(int[@untagged]) ->
+  i1:(int[@untagged]) -> n:(int[@untagged]) -> k:(int[@untagged]) -> ld:(int[@untagged]) ->
+  boff:(int[@untagged]) -> buf -> buf -> buf -> unit
+  = "liger_gemm_nt_byte" "liger_gemm_nt"
+[@@noalloc]
 
-(* The row-axpy body shared by [gemm_nn], [gemm_tn] and their slices.
-   Output row i is [cd] at [i*ldc + coff]; term p has coefficient
+(* [axpy_body]: the row-axpy body shared by [gemm_nn], [gemm_tn] and their
+   slices.  Output row i is C at [i*ldc + coff]; term p has coefficient
    alpha * A at [i*ai + p*ap] and B row [p*ldb + boff].  Per output
    element: c starts as 0 (beta = 0), c (beta = 1) or beta*c; then
    c <- c + s_p * B(p,j) for p = 0 .. k-1, skipped where s_p = 0 (so
-   -0.0 in C and NaN in B behind a zero coefficient survive).  Register
-   blocking: when four consecutive coefficients are all non-zero, one pass
-   over the row adds their four products to c in p order and stores once;
-   otherwise each term runs the one-term loop — the same float operations
-   either way. *)
-let axpy_body ~alpha ~beta ~m ~n ~k ~ai ~ap ~ldb ~boff ~ldc ~coff (ad : buf) (bd : buf)
-    (cd : buf) =
-  let body i0 i1 =
-    for i = i0 to i1 - 1 do
-      let cbase = (i * ldc) + coff in
-      if beta = 0.0 then
-        for j = 0 to n - 1 do
-          A.unsafe_set cd (cbase + j) 0.0
-        done
-      else if beta <> 1.0 then
-        for j = 0 to n - 1 do
-          A.unsafe_set cd (cbase + j) (beta *. A.unsafe_get cd (cbase + j))
-        done;
-      let abase = i * ai in
-      let p = ref 0 in
-      while !p + 3 < k do
-        let q = !p in
-        let s0 = alpha *. A.unsafe_get ad (abase + (q * ap))
-        and s1 = alpha *. A.unsafe_get ad (abase + ((q + 1) * ap))
-        and s2 = alpha *. A.unsafe_get ad (abase + ((q + 2) * ap))
-        and s3 = alpha *. A.unsafe_get ad (abase + ((q + 3) * ap)) in
-        let b0 = (q * ldb) + boff in
-        let b1 = b0 + ldb in
-        let b2 = b1 + ldb in
-        let b3 = b2 + ldb in
-        if s0 <> 0.0 && s1 <> 0.0 && s2 <> 0.0 && s3 <> 0.0 then
-          for j = 0 to n - 1 do
-            let c = A.unsafe_get cd (cbase + j) in
-            let c = c +. (s0 *. A.unsafe_get bd (b0 + j)) in
-            let c = c +. (s1 *. A.unsafe_get bd (b1 + j)) in
-            let c = c +. (s2 *. A.unsafe_get bd (b2 + j)) in
-            A.unsafe_set cd (cbase + j) (c +. (s3 *. A.unsafe_get bd (b3 + j)))
-          done
-        else begin
-          axpy_row cd cbase bd b0 n s0;
-          axpy_row cd cbase bd b1 n s1;
-          axpy_row cd cbase bd b2 n s2;
-          axpy_row cd cbase bd b3 n s3
-        end;
-        p := q + 4
-      done;
-      for q = !p to k - 1 do
-        axpy_row cd cbase bd ((q * ldb) + boff) n (alpha *. A.unsafe_get ad (abase + (q * ap)))
-      done
-    done
-  in
-  run_rows ~m ~flops:(2 * m * n * k) body
+   -0.0 in C and NaN in B behind a zero coefficient survive).  When four
+   consecutive coefficients are all non-zero, one pass over the row adds
+   their four products to c in p order; otherwise each term runs its own
+   pass, skipping a zero coefficient — the same float operations either
+   way.  Vectors run across four output columns. *)
+external axpy_body :
+  alpha:(float[@unboxed]) -> beta:(float[@unboxed]) -> i0:(int[@untagged]) ->
+  i1:(int[@untagged]) -> n:(int[@untagged]) -> k:(int[@untagged]) -> ai:(int[@untagged]) ->
+  ap:(int[@untagged]) -> ldb:(int[@untagged]) -> boff:(int[@untagged]) ->
+  ldc:(int[@untagged]) -> coff:(int[@untagged]) -> buf -> buf -> buf -> unit
+  = "liger_gemm_axpy_byte" "liger_gemm_axpy"
+[@@noalloc]
+
+let nt ~alpha ~beta ~m ~n ~k ~ld ~boff (ad : buf) (bd : buf) (cd : buf) =
+  run_rows ~m ~flops:(2 * m * n * k) (fun i0 i1 ->
+      nt_body ~alpha ~beta ~i0 ~i1 ~n ~k ~ld ~boff ad bd cd)
+
+let axpy ~alpha ~beta ~m ~n ~k ~ai ~ap ~ldb ~boff ~ldc ~coff (ad : buf) (bd : buf) (cd : buf) =
+  run_rows ~m ~flops:(2 * m * n * k) (fun i0 i1 ->
+      axpy_body ~alpha ~beta ~i0 ~i1 ~n ~k ~ai ~ap ~ldb ~boff ~ldc ~coff ad bd cd)
 
 (** [gemm_nt ~alpha ~beta a b c]: [C <- alpha * A * B^T + beta * C] with
     [A : m×k], [B : n×k], [C : m×n].  The forward pass of a batched affine
     layer ([X · W^T]).  Cache-blocked over output tiles; the inner dot
-    products run over contiguous rows, unrolled 4-way, two output columns
-    per pass. *)
+    products run over contiguous rows, four terms and four output columns
+    per step. *)
 let gemm_nt ?(alpha = 1.0) ?(beta = 1.0) a b c =
   let m = a.rows and k = a.cols and n = b.rows in
   gemm_check "Tensor.gemm_nt" ~am:m ~ak:k ~bm:n ~bk:k ~cm:m ~cn:n a b c;
-  nt_body ~alpha ~beta ~m ~n ~k ~ld:k ~boff:0 a.data b.data c.data
+  nt ~alpha ~beta ~m ~n ~k ~ld:k ~boff:0 a.data b.data c.data
 
 (** [gemm_nn ~alpha ~beta a b c]: [C <- alpha * A * B + beta * C] with
     [A : m×k], [B : k×n], [C : m×n].  The input-gradient pass
@@ -349,7 +258,7 @@ let gemm_nt ?(alpha = 1.0) ?(beta = 1.0) a b c =
 let gemm_nn ?(alpha = 1.0) ?(beta = 1.0) a b c =
   let m = a.rows and k = a.cols and n = b.cols in
   gemm_check "Tensor.gemm_nn" ~am:m ~ak:k ~bm:k ~bk:n ~cm:m ~cn:n a b c;
-  axpy_body ~alpha ~beta ~m ~n ~k ~ai:k ~ap:1 ~ldb:n ~boff:0 ~ldc:n ~coff:0 a.data b.data
+  axpy ~alpha ~beta ~m ~n ~k ~ai:k ~ap:1 ~ldb:n ~boff:0 ~ldc:n ~coff:0 a.data b.data
     c.data
 
 (** [gemm_tn ~alpha ~beta a b c]: [C <- alpha * A^T * B + beta * C] with
@@ -360,7 +269,7 @@ let gemm_nn ?(alpha = 1.0) ?(beta = 1.0) a b c =
 let gemm_tn ?(alpha = 1.0) ?(beta = 1.0) a b c =
   let k = a.rows and m = a.cols and n = b.cols in
   gemm_check "Tensor.gemm_tn" ~am:k ~ak:m ~bm:k ~bk:n ~cm:m ~cn:n a b c;
-  axpy_body ~alpha ~beta ~m ~n ~k ~ai:1 ~ap:m ~ldb:n ~boff:0 ~ldc:n ~coff:0 a.data b.data
+  axpy ~alpha ~beta ~m ~n ~k ~ai:1 ~ap:m ~ldb:n ~boff:0 ~ldc:n ~coff:0 a.data b.data
     c.data
 
 (* Column-sliced variants: the B (resp. C) operand is a [boff, boff+bk)
@@ -377,7 +286,7 @@ let gemm_nt_slice ?(alpha = 1.0) ?(beta = 1.0) ~ld ~boff a b c =
   if b.cols <> ld || boff < 0 || boff + k > ld then
     invalid_arg "Tensor.gemm_nt_slice: bad slice";
   if c.rows <> m || c.cols <> n then invalid_arg "Tensor.gemm_nt_slice: C shape";
-  nt_body ~alpha ~beta ~m ~n ~k ~ld ~boff a.data b.data c.data
+  nt ~alpha ~beta ~m ~n ~k ~ld ~boff a.data b.data c.data
 
 (** [gemm_nn_slice ~ld ~boff a b c]: [C <- alpha * A * B[:, boff..boff+n)
     + beta * C] with [A : m×k], [B : k×ld], [C : m×n].  The input-gradient
@@ -387,7 +296,7 @@ let gemm_nn_slice ?(alpha = 1.0) ?(beta = 1.0) ~ld ~boff a b c =
   if b.rows <> k || b.cols <> ld || boff < 0 || boff + n > ld then
     invalid_arg "Tensor.gemm_nn_slice: bad slice";
   if c.rows <> m then invalid_arg "Tensor.gemm_nn_slice: C shape";
-  axpy_body ~alpha ~beta ~m ~n ~k ~ai:k ~ap:1 ~ldb:ld ~boff ~ldc:n ~coff:0 a.data b.data
+  axpy ~alpha ~beta ~m ~n ~k ~ai:k ~ap:1 ~ldb:ld ~boff ~ldc:n ~coff:0 a.data b.data
     c.data
 
 (** [gemm_tn_slice ~ld ~coff a b c]: [C[:, coff..coff+n) <- alpha * A^T * B
@@ -399,5 +308,5 @@ let gemm_tn_slice ?(alpha = 1.0) ?(beta = 1.0) ~ld ~coff a b c =
   if b.rows <> k then invalid_arg "Tensor.gemm_tn_slice: B shape";
   if c.rows <> m || c.cols <> ld || coff < 0 || coff + n > ld then
     invalid_arg "Tensor.gemm_tn_slice: bad slice";
-  axpy_body ~alpha ~beta ~m ~n ~k ~ai:1 ~ap:m ~ldb:n ~boff:0 ~ldc:ld ~coff a.data b.data
+  axpy ~alpha ~beta ~m ~n ~k ~ai:1 ~ap:m ~ldb:n ~boff:0 ~ldc:ld ~coff a.data b.data
     c.data

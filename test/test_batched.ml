@@ -239,102 +239,117 @@ let check_pin name ~want got =
     w
 
 (* every variant at one row count [m]; the six calls cover dense and
-   sliced operands, k in {1,2,3,4,5,7,8,17}, beta in {0,1,0.5}, alpha 1
-   and -0.75 *)
+   sliced operands, n in 1..9 (whole 4-column vectors and every tail),
+   k in {1,2,3,4,5,7,8,17} (whole 4-term blocks and every tail), window
+   offsets 1, 2 and 3 (so no vector starts on a vector boundary), beta in
+   {0,1,0.5}, alpha 1 and -0.75 *)
 let pin_all_variants rng ~m =
-  let n = 6 and ld = 11 and off = 3 in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (alpha, beta) ->
-          let tag v = Printf.sprintf "%s k=%d alpha=%g beta=%g m=%d" v k alpha beta m in
-          (* C holds -0.0 and 0.0 but no NaN, so beta*c stays meaningful *)
-          let c0 = pin_tensor rng ~special:0.0 m n in
-          for i = 0 to (m * n) - 1 do
-            if i mod 5 = 0 then Tensor.set_idx c0 i (-0.0)
-            else if i mod 7 = 0 then Tensor.set_idx c0 i 0.0
-          done;
-          let run kernel reference =
-            let got = Tensor.copy c0 and want = Tensor.copy c0 in
-            kernel got;
+  for n = 1 to 9 do
+    let off = 1 + (n mod 3) in
+    let ld = n + off + 2 in
+    List.iter
+      (fun k ->
+        List.iter
+          (fun (alpha, beta) ->
+            let tag v = Printf.sprintf "%s k=%d n=%d alpha=%g beta=%g m=%d" v k n alpha beta m in
+            (* C holds -0.0 and 0.0 but no NaN, so beta*c stays meaningful *)
+            let c0 = pin_tensor rng ~special:0.0 m n in
+            for i = 0 to (m * n) - 1 do
+              if i mod 5 = 0 then Tensor.set_idx c0 i (-0.0)
+              else if i mod 7 = 0 then Tensor.set_idx c0 i 0.0
+            done;
+            let run kernel reference =
+              let got = Tensor.copy c0 and want = Tensor.copy c0 in
+              kernel got;
+              for i = 0 to m - 1 do
+                for j = 0 to n - 1 do
+                  Tensor.set want i j (reference i j (Tensor.get c0 i j))
+                done
+              done;
+              (want, got)
+            in
+            (* nt: A m×k, B n×k *)
+            let a = pin_tensor rng ~special:0.3 m k and b = pin_tensor rng ~special:0.1 n k in
+            let want, got =
+              run
+                (fun c -> Tensor.gemm_nt ~alpha ~beta a b c)
+                (fun i j c ->
+                  ref_nt_elt ~alpha ~beta ~k
+                    (fun p -> Tensor.get a i p)
+                    (fun p -> Tensor.get b j p)
+                    c)
+            in
+            check_pin (tag "gemm_nt") ~want got;
+            (* nt_slice: B n×ld, columns [off, off+k) *)
+            let bw = pin_tensor rng ~special:0.1 n (ld + k) in
+            let ldb = ld + k in
+            let want, got =
+              run
+                (fun c -> Tensor.gemm_nt_slice ~alpha ~beta ~ld:ldb ~boff:off a bw c)
+                (fun i j c ->
+                  ref_nt_elt ~alpha ~beta ~k
+                    (fun p -> Tensor.get a i p)
+                    (fun p -> Tensor.get bw j (off + p))
+                    c)
+            in
+            check_pin (tag "gemm_nt_slice") ~want got;
+            (* nn: A m×k, B k×n *)
+            let b = pin_tensor rng ~special:0.1 k n in
+            let want, got =
+              run
+                (fun c -> Tensor.gemm_nn ~alpha ~beta a b c)
+                (fun i j c ->
+                  ref_axpy_elt ~alpha ~beta ~k
+                    (fun p -> Tensor.get a i p)
+                    (fun p -> Tensor.get b p j)
+                    c)
+            in
+            check_pin (tag "gemm_nn") ~want got;
+            (* nn_slice: B k×ld, columns [off, off+n) *)
+            let bw = pin_tensor rng ~special:0.1 k ld in
+            let want, got =
+              run
+                (fun c -> Tensor.gemm_nn_slice ~alpha ~beta ~ld ~boff:off a bw c)
+                (fun i j c ->
+                  ref_axpy_elt ~alpha ~beta ~k
+                    (fun p -> Tensor.get a i p)
+                    (fun p -> Tensor.get bw p (off + j))
+                    c)
+            in
+            check_pin (tag "gemm_nn_slice") ~want got;
+            (* tn: A k×m, B k×n *)
+            let at = pin_tensor rng ~special:0.3 k m and b = pin_tensor rng ~special:0.1 k n in
+            let want, got =
+              run
+                (fun c -> Tensor.gemm_tn ~alpha ~beta at b c)
+                (fun i j c ->
+                  ref_axpy_elt ~alpha ~beta ~k
+                    (fun p -> Tensor.get at p i)
+                    (fun p -> Tensor.get b p j)
+                    c)
+            in
+            check_pin (tag "gemm_tn") ~want got;
+            (* tn_slice: C m×ld, window [off, off+n); the rest must not move *)
+            let cw = pin_tensor rng ~special:0.0 m ld in
+            let got = Tensor.copy cw and want = Tensor.copy cw in
+            Tensor.gemm_tn_slice ~alpha ~beta ~ld ~coff:off at b got;
             for i = 0 to m - 1 do
               for j = 0 to n - 1 do
-                Tensor.set want i j (reference i j (Tensor.get c0 i j))
+                Tensor.set want i (off + j)
+                  (ref_axpy_elt ~alpha ~beta ~k
+                     (fun p -> Tensor.get at p i)
+                     (fun p -> Tensor.get b p j)
+                     (Tensor.get cw i (off + j)))
               done
             done;
-            (want, got)
-          in
-          (* nt: A m×k, B n×k *)
-          let a = pin_tensor rng ~special:0.3 m k and b = pin_tensor rng ~special:0.1 n k in
-          let want, got =
-            run
-              (fun c -> Tensor.gemm_nt ~alpha ~beta a b c)
-              (fun i j c ->
-                ref_nt_elt ~alpha ~beta ~k (fun p -> Tensor.get a i p) (fun p -> Tensor.get b j p) c)
-          in
-          check_pin (tag "gemm_nt") ~want got;
-          (* nt_slice: B n×ld, columns [off, off+k) *)
-          let bw = pin_tensor rng ~special:0.1 n (ld + k) in
-          let ldb = ld + k in
-          let want, got =
-            run
-              (fun c -> Tensor.gemm_nt_slice ~alpha ~beta ~ld:ldb ~boff:off a bw c)
-              (fun i j c ->
-                ref_nt_elt ~alpha ~beta ~k
-                  (fun p -> Tensor.get a i p)
-                  (fun p -> Tensor.get bw j (off + p))
-                  c)
-          in
-          check_pin (tag "gemm_nt_slice") ~want got;
-          (* nn: A m×k, B k×n *)
-          let b = pin_tensor rng ~special:0.1 k n in
-          let want, got =
-            run
-              (fun c -> Tensor.gemm_nn ~alpha ~beta a b c)
-              (fun i j c ->
-                ref_axpy_elt ~alpha ~beta ~k (fun p -> Tensor.get a i p) (fun p -> Tensor.get b p j) c)
-          in
-          check_pin (tag "gemm_nn") ~want got;
-          (* nn_slice: B k×ld, columns [off, off+n) *)
-          let bw = pin_tensor rng ~special:0.1 k ld in
-          let want, got =
-            run
-              (fun c -> Tensor.gemm_nn_slice ~alpha ~beta ~ld ~boff:off a bw c)
-              (fun i j c ->
-                ref_axpy_elt ~alpha ~beta ~k
-                  (fun p -> Tensor.get a i p)
-                  (fun p -> Tensor.get bw p (off + j))
-                  c)
-          in
-          check_pin (tag "gemm_nn_slice") ~want got;
-          (* tn: A k×m, B k×n *)
-          let at = pin_tensor rng ~special:0.3 k m and b = pin_tensor rng ~special:0.1 k n in
-          let want, got =
-            run
-              (fun c -> Tensor.gemm_tn ~alpha ~beta at b c)
-              (fun i j c ->
-                ref_axpy_elt ~alpha ~beta ~k (fun p -> Tensor.get at p i) (fun p -> Tensor.get b p j) c)
-          in
-          check_pin (tag "gemm_tn") ~want got;
-          (* tn_slice: C m×ld, window [off, off+n); the rest must not move *)
-          let cw = pin_tensor rng ~special:0.0 m ld in
-          let got = Tensor.copy cw and want = Tensor.copy cw in
-          Tensor.gemm_tn_slice ~alpha ~beta ~ld ~coff:off at b got;
-          for i = 0 to m - 1 do
-            for j = 0 to n - 1 do
-              Tensor.set want i (off + j)
-                (ref_axpy_elt ~alpha ~beta ~k
-                   (fun p -> Tensor.get at p i)
-                   (fun p -> Tensor.get b p j)
-                   (Tensor.get cw i (off + j)))
-            done
-          done;
-          check_pin (tag "gemm_tn_slice") ~want got)
-        [ (1.0, 0.0); (1.0, 1.0); (1.0, 0.5); (-0.75, 0.0); (-0.75, 1.0); (-0.75, 0.5) ])
-    [ 1; 2; 3; 4; 5; 7; 8; 17 ]
+            check_pin (tag "gemm_tn_slice") ~want got)
+          [ (1.0, 0.0); (1.0, 1.0); (1.0, 0.5); (-0.75, 0.0); (-0.75, 1.0); (-0.75, 0.5) ])
+      [ 1; 2; 3; 4; 5; 7; 8; 17 ]
+  done
 
-(* gemm_nt computes two output columns per pass: odd widths and widths past
-   one 32-column tile reach the unpaired last column of a tile *)
+(* gemm_nt computes four output columns per pass: widths that are not a
+   multiple of four, and widths past one 32-column tile, reach the
+   leftover columns of a tile *)
 let test_gemm_nt_odd_widths () =
   let rng = Rng.create 17 in
   List.iter
@@ -359,6 +374,106 @@ let test_gemm_nt_odd_widths () =
         [ (1.0, 0.0); (-0.75, 0.5); (1.0, 1.0) ])
     [ (1, 1, 1); (3, 5, 7); (2, 33, 5); (4, 65, 17); (1, 31, 4) ]
 
+(* A zero coefficient hides its B row: within a four-term block (which
+   then runs as one-term rows) and in the k tail, coefficients 0.0 and
+   -0.0 stand in front of B rows holding NaN, inf, -inf and -1.0, while
+   every other term adds -0.0 to a C of -0.0.  Every element must come out
+   -0.0: a kernel that multiplied through would write NaN, or +0.0
+   (-0.0 + (-0.0 * -1.0)). *)
+let pin_zero_coefficients () =
+  let k = 9 and n = 9 and off = 1 and alpha = -0.75 in
+  let coef = [| 1.0; 0.0; 1.0; 1.0; 1.0; 1.0; -0.0; 1.0; 0.0 |] in
+  let hidden = [| Float.nan; Float.infinity; Float.neg_infinity; -1.0 |] in
+  (* alpha*1.0 * 0.0 = -0.0 in every visible term *)
+  let b_at p j = if coef.(p) = 0.0 then hidden.(j mod 4) else 0.0 in
+  let a = Tensor.of_rows [| coef |] in
+  let at = Tensor.of_rows (Array.map (fun x -> [| x |]) coef) in
+  let b = Tensor.create k n and bw = Tensor.create k (n + off) in
+  for p = 0 to k - 1 do
+    for j = 0 to n - 1 do
+      Tensor.set b p j (b_at p j);
+      Tensor.set bw p (off + j) (b_at p j)
+    done
+  done;
+  let check name kernel =
+    let c = Tensor.create 1 (n + off) in
+    Tensor.fill c (-0.0);
+    kernel c;
+    let want = Tensor.copy c in
+    for j = 0 to n - 1 do
+      Tensor.set want 0 (off + j)
+        (ref_axpy_elt ~alpha ~beta:1.0 ~k (fun p -> coef.(p)) (fun p -> b_at p j) (-0.0))
+    done;
+    check_pin name ~want c;
+    Array.iteri
+      (fun i x ->
+        if Int64.bits_of_float x <> Int64.bits_of_float (-0.0) then
+          Alcotest.failf "%s[%d]: %h where -0.0 must survive" name i x)
+      (Tensor.to_array c)
+  in
+  let dense kernel c =
+    let d = Tensor.create 1 n in
+    for j = 0 to n - 1 do
+      Tensor.set d 0 j (Tensor.get c 0 (off + j))
+    done;
+    kernel d;
+    for j = 0 to n - 1 do
+      Tensor.set c 0 (off + j) (Tensor.get d 0 j)
+    done
+  in
+  check "zero coefficient gemm_nn" (dense (Tensor.gemm_nn ~alpha ~beta:1.0 a b));
+  check "zero coefficient gemm_tn" (dense (Tensor.gemm_tn ~alpha ~beta:1.0 at b));
+  check "zero coefficient gemm_nn_slice"
+    (dense (Tensor.gemm_nn_slice ~alpha ~beta:1.0 ~ld:(n + off) ~boff:off a bw));
+  check "zero coefficient gemm_tn_slice"
+    (Tensor.gemm_tn_slice ~alpha ~beta:1.0 ~ld:(n + off) ~coff:off at b)
+
+(* Contraction canary.  With e = 2^-30, (1+e)*(1+e) = 1 + 2e + e^2 rounds
+   to 1 + 2e, so -(1+2e) + (1+e)*(1+e) is 0.0 when the product is rounded
+   before the add, and e^2 = 2^-60 when the two are fused into one FMA.
+   nt: lane 0 of the dot meets the cancellation in the k tail (k = 5) and
+   inside the 4-wide loop (k = 8).  nn/tn (beta = 1, C = -(1+2e)): output
+   row 0 meets it in a four-term block, row 1 in a one-term row of the k
+   tail.  Five output columns reach both the 4-wide pass and the column
+   tail.  Every element must be +0.0. *)
+let pin_contraction_canary () =
+  let e = Float.ldexp 1.0 (-30) in
+  let n = 5 in
+  let check_zero name c =
+    Array.iteri
+      (fun i x ->
+        if Int64.bits_of_float x <> 0L then
+          Alcotest.failf "%s[%d]: %h, not 0.0 (was a*b+c fused?)" name i x)
+      (Tensor.to_array c)
+  in
+  List.iter
+    (fun k ->
+      let pad v = Array.init k (fun p -> if p < Array.length v then v.(p) else 0.0) in
+      let a = Tensor.of_rows [| pad [| 1.0; 0.0; 0.0; 0.0; 1.0 +. e |] |] in
+      let brow = pad [| -.(1.0 +. (2.0 *. e)); 0.0; 0.0; 0.0; 1.0 +. e |] in
+      let b = Tensor.of_rows (Array.make n brow) in
+      let c = Tensor.create 1 n in
+      Tensor.gemm_nt ~beta:0.0 a b c;
+      check_zero (Printf.sprintf "canary gemm_nt k=%d" k) c)
+    [ 5; 8 ];
+  let coef = [| [| 1.0 +. e; 1.0; 1.0; 1.0; 0.0 |]; [| 0.0; 0.0; 0.0; 0.0; 1.0 +. e |] |] in
+  let a = Tensor.of_rows coef in
+  let at = Tensor.of_rows (Array.init 5 (fun p -> [| coef.(0).(p); coef.(1).(p) |])) in
+  let b =
+    Tensor.of_rows (Array.init 5 (fun p -> Array.make n (if p mod 4 = 0 then 1.0 +. e else 0.0)))
+  in
+  let c0 () =
+    let c = Tensor.create 2 n in
+    Tensor.fill c (-.(1.0 +. (2.0 *. e)));
+    c
+  in
+  let c = c0 () in
+  Tensor.gemm_nn ~beta:1.0 a b c;
+  check_zero "canary gemm_nn" c;
+  let c = c0 () in
+  Tensor.gemm_tn ~beta:1.0 at b c;
+  check_zero "canary gemm_tn" c
+
 let test_gemm_bitwise_pin () =
   let module Par = Liger_parallel.Parallel in
   let saved = Par.jobs () in
@@ -368,6 +483,8 @@ let test_gemm_bitwise_pin () =
       Par.set_jobs saved)
     (fun () ->
       Tensor.set_gemm_par_flops max_int;
+      pin_zero_coefficients ();
+      pin_contraction_canary ();
       pin_all_variants (Rng.create 14) ~m:1;
       pin_all_variants (Rng.create 15) ~m:3;
       (* above the threshold on a 2-domain pool: 19 rows split into three

@@ -194,6 +194,46 @@ let test_live_lane_flops () =
         (11.0 *. per_step) ragged)
     [ ("gru", Rnn_cell.Gru); ("vanilla", Rnn_cell.Vanilla) ]
 
+(* Every GEMM op site times its kernel: after one pass through each of
+   them (matmul_nt, affine, its sliced twin and the fused attention
+   scorer) the bad.gemm and bad.gemm.bwd rows carry seconds, and the
+   report's op table prints them instead of "-". *)
+let test_gemm_seconds () =
+  fresh ~profiling:true;
+  let store = Param.create_store ~seed:5 () in
+  let w = Param.matrix store "w" 64 96 and b = Param.vector store "b" 64 in
+  let v = Param.matrix store "v" 1 64 in
+  let tape = Batched.tape () in
+  let x = Batched.const_arr tape ~rows:16 ~cols:64 (Array.init 1024 (fun i -> float (i mod 7))) in
+  let y = Batched.matmul_nt_slice tape x w ~off:32 in
+  let wide = Batched.const_arr tape ~rows:16 ~cols:96 (Array.make 1536 0.25) in
+  let z = Batched.affine_tanh tape ~w ~b wide in
+  let h = Batched.matmul_nt tape (Batched.add tape y z) (Param.matrix store "u" 64 64) in
+  let scores = Batched.matvec_stack_cols tape h v ~lanes:4 in
+  Batched.backward tape (Batched.sum_all tape scores);
+  let s = P.snapshot () in
+  let fwd = find_op s "bad.gemm" and bwd = find_op s "bad.gemm.bwd" in
+  Alcotest.(check int) "four forward GEMM sites" 4 fwd.P.count;
+  Alcotest.(check int) "four backward GEMM sites" 4 bwd.P.count;
+  Alcotest.(check bool) "forward GEMM seconds recorded" true (fwd.P.seconds > 0.0);
+  Alcotest.(check bool) "backward GEMM seconds recorded" true (bwd.P.seconds > 0.0);
+  let report = Liger_obs.Obs.report () in
+  P.disable ();
+  List.iter
+    (fun name ->
+      match
+        List.find_opt
+          (fun line -> List.hd (String.split_on_char ' ' (String.trim line)) = name)
+          (String.split_on_char '\n' report)
+      with
+      | None -> Alcotest.failf "no %s row in the report" name
+      | Some line ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s row prints seconds: %S" name line)
+            false
+            (String.ends_with ~suffix:"-" (String.trim line)))
+    [ "bad.gemm"; "bad.gemm.bwd" ]
+
 (* Every model layer of a whole LiGer batched step is attributed: each
    enters its scope (calls) and owns tape nodes (backward time). *)
 let test_liger_batched_layers () =
@@ -317,6 +357,7 @@ let () =
             test_live_lane_flops;
           Alcotest.test_case "LiGer batched step attributes every layer" `Quick
             test_liger_batched_layers;
+          Alcotest.test_case "GEMM ops record kernel seconds" `Quick test_gemm_seconds;
         ] );
       ( "history",
         [

@@ -249,14 +249,15 @@ let test_loop_paths_bounded () =
 
 let test_symbolic_array_cells_fork () =
   let m = parse max_src in
-  let shape = Symexec.shape_of_params ~array_len:3 m.Ast.params in
+  let shape = Symexec.shape_of_params m.Ast.params in
   let results = Symexec.explore m ~shape in
   let returned =
     List.filter (fun r -> match r.Symexec.outcome with Symexec.Sym_returned _ -> true | _ -> false)
       results
   in
-  (* two data branches over 2 loop iterations -> 4 paths *)
-  Alcotest.(check int) "four data paths" 4 (List.length returned)
+  (* arrays are 4 cells, so the loop runs i = 1, 2, 3 with a concrete
+     bound, and each pass forks on a[i] > best: 2^3 = 8 paths *)
+  Alcotest.(check int) "eight data paths" 8 (List.length returned)
 
 let test_concretized_inputs_replay_signature () =
   (* THE invariant: solving a symbolic path and running the concrete
@@ -265,7 +266,7 @@ let test_concretized_inputs_replay_signature () =
   List.iter
     (fun src ->
       let m = parse src in
-      let shape = Symexec.shape_of_params ~array_len:3 m.Ast.params in
+      let shape = Symexec.shape_of_params m.Ast.params in
       let results = Symexec.explore m ~shape in
       let checked = ref 0 in
       List.iter
