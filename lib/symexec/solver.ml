@@ -28,8 +28,7 @@
     move.  Within those bounds every distance is at most 2^31 + 1 and
     every partial sum below 2^52, all exactly representable, so
     [float_of_int] of the objective is the float the re-summing above
-    returns.  One search loop drives every kind of problem: a move is
-    tried, then kept or undone.
+    returns.  A move is tried, then kept or undone.
 
     {b Tabulated single-input objective.}  A failed search runs the whole
     budget.  When its condition reads one bound input, the objective is a
@@ -42,6 +41,24 @@
     entry.  A value outside the domain (only [scores] builds one) is scored
     each time.  A table entry is the float a scoring of the same model
     returns, so no score, tie or draw changes.
+
+    {b The search in C.}  [solve] runs the [Ints] and [Table] searches in
+    [search_stubs.c] and keeps [search], the OCaml loop, for [Floats],
+    whose constraints are OCaml closures a C loop would call once per
+    move.  The C loop reads the problem (kinds, dependency lists, [code],
+    table) in place and allocates nothing on the OCaml heap.  It steps
+    the xorshift128+ state held in the [Rng.t] bytes and writes it back,
+    drawing exactly what [Rng.int], [Rng.int_range], [Rng.bool] and
+    [Rng.coin] draw, in the same order, with the same restarts, steps,
+    deltas, clamps and tie coins, and it counts [evals] and [computed]
+    as the OCaml functions below do.  In the [Ints] loop the objective
+    is an [int] compared as one, exact by the bounds above; a step
+    scores its values from the moved variable's constraints alone, the
+    other constraints' sum being fixed for the step.  A missing [Table] entry
+    is filled by [fill], one OCaml call per entry (at most 65 per solve),
+    which stores the float scoring in the kernel's own table.  [search]
+    is the reference: [test_symexec] compares the two loops model for
+    model, draw for draw and count for count.
 
     {b Bitwise contract.}  The branch distance below is the one the
     interpreted definition gives — [Symval.eval] over an association-list
@@ -300,7 +317,8 @@ type floats = {
 type ints = {
   code : int array;                        (* 4 cells per constraint, see [encode] *)
   idist : int array;                       (* each constraint's current distance *)
-  tried : int array;                       (* distances of the last move tried, for [keep] *)
+  tried : int array;                       (* distances of the last move tried, for [keep];
+                                              its length sizes the C search's step buffer *)
   mutable obj : int;                       (* the sum of [idist] *)
   mutable next : int;                      (* the objective after the last move tried *)
 }
@@ -314,7 +332,8 @@ type kernel =
 
 (* A path condition compiled against one variable list.  Its models have
    one cell per variable and one more, always 0, that [Ints] reads for a
-   constant. *)
+   constant.  [search_stubs.c] reads [problem], [ints] and [Table] by
+   field position and [kernel] by constructor tag: keep their order. *)
 type problem = {
   kinds : Ast.typ array;                   (* each variable's type *)
   deps : int array array;                  (* deps.(i): constraints mentioning variable i *)
@@ -525,10 +544,21 @@ let scores ~vars pc models =
 
 let deltas = [| 1; -1; 2; -2; 4; -4; 8; -8; 16; -16 |]
 
-let search rng vars p =
+(* The bindings of a solving model *)
+let bindings vars model =
+  List.mapi
+    (fun i (x, ty) ->
+      (x, match ty with Ast.Tbool -> Value.VBool (model.(i) <> 0) | _ -> Value.VInt model.(i)))
+    vars
+
+(** Random restarts of alternating-variable hill climbing over [p], in
+    OCaml: whether it finds a solving [model] (one cell per variable and
+    the zero cell, filled in place).  The loop that runs the [Floats]
+    kernel, and the reference the C loop of the other two kernels is
+    tested against. *)
+let search rng p model =
   let kinds = p.kinds in
   let n = Array.length kinds in
-  let model = Array.make (n + 1) 0 in
   let solved = ref false in
   let attempt = ref 0 in
   while (not !solved) && !attempt < restarts do
@@ -577,13 +607,40 @@ let search rng vars p =
     done;
     if !score = 0.0 then solved := true
   done;
-  if !solved then
-    Some
-      (List.mapi
-         (fun i (x, ty) ->
-           (x, match ty with Ast.Tbool -> Value.VBool (model.(i) <> 0) | _ -> Value.VInt model.(i)))
-         vars)
-  else None
+  !solved
+
+(* [search], in [search_stubs.c], for an [Ints] or a [Table] problem:
+   the same model, draws, [evals] and [computed].  The stubs read the
+   problem's fields by position; the [Ast.typ] argument is [Ast.Tbool],
+   which they compare each variable's kind with.  [search_ints] returns 1
+   or 0 for solved or not, and -1 when it could not allocate its step
+   buffer. *)
+external search_ints : Rng.t -> Ast.typ -> problem -> int array -> int = "liger_search_ints"
+[@@noalloc]
+
+external search_table :
+  Rng.t -> Ast.typ -> problem -> int array -> (kernel -> int array -> unit) -> bool
+  = "liger_search_table"
+
+(* The callback [search_table] fills a missing table entry with: the full
+   float scoring of [model], stored at its value of [read]. *)
+let fill kernel model =
+  match kernel with
+  | Table { read; base; table; f } -> table.(model.(read) - base) <- compute_floats f model
+  | Ints _ | Floats _ -> invalid_arg "Solver.fill: not a table"
+
+(** The search [solve] runs: the C loop for the [Ints] and [Table]
+    kernels, [search] for [Floats].  It does what [search] does, draw for
+    draw. *)
+let run_search rng p model =
+  match p.kernel with
+  | Ints _ -> (
+      match search_ints rng Ast.Tbool p model with
+      | 1 -> true
+      | 0 -> false
+      | _ -> raise Out_of_memory)
+  | Table _ -> search_table rng Ast.Tbool p model fill
+  | Floats _ -> search rng p model
 
 (** Try to find a model of [pc] over [vars] (name, type).  Returns
     bindings for every listed variable.  With telemetry on, each call adds
@@ -594,7 +651,10 @@ let solve rng ~(vars : (string * Ast.typ) list) (pc : Path.t) =
   let p = compile_problem ~lo:int_min ~hi:int_max vars pc in
   let result =
     if vars = [] then if Path.holds [] pc then Some [] else None
-    else search rng vars p
+    else begin
+      let model = Array.make (List.length vars + 1) 0 in
+      if run_search rng p model then Some (bindings vars model) else None
+    end
   in
   if Liger_obs.Metrics.enabled () then begin
     Liger_obs.Metrics.incr "symexec.solves";

@@ -88,7 +88,12 @@ let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let choose_list t l = choose t (Array.of_list l)
+(** [choose_list t l] is [choose t (Array.of_list l)]: the same element
+    from the same draw, without copying the list. Requires nonempty. *)
+let choose_list t l =
+  match l with
+  | [] -> invalid_arg "Rng.choose_list: empty list"
+  | _ -> List.nth l (int t (List.length l))
 
 (** [sample_without_replacement t k arr] returns [k] distinct elements in
     random order (all of [arr] if [k >= length]). *)

@@ -119,6 +119,20 @@ let test_rng_draws_allocate_nothing () =
   Alcotest.(check bool) "drew" true (!acc > 0);
   if words > 100.0 then Alcotest.failf "50,000 draws allocated %.0f words" words
 
+let test_rng_choose_list_is_choose () =
+  for len = 1 to 9 do
+    let l = List.init len (fun i -> (i * 7) + 3) in
+    for seed = 0 to 11 do
+      let a = Rng.create seed and b = Rng.create seed in
+      for _ = 1 to 5 do
+        Alcotest.(check int) "same element" (Rng.choose a (Array.of_list l)) (Rng.choose_list b l)
+      done;
+      Alcotest.(check int64) "streams in step" (Rng.next a) (Rng.next b)
+    done
+  done;
+  Alcotest.check_raises "empty list" (Invalid_argument "Rng.choose_list: empty list") (fun () ->
+      ignore (Rng.choose_list (Rng.create 1) []))
+
 let test_rng_sample_without_replacement () =
   let rng = Rng.create 23 in
   let arr = Array.init 20 Fun.id in
@@ -502,6 +516,7 @@ let () =
           Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
           Alcotest.test_case "coin is bernoulli 0.5" `Quick test_rng_coin_is_bernoulli_half;
           Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
+          Alcotest.test_case "choose_list is choose" `Quick test_rng_choose_list_is_choose;
           Alcotest.test_case "sample without replacement" `Quick
             test_rng_sample_without_replacement;
         ] );
