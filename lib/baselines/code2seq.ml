@@ -27,8 +27,7 @@ type t = {
   combine : Linear.t;
   decoder : Decoder.t option;
   classifier : Linear.t option;
-  cache : (int, enc_path list) Hashtbl.t;
-  cache_lock : Mutex.t;  (* predictions run in parallel; see Train.predictions *)
+  paths : enc_path list Path_memo.t;
 }
 
 let create ?(dim = 16) ?(seed = 17) vocab (task : Liger_model.task) =
@@ -43,7 +42,7 @@ let create ?(dim = 16) ?(seed = 17) vocab (task : Liger_model.task) =
     | Liger_model.Classify n -> (None, Some (Linear.create store "cls" ~dim_in:dim ~dim_out:n))
   in
   { task; store; vocab; embedding; path_rnn; combine; decoder; classifier;
-    cache = Hashtbl.create 256; cache_lock = Mutex.create () }
+    paths = Path_memo.create () }
 
 let store t = t.store
 
@@ -67,24 +66,15 @@ let register vocab (meth : Ast.meth) =
     contexts
 
 let paths_of t (ex : Common.enc_example) =
-  match Mutex.protect t.cache_lock (fun () -> Hashtbl.find_opt t.cache ex.Common.uid) with
-  | Some ps -> ps
-  | None ->
+  Path_memo.find t.paths ex.Common.uid (fun () ->
       let meth = ex.Common.meth in
-      let ps =
-        Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
-        |> List.map (fun (c : Ast_paths.context) ->
-               {
-                 left = List.map (Vocab.id t.vocab) (terminal_subtokens c.Ast_paths.left);
-                 path = List.map (Vocab.id t.vocab) c.Ast_paths.path;
-                 right = List.map (Vocab.id t.vocab) (terminal_subtokens c.Ast_paths.right);
-               })
-      in
-      (* a concurrent extraction of the same example computed the same value *)
-      Mutex.protect t.cache_lock (fun () ->
-          if not (Hashtbl.mem t.cache ex.Common.uid) then
-            Hashtbl.add t.cache ex.Common.uid ps);
-      ps
+      Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
+      |> List.map (fun (c : Ast_paths.context) ->
+             {
+               left = List.map (Vocab.id t.vocab) (terminal_subtokens c.Ast_paths.left);
+               path = List.map (Vocab.id t.vocab) c.Ast_paths.path;
+               right = List.map (Vocab.id t.vocab) (terminal_subtokens c.Ast_paths.right);
+             }))
 
 (* code2seq owns its vocabulary (built over the raw sources, not traces), so
    decoder targets are re-derived from the label rather than taken from the

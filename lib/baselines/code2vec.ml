@@ -24,8 +24,7 @@ type t = {
   attention_vec : Param.t;
   out : Linear.t;
   n_classes : int option;     (* Some n when used as a classifier instead *)
-  cache : (int, enc_context list) Hashtbl.t;
-  cache_lock : Mutex.t;  (* predictions run in parallel; see Train.predictions *)
+  contexts : enc_context list Path_memo.t;
 }
 
 (** [create vocab ~labels task]: for naming, [labels] must contain every
@@ -48,8 +47,7 @@ let create ?(dim = 16) ?(seed = 13) vocab ~labels
     attention_vec = Param.matrix store "att" 1 dim;
     out = Linear.create store "out" ~dim_in:dim ~dim_out:n_out;
     n_classes;
-    cache = Hashtbl.create 256;
-    cache_lock = Mutex.create ();
+    contexts = Path_memo.create ();
   }
 
 let store t = t.store
@@ -72,24 +70,15 @@ let register vocab ~labels (meth : Liger_lang.Ast.meth) =
   ignore (Vocab.id labels meth.Liger_lang.Ast.mname)
 
 let contexts_of t (ex : Common.enc_example) =
-  match Mutex.protect t.cache_lock (fun () -> Hashtbl.find_opt t.cache ex.Common.uid) with
-  | Some cs -> cs
-  | None ->
+  Path_memo.find t.contexts ex.Common.uid (fun () ->
       let meth = ex.Common.meth in
-      let cs =
-        Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
-        |> List.map (fun (c : Ast_paths.context) ->
-               {
-                 left = Vocab.id t.vocab c.Ast_paths.left;
-                 path = Vocab.id t.vocab (Ast_paths.path_token c);
-                 right = Vocab.id t.vocab c.Ast_paths.right;
-               })
-      in
-      (* a concurrent extraction of the same example computed the same value *)
-      Mutex.protect t.cache_lock (fun () ->
-          if not (Hashtbl.mem t.cache ex.Common.uid) then
-            Hashtbl.add t.cache ex.Common.uid cs);
-      cs
+      Ast_paths.extract (path_rng meth) (Encode.meth_tree meth)
+      |> List.map (fun (c : Ast_paths.context) ->
+             {
+               left = Vocab.id t.vocab c.Ast_paths.left;
+               path = Vocab.id t.vocab (Ast_paths.path_token c);
+               right = Vocab.id t.vocab c.Ast_paths.right;
+             }))
 
 let target_of t (ex : Common.enc_example) =
   match (ex.Common.label, t.n_classes) with

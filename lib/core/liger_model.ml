@@ -128,27 +128,6 @@ type batch_encoding = {
   benc_mem_mask : Tensor.t;          (* G × maxM slot validity *)
 }
 
-(* Post-order flatten a deduplicated batch of interned trees: children
-   always get smaller indices than their parent. *)
-let flatten_itrees (trees : Common.itree array) =
-  let labels_rev = ref [] and children_rev = ref [] in
-  let count = ref 0 in
-  let rec go tree =
-    let id, sub =
-      match tree with
-      | Common.ILeaf id -> (id, [])
-      | Common.INode (id, cs) -> (id, cs)
-    in
-    let cidx = List.map go sub in
-    let idx = !count in
-    incr count;
-    labels_rev := id :: !labels_rev;
-    children_rev := cidx :: !children_rev;
-    idx
-  in
-  let roots = Array.map go trees in
-  (Array.of_list (List.rev !labels_rev), Array.of_list (List.rev !children_rev), roots)
-
 let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
   let d = t.config.dim in
   let g_n = Array.length exs in
@@ -204,7 +183,12 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
                 lane_tr.(l).Common.steps)
         in
         let trees = Array.of_list (List.rev !trees_rev) in
-        let labels, children, roots = flatten_itrees trees in
+        let labels, children, roots =
+          Treelstm.flatten
+            ~label:(function Common.ILeaf id | Common.INode (id, _) -> id)
+            ~children:(function Common.ILeaf _ -> [] | Common.INode (_, cs) -> cs)
+            trees
+        in
         let embed ids = Embedding_layer.embed_ids t.embedding btape ids in
         let roots_node =
           Treelstm.embed_forest_flat (Option.get t.treelstm) btape ~embed ~labels

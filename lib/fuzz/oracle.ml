@@ -332,7 +332,7 @@ let check_autodiff ~seed (_ : Ast.meth) =
   in
   let scalarize tape y = Batched.sum_all tape (Batched.mul tape y y) in
   let build =
-    match Rng.int rng 7 with
+    match Rng.int rng 6 with
     | 0 ->
         let l = Linear.create store "lin" ~dim_in:d_in ~dim_out:d_h in
         let forward =
@@ -346,9 +346,6 @@ let check_autodiff ~seed (_ : Ast.meth) =
         let cell = Rnn_cell.create ~kind:Rnn_cell.Gru store "gru" ~dim_in:d_in ~dim_hidden:d_h in
         fun tape -> scalarize tape (Rnn_cell.last_batch cell tape ~lanes (padded tape))
     | 3 ->
-        let cell = Lstm.create store "lstm" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape -> scalarize tape (Lstm.last_batch cell tape ~lanes (padded tape))
-    | 4 ->
         let cell = Treelstm.create store "tree" ~dim_in:d_h ~dim_hidden:d_h in
         let emb = Param.embedding store "emb" 6 d_h in
         let trees = List.init lanes (fun _ -> rand_tree rng 2) in
@@ -358,7 +355,7 @@ let check_autodiff ~seed (_ : Ast.meth) =
         fun tape ->
           let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
           scalarize tape (Treelstm.embed_forest cell tape ~embed trees)
-    | 5 ->
+    | 4 ->
         let att = Attention.create store "att" ~dim_h:d_in ~dim_q:d_h ~dim_att:d_h in
         let k = Rng.int_range rng 1 3 in
         let q = rand_vec rng (lanes * d_h) in

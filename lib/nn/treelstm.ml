@@ -145,27 +145,34 @@ let embed_forest_flat t btape ~embed ~labels ~children ~roots =
         embed_forest_flat_impl t btape ~embed ~labels ~children ~roots)
   else embed_forest_flat_impl t btape ~embed ~labels ~children ~roots
 
+(** Post-order flatten a forest for {!embed_forest_flat}, a node [n]
+    having label [label n] and children [children n].  Children get
+    smaller indices than their parent, siblings and trees keep their
+    order, and [roots] holds each tree's index.  Two accessors rather than
+    one returning a pair: a pair per node would be allocated. *)
+let flatten ~label ~children trees =
+  let labels_rev = ref [] and children_rev = ref [] in
+  let count = ref 0 in
+  let rec go tree =
+    let cidx = List.map go (children tree) in
+    let idx = !count in
+    incr count;
+    labels_rev := label tree :: !labels_rev;
+    children_rev := cidx :: !children_rev;
+    idx
+  in
+  let roots = Array.map go trees in
+  (Array.of_list (List.rev !labels_rev), Array.of_list (List.rev !children_rev), roots)
+
 (** Embed a forest of {!Encode.tree}s (convenience wrapper over
     {!embed_forest_flat}): post-order flattens the trees, then packs by
     level. *)
 let embed_forest t btape ~embed trees =
   (match trees with [] -> invalid_arg "Treelstm.embed_forest: empty" | _ -> ());
-  let labels_rev = ref [] and children_rev = ref [] in
-  let count = ref 0 in
-  let rec go tree =
-    let label, sub =
-      match tree with
-      | Encode.Leaf tok -> (tok, [])
-      | Encode.Node (l, cs) -> (l, cs)
-    in
-    let cidx = List.map go sub in
-    let idx = !count in
-    incr count;
-    labels_rev := label :: !labels_rev;
-    children_rev := cidx :: !children_rev;
-    idx
+  let labels, children, roots =
+    flatten
+      ~label:(function Encode.Leaf l | Encode.Node (l, _) -> l)
+      ~children:(function Encode.Leaf _ -> [] | Encode.Node (_, cs) -> cs)
+      (Array.of_list trees)
   in
-  let roots = Array.of_list (List.map go trees) in
-  let labels = Array.of_list (List.rev !labels_rev) in
-  let children = Array.of_list (List.rev !children_rev) in
   embed_forest_flat t btape ~embed ~labels ~children ~roots

@@ -1,8 +1,10 @@
 /* Solver.search for the two kernels that score a move without an OCaml
    closure: Ints, scored here, and Table, whose missing entries one OCaml
    callback fills.  Solver.solve dispatches here on the kernel
-   Solver.compile_problem chose; the OCaml search runs Floats and is the
-   reference test_symexec compares these loops against.
+   Solver.compile_problem chose.  The OCaml search, which only scores in
+   floats, runs Floats, and over Solver.float_problem of the same
+   condition it is the reference test_symexec compares these loops
+   against: the same model, draws and evaluations.
 
    Draw contract: the xorshift128+ state is read from the Rng.t bytes
    (s0, s1, native byte order, as Rng.get64 reads them), stepped in
@@ -16,19 +18,20 @@
    to the model and writes the value it keeps.
 
    The problem, the model and the table are the OCaml values Solver built,
-   read and written in place by field position (see Solver's [problem],
-   [ints] and [kernel]).  Nothing is global, so searches on several
-   domains at once share no state.  The Ints stub never enters the
-   runtime and is declared [@@noalloc]: it mallocs one step buffer, frees
-   it before returning, and reports a failed malloc to Solver, which
-   raises Out_of_memory.  The Table stub allocates nothing; it registers
-   its arguments, finds them again after each fill, and on an exception
-   from a fill stores the generator and the counts before raising it on.
-   Each stub takes at most five boxed arguments, so one C function serves
-   native code and bytecode.  The constants below are Solver's; the
-   reference test fails if they drift.  Build with the default flags: the
-   loops do integer arithmetic and float comparisons only, and
-   -ffast-math would break the NaN test of a missing table entry. */
+   read and written in place by field position (see Solver's [problem]
+   and [kernel]).  Nothing is global, so searches on several domains at
+   once share no state.  The Ints stub never enters the runtime and is
+   declared [@@noalloc]: it mallocs one buffer for its step and its
+   constraint distances, frees it before returning, and reports a failed
+   malloc to Solver, which raises Out_of_memory.  The Table stub
+   allocates nothing; it registers its arguments, finds them again after
+   each fill, and on an exception from a fill stores the generator and
+   the counts before raising it on.  Each stub takes at most five boxed
+   arguments, so one C function serves native code and bytecode.  The
+   constants below are Solver's; the reference test fails if they drift.
+   Build with the default flags: the loops do integer arithmetic and
+   float comparisons only, and -ffast-math would break the NaN test of a
+   missing table entry. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
@@ -50,16 +53,13 @@
 /* Solver.deltas */
 static const intnat deltas[10] = { 1, -1, 2, -2, 4, -4, 8, -8, 16, -16 };
 
-/* Field positions of Solver.problem, of its Ints record and of its Table
-   constructor */
+/* Field positions of Solver.problem and of its Table constructor; the
+   Ints constructor's one field is its code array */
 #define P_KINDS 0
 #define P_DEPS 1
 #define P_KERNEL 2
 #define P_EVALS 3
 #define P_COMPUTED 4
-#define Q_CODE 0
-#define Q_IDIST 1
-#define Q_TRIED 2
 #define T_READ 0
 #define T_BASE 1
 #define T_TABLE 2
@@ -130,7 +130,7 @@ static inline intnat kind_dist(intnat kind, intnat t)
   return kind == 0 ? pos : kind == 1 ? abs : zero;
 }
 
-/* Solver.int_dist: constraint k's distance under the model */
+/* Constraint k's distance under the model */
 static inline intnat int_dist(const value *code, const value *model, intnat k)
 {
   const value *c = code + 4 * k;
@@ -151,23 +151,26 @@ static inline intnat dep_sum(const struct dep *dp, intnat nd, intnat y)
 }
 
 /* Solver.search over an Ints problem.  The objective is the int sum of
-   the distances in idist.  A step lays out the moved variable's
-   constraints in [dp] (at most as many as the longest dependency list,
-   the length of the kernel's tried array).  The objective less their
-   distances, [others], stays the same through the step, since a kept
-   move changes both by the same amount; so a value's objective is
-   [others] plus its constraints' distances, the integer Solver.try_move
-   sums.  The step writes the kept value's distances back to idist.
+   the constraint distances, kept in [dist].  A step lays out the moved
+   variable's constraints in [dp] (at most as many as the longest
+   dependency list).  The objective less their distances, [others], stays
+   the same through the step, since a kept move changes both by the same
+   amount; so a value's objective is [others] plus its constraints'
+   distances.  The step writes the kept value's distances back to [dist].
    Every evaluation is computed.  Returns 1 if the model solves, 0 if
-   not, and -1 if [dp] could not be allocated. */
+   not, and -1 if the buffer could not be allocated. */
 value liger_search_ints(value rngv, value tbool, value p, value modelv)
 {
-  const value deps = Field(p, P_DEPS), q = Field(Field(p, P_KERNEL), 0);
-  const value *code = Op_val(Field(q, Q_CODE)), *kind = Op_val(Field(p, P_KINDS));
-  value *idist = Op_val(Field(q, Q_IDIST)), *model = Op_val(modelv);
-  const intnat n = Wosize_val(Field(p, P_KINDS)), m = Wosize_val(Field(q, Q_IDIST));
-  struct dep *dp = malloc(sizeof(struct dep) * (Wosize_val(Field(q, Q_TRIED)) + 1));
+  const value deps = Field(p, P_DEPS), codev = Field(Field(p, P_KERNEL), 0);
+  const value *code = Op_val(codev), *kind = Op_val(Field(p, P_KINDS));
+  value *model = Op_val(modelv);
+  const intnat n = Wosize_val(Field(p, P_KINDS)), m = Wosize_val(codev) / 4;
+  intnat widest = 0;
+  for (intnat i = 0; i < n; i++)
+    if ((intnat)Wosize_val(Field(deps, i)) > widest) widest = Wosize_val(Field(deps, i));
+  struct dep *dp = malloc(sizeof(struct dep) * (widest + 1) + sizeof(intnat) * (m + 1));
   if (dp == NULL) return Val_int(-1);
+  intnat *dist = (intnat *)(dp + widest + 1);
   rng r = rng_load(rngv);
   intnat evals = 0;
   int solved = 0;
@@ -175,9 +178,8 @@ value liger_search_ints(value rngv, value tbool, value p, value modelv)
     for (intnat i = 0; i < n; i++) model[i] = draw_start(&r, kind[i] == tbool);
     intnat obj = 0;
     for (intnat k = 0; k < m; k++) {
-      const intnat d = int_dist(code, model, k);
-      idist[k] = Val_long(d);
-      obj += d;
+      dist[k] = int_dist(code, model, k);
+      obj += dist[k];
     }
     evals++;
     for (int step = 0; obj > 0 && obj < (intnat)BIG_PENALTY && step < STEPS; step++) {
@@ -192,7 +194,7 @@ value liger_search_ints(value rngv, value tbool, value p, value modelv)
         dp[j].rest = (u == i ? 0 : Long_val(model[u])) - (v == i ? 0 : Long_val(model[v]))
           + Long_val(c[3]);
         dp[j].kind = Long_val(c[0]);
-        others -= Long_val(idist[Long_val(di[j])]);
+        others -= dist[Long_val(di[j])];
       }
       intnat x = x0;
       if (kind[i] == tbool) {
@@ -222,7 +224,7 @@ value liger_search_ints(value rngv, value tbool, value p, value modelv)
         }
       model[i] = Val_long(x);
       for (intnat j = 0; j < nd; j++)
-        idist[Long_val(di[j])] = Val_long(kind_dist(dp[j].kind, dp[j].sign * x + dp[j].rest));
+        dist[Long_val(di[j])] = kind_dist(dp[j].kind, dp[j].sign * x + dp[j].rest);
     }
     solved = obj == 0;
   }
@@ -279,7 +281,7 @@ static double fill_entry(struct tsearch *s, intnat i, intnat y, intnat k)
   return s->tab[k];
 }
 
-/* Solver.lookup for the model with cell i at y: the table entry for the
+/* The objective of the model with cell i at y: the table entry for the
    value of [read] there, NaN until filled.  The index is always inside
    the table: search only draws or steps to values in the domain the table
    covers. */

@@ -14,51 +14,53 @@
     becomes a closure computing its branch distance.  Every constraint's
     current distance is kept; a move of variable [i] re-scores only the
     constraints that mention [i], and the objective is then re-summed over
-    all constraints in path-condition order.
-
-    {b Integer kernel.}  A condition over several inputs whose constraints
-    all compare two int inputs, or an int input and an int constant
-    (possibly under [Not]), whose constants and domain bounds lie within
-    ±2^30 and which has fewer than 2^20 constraints, compiles to flat
-    [int] arrays instead, with no closure.  Each comparison is then one of
-    three integer distances of [t = x - y + c] ([max 0 t], [|t|], or 1
-    when [t = 0]), and the objective is an [int] kept up to date move by
-    move: a move's change is the sum of its constraints' changes, tried
-    without writing anything and written only when the search keeps the
-    move.  Within those bounds every distance is at most 2^31 + 1 and
-    every partial sum below 2^52, all exactly representable, so
-    [float_of_int] of the objective is the float the re-summing above
-    returns.  A move is tried, then kept or undone.
+    all constraints in path-condition order.  This float scoring is the
+    only scoring done in OCaml.
 
     {b Tabulated single-input objective.}  A failed search runs the whole
     budget.  When its condition reads one bound input, the objective is a
     pure function of that input's value (the same constraints summed in
-    [pc] order; every other constraint is constant), so [search] keeps it
-    in a table indexed by the value: 2 entries for a bool, one per value
-    of the fixed domain [int_min]..[int_max] (65) for an int, each filled
-    on first use by a full scoring and returned on every later one.
-    A move of a variable the condition does not read returns the current
-    entry.  A value outside the domain (only [scores] builds one) is scored
-    each time.  A table entry is the float a scoring of the same model
-    returns, so no score, tie or draw changes.
+    [pc] order; every other constraint is constant), so the search keeps
+    it in a table indexed by the value: 2 entries for a bool, one per
+    value of the fixed domain [int_min]..[int_max] (65) for an int, each
+    filled on first use by a float scoring and returned on every later
+    one.  A move of a variable the condition does not read returns the
+    current entry.
 
-    {b The search in C.}  [solve] runs the [Ints] and [Table] searches in
-    [search_stubs.c] and keeps [search], the OCaml loop, for [Floats],
-    whose constraints are OCaml closures a C loop would call once per
-    move.  The C loop reads the problem (kinds, dependency lists, [code],
-    table) in place and allocates nothing on the OCaml heap.  It steps
-    the xorshift128+ state held in the [Rng.t] bytes and writes it back,
+    {b Integer kernel.}  A condition over several inputs whose constraints
+    all compare two int inputs, or an int input and an int constant
+    (possibly under [Not]), whose constants lie within ±2^30 and which has
+    fewer than 2^20 constraints, compiles to a flat [int] array instead,
+    with no closure.  Each comparison is then one of three integer
+    distances of [t = x - y + c] ([max 0 t], [|t|], or 1 when [t = 0]),
+    and the objective is their [int] sum.  Models stay in the domain, well
+    inside the bound, so every distance is at most 2^31 + 1 and every
+    partial sum below 2^52, all exactly representable: [float_of_int] of
+    the objective is the float the float scoring returns.
+
+    {b The search in C.}  [solve] runs the [Table] and [Ints] searches in
+    [search_stubs.c] and [search], the OCaml loop, for [Floats], whose
+    constraints are OCaml closures a C loop would call once per move.  The
+    C loop reads the problem (kinds, dependency lists, [code], table) in
+    place and allocates nothing on the OCaml heap.  It steps the
+    xorshift128+ state held in the [Rng.t] bytes and writes it back,
     drawing exactly what [Rng.int], [Rng.int_range], [Rng.bool] and
     [Rng.coin] draw, in the same order, with the same restarts, steps,
-    deltas, clamps and tie coins, and it counts [evals] and [computed]
-    as the OCaml functions below do.  In the [Ints] loop the objective
-    is an [int] compared as one, exact by the bounds above; a step
-    scores its values from the moved variable's constraints alone, the
-    other constraints' sum being fixed for the step.  A missing [Table] entry
-    is filled by [fill], one OCaml call per entry (at most 65 per solve),
-    which stores the float scoring in the kernel's own table.  [search]
-    is the reference: [test_symexec] compares the two loops model for
-    model, draw for draw and count for count.
+    deltas, clamps and tie coins.  The [Ints] loop owns the integer
+    scoring: it keeps each constraint's distance in a buffer of its own
+    and compares objectives as [int]s, exact by the bounds above.  A
+    missing [Table] entry is filled by [fill], one OCaml call per entry
+    (at most 65 per solve), which stores the float scoring in the
+    kernel's own table.
+
+    {b The reference.}  [float_problem] compiles a condition to the
+    [Floats] kernel whatever its shape, and [search] over it is what both
+    C loops are tested against.  A table entry is the float scoring of a
+    model that reads the same value, and an int objective is
+    [float_of_int] of the float sum, so both loops compare the same values
+    as the reference, tie where it ties and draw what it draws:
+    [test_symexec] checks the model, the next draw and [evals].  Only
+    [computed] differs, on [Table], where it counts the entries filled.
 
     {b Bitwise contract.}  The branch distance below is the one the
     interpreted definition gives — [Symval.eval] over an association-list
@@ -232,8 +234,8 @@ let rec distance slot kinds ~want (c : Symval.t) : int array -> float =
 (* ------------------------------------------------------------------ *)
 
 (* The bounds within which int scoring is exact (see the header): every
-   constant and model value within ±[int_bound], fewer than
-   [max_int_constraints] constraints. *)
+   constant within ±[int_bound], as every model value of the domain is,
+   and fewer than [max_int_constraints] constraints. *)
 let int_bound = 1 lsl 30
 let max_int_constraints = 1 lsl 20
 let[@inline] within n = -int_bound <= n && n <= int_bound
@@ -290,20 +292,8 @@ let encode slot kinds ~zero code k c =
       code.(j + 3) <- (if swap then kb - ka else ka - kb) + one
   | _ -> invalid_arg "Solver.encode: not a comparison"
 
-let[@inline] int_dist code model k =
-  let j = 4 * k in
-  let t =
-    Array.unsafe_get model (Array.unsafe_get code (j + 1))
-    - Array.unsafe_get model (Array.unsafe_get code (j + 2))
-    + Array.unsafe_get code (j + 3)
-  in
-  match Array.unsafe_get code j with
-  | 0 -> if t > 0 then t else 0
-  | 1 -> if t >= 0 then t else -t
-  | _ -> if t = 0 then 1 else 0
-
 (* ------------------------------------------------------------------ *)
-(* Incremental objective                                               *)
+(* Problems                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Float scoring, for any condition. *)
@@ -313,27 +303,19 @@ type floats = {
   saved : float array;                     (* distances a move overwrote, for [undo] *)
 }
 
-(* Int scoring, for a condition [fits_ints] accepts throughout. *)
-type ints = {
-  code : int array;                        (* 4 cells per constraint, see [encode] *)
-  idist : int array;                       (* each constraint's current distance *)
-  tried : int array;                       (* distances of the last move tried, for [keep];
-                                              its length sizes the C search's step buffer *)
-  mutable obj : int;                       (* the sum of [idist] *)
-  mutable next : int;                      (* the objective after the last move tried *)
-}
-
 type kernel =
   | Table of { read : int; base : int; table : float array; f : floats }
       (* a condition that reads only variable [read]: its objective by
          [read]'s value, the entry for [base] first; nan until computed *)
-  | Ints of ints
+  | Ints of int array
+      (* a condition [fits_ints] accepts throughout: 4 cells per
+         constraint, see [encode] *)
   | Floats of floats
 
 (* A path condition compiled against one variable list.  Its models have
    one cell per variable and one more, always 0, that [Ints] reads for a
-   constant.  [search_stubs.c] reads [problem], [ints] and [Table] by
-   field position and [kernel] by constructor tag: keep their order. *)
+   constant.  [search_stubs.c] reads [problem] and [Table] by field
+   position and [kernel] by constructor tag: keep their order. *)
 type problem = {
   kinds : Ast.typ array;                   (* each variable's type *)
   deps : int array array;                  (* deps.(i): constraints mentioning variable i *)
@@ -342,11 +324,10 @@ type problem = {
   mutable computed : int;                  (* evaluations not served from a table *)
 }
 
-(* A condition that reads exactly one variable is tabulated: the domain
-   is small enough to tabulate every int input.  Any other condition is
-   scored in ints when its constants and [lo]..[hi], the range its models
-   take, fit the integer kernel, and in floats otherwise. *)
-let compile_problem ~lo ~hi (vars : (string * Ast.typ) list) (pc : Path.t) =
+(* What every kernel needs: each variable's type, the model index of
+   each name (-1 if unbound), the constraints and each variable's
+   dependency list. *)
+let layout (vars : (string * Ast.typ) list) (pc : Path.t) =
   let n = List.length vars in
   let kinds = Array.make n Ast.Tint in
   List.iteri (fun i (_, ty) -> kinds.(i) <- ty) vars;
@@ -359,40 +340,60 @@ let compile_problem ~lo ~hi (vars : (string * Ast.typ) list) (pc : Path.t) =
     find 0 vars
   in
   let constraints = Array.of_list pc in
-  let m = Array.length constraints in
   let deps = Array.make n [] in
-  for k = m - 1 downto 0 do
+  for k = Array.length constraints - 1 downto 0 do
     List.iter
       (fun x -> let i = slot x in if i >= 0 then deps.(i) <- k :: deps.(i))
       (Symval.inputs [] constraints.(k))
   done;
-  let deps = Array.map Array.of_list deps in
-  let read = ref (-1) and reads = ref 0 and widest = ref 0 in
-  for i = 0 to n - 1 do
-    let d = Array.length deps.(i) in
-    if d > 0 then begin read := i; incr reads end;
-    widest := max !widest d
-  done;
+  (kinds, slot, constraints, Array.map Array.of_list deps)
+
+let float_scoring slot kinds constraints deps =
+  let widest = Array.fold_left (fun w d -> max w (Array.length d)) 0 deps in
+  { scorers = Array.map (distance slot kinds ~want:true) constraints;
+    dist = Array.make (Array.length constraints) 0.0; saved = Array.make widest 0.0 }
+
+(** [pc] over [vars], compiled for [solve].  A condition that reads
+    exactly one variable is tabulated: the domain is small enough to
+    tabulate every int input.  Any other condition is scored in ints when
+    [fits_ints] accepts every constraint, and in floats otherwise. *)
+let compile_problem vars pc =
+  let kinds, slot, constraints, deps = layout vars pc in
+  let n = Array.length kinds and m = Array.length constraints in
+  let read = ref (-1) and reads = ref 0 in
+  Array.iteri (fun i d -> if d <> [||] then begin read := i; incr reads end) deps;
   let read = if !reads = 1 then !read else -1 in
-  let floats () =
-    { scorers = Array.map (distance slot kinds ~want:true) constraints;
-      dist = Array.make m 0.0; saved = Array.make !widest 0.0 }
-  in
   let kernel =
-    if read >= 0 && kinds.(read) = Ast.Tbool then
-      Table { read; base = 0; table = Array.make 2 Float.nan; f = floats () }
-    else if read >= 0 then
-      Table { read; base = int_min; table = Array.make (int_max - int_min + 1) Float.nan;
-              f = floats () }
-    else if within lo && within hi && m < max_int_constraints
-            && Array.for_all (fits_ints slot kinds) constraints then begin
+    if read >= 0 then
+      let base, size =
+        if kinds.(read) = Ast.Tbool then (0, 2) else (int_min, int_max - int_min + 1)
+      in
+      Table { read; base; table = Array.make size Float.nan;
+              f = float_scoring slot kinds constraints deps }
+    else if m < max_int_constraints && Array.for_all (fits_ints slot kinds) constraints then begin
       let code = Array.make (4 * m) 0 in
       Array.iteri (encode slot kinds ~zero:n code) constraints;
-      Ints { code; idist = Array.make m 0; tried = Array.make !widest 0; obj = 0; next = 0 }
+      Ints code
     end
-    else Floats (floats ())
+    else Floats (float_scoring slot kinds constraints deps)
   in
   { kinds; deps; kernel; evals = 0; computed = 0 }
+
+(** [pc] over [vars], float-scored whatever its shape: the reference
+    [search] runs for every kernel [compile_problem] picks. *)
+let float_problem vars pc =
+  let kinds, slot, constraints, deps = layout vars pc in
+  { kinds; deps; kernel = Floats (float_scoring slot kinds constraints deps);
+    evals = 0; computed = 0 }
+
+let floats_of p =
+  match p.kernel with
+  | Floats f -> f
+  | Table _ | Ints _ -> invalid_arg "Solver.search: not a Floats problem"
+
+(* ------------------------------------------------------------------ *)
+(* Float scoring                                                       *)
+(* ------------------------------------------------------------------ *)
 
 (* The objective: all current distances, summed in [pc] order. *)
 let[@inline] total f =
@@ -409,101 +410,35 @@ let[@inline] compute_floats f model =
   done;
   total f
 
-let[@inline] compute_ints q model =
-  let s = ref 0 in
-  for k = 0 to Array.length q.idist - 1 do
-    let d = int_dist q.code model k in
-    q.idist.(k) <- d;
-    s := !s + d
+let[@inline] score_all p f model =
+  p.evals <- p.evals + 1;
+  p.computed <- p.computed + 1;
+  compute_floats f model
+
+(* The objective after variable [i] moved: the move's distances are
+   written, and [undo p f i] restores them if the move is not kept. *)
+let[@inline] try_move p f model i =
+  p.evals <- p.evals + 1;
+  p.computed <- p.computed + 1;
+  let deps = p.deps.(i) in
+  for j = 0 to Array.length deps - 1 do
+    let k = deps.(j) in
+    f.saved.(j) <- f.dist.(k);
+    f.dist.(k) <- f.scorers.(k) model
   done;
-  q.obj <- !s;
-  float_of_int !s
+  total f
 
-(* The objective of a condition that reads only [read]: its table entry,
-   computed on first use. *)
-let[@inline] lookup p ~read ~base table f model =
-  let k = model.(read) - base in
-  if k < 0 || k >= Array.length table then begin
-    p.computed <- p.computed + 1;
-    compute_floats f model
-  end
-  else begin
-    if Float.is_nan table.(k) then begin
-      p.computed <- p.computed + 1;
-      table.(k) <- compute_floats f model
-    end;
-    table.(k)
-  end
+let[@inline] undo p f i =
+  let deps = p.deps.(i) in
+  for j = 0 to Array.length deps - 1 do
+    f.dist.(deps.(j)) <- f.saved.(j)
+  done
 
-let[@inline] score_all p model =
-  p.evals <- p.evals + 1;
-  match p.kernel with
-  | Table { read; base; table; f } -> lookup p ~read ~base table f model
-  | Ints q ->
-      p.computed <- p.computed + 1;
-      compute_ints q model
-  | Floats f ->
-      p.computed <- p.computed + 1;
-      compute_floats f model
-
-(* The objective after variable [i] moved.  [keep p i] then commits the
-   move and [undo p i] takes it back; one of them must follow.  A table
-   entry has nothing to commit or take back; float scoring writes the
-   move's distances and [undo] restores them; int scoring writes nothing
-   until [keep]. *)
-let[@inline] try_move p model i =
-  p.evals <- p.evals + 1;
-  match p.kernel with
-  | Table { read; base; table; f } -> lookup p ~read ~base table f model
-  | Ints q ->
-      p.computed <- p.computed + 1;
-      let deps = p.deps.(i) in
-      let s = ref q.obj in
-      for j = 0 to Array.length deps - 1 do
-        let k = deps.(j) in
-        let d = int_dist q.code model k in
-        q.tried.(j) <- d;
-        s := !s + d - q.idist.(k)
-      done;
-      q.next <- !s;
-      float_of_int !s
-  | Floats f ->
-      p.computed <- p.computed + 1;
-      let deps = p.deps.(i) in
-      for j = 0 to Array.length deps - 1 do
-        let k = deps.(j) in
-        f.saved.(j) <- f.dist.(k);
-        f.dist.(k) <- f.scorers.(k) model
-      done;
-      total f
-
-let[@inline] keep p i =
-  match p.kernel with
-  | Ints q ->
-      let deps = p.deps.(i) in
-      for j = 0 to Array.length deps - 1 do
-        q.idist.(deps.(j)) <- q.tried.(j)
-      done;
-      q.obj <- q.next
-  | Table _ | Floats _ -> ()
-
-let[@inline] undo p i =
-  match p.kernel with
-  | Floats f ->
-      let deps = p.deps.(i) in
-      for j = 0 to Array.length deps - 1 do
-        f.dist.(deps.(j)) <- f.saved.(j)
-      done
-  | Table _ | Ints _ -> ()
-
-(** The objective [solve] minimizes, under each model in turn (bindings for
-    every variable of [vars]).  A model that differs from the one before it
-    in one variable only is scored incrementally and committed, as an
-    accepted hill-climbing move is; any other is scored from scratch.  A
-    condition that reads one variable is tabulated over the domain, as in
-    [solve]; a condition of int comparisons over several variables
-    is scored in ints when its constants and every model value lie within
-    the integer kernel's bounds.  For tests. *)
+(** The objective [solve] minimizes, float-scored, under each model in
+    turn (bindings for every variable of [vars]).  A model that differs
+    from the one before it in one variable only is scored incrementally
+    and kept, as an accepted hill-climbing move is; any other is scored
+    from scratch.  For tests. *)
 let scores ~vars pc models =
   let encode model =
     Array.of_list
@@ -513,14 +448,8 @@ let scores ~vars pc models =
          vars
       @ [ 0 ])
   in
-  let models = List.map encode models in
-  let lo, hi =
-    List.fold_left
-      (Array.fold_left (fun (lo, hi) v -> (min lo v, max hi v)))
-      (int_min, int_max)
-      models
-  in
-  let p = compile_problem ~lo ~hi vars pc in
+  let p = float_problem vars pc in
+  let f = floats_of p in
   let prev = ref None in
   List.map
     (fun m ->
@@ -530,13 +459,8 @@ let scores ~vars pc models =
         | Some pm -> List.filter (fun i -> pm.(i) <> m.(i)) (List.init (Array.length m) Fun.id)
       in
       prev := Some m;
-      match moved with
-      | [ i ] ->
-          let s = try_move p m i in
-          keep p i;
-          s
-      | _ -> score_all p m)
-    models
+      match moved with [ i ] -> try_move p f m i | _ -> score_all p f m)
+    (List.map encode models)
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -551,12 +475,14 @@ let bindings vars model =
       (x, match ty with Ast.Tbool -> Value.VBool (model.(i) <> 0) | _ -> Value.VInt model.(i)))
     vars
 
-(** Random restarts of alternating-variable hill climbing over [p], in
-    OCaml: whether it finds a solving [model] (one cell per variable and
-    the zero cell, filled in place).  The loop that runs the [Floats]
-    kernel, and the reference the C loop of the other two kernels is
-    tested against. *)
+(** Random restarts of alternating-variable hill climbing over [p], a
+    [Floats] problem, in OCaml: whether it finds a solving [model] (one
+    cell per variable and the zero cell, filled in place).  The loop
+    [solve] runs for the [Floats] kernel and, over [float_problem], the
+    reference the C loops are tested against.  Raises [Invalid_argument]
+    for any other kernel. *)
 let search rng p model =
+  let f = floats_of p in
   let kinds = p.kinds in
   let n = Array.length kinds in
   let solved = ref false in
@@ -569,7 +495,7 @@ let search rng p model =
         | Ast.Tbool -> Bool.to_int (Rng.bool rng)
         | _ -> Rng.int_range rng int_min int_max)
     done;
-    let score = ref (score_all p model) in
+    let score = ref (score_all p f model) in
     let step = ref 0 in
     while !score > 0.0 && !score < big_penalty && !step < steps do
       incr step;
@@ -578,30 +504,24 @@ let search rng p model =
       match kinds.(i) with
       | Ast.Tbool ->
           model.(i) <- 1 - model.(i);
-          let s = try_move p model i in
-          if s < !score then begin
-            score := s;
-            keep p i
-          end
+          let s = try_move p f model i in
+          if s < !score then score := s
           else begin
             model.(i) <- 1 - model.(i);
-            undo p i
+            undo p f i
           end
       | _ ->
           let current = model.(i) in
           for d = 0 to Array.length deltas - 1 do
             let saved = model.(i) in
             model.(i) <- Int.max int_min (Int.min int_max (current + deltas.(d)));
-            let s = try_move p model i in
+            let s = try_move p f model i in
             (* equal-score moves are accepted half the time: coupled
                equalities create plateaus that strict descent cannot cross *)
-            if s < !score || (s = !score && Rng.coin rng) then begin
-              score := s;
-              keep p i
-            end
+            if s < !score || (s = !score && Rng.coin rng) then score := s
             else begin
               model.(i) <- saved;
-              undo p i
+              undo p f i
             end
           done
     done;
@@ -610,11 +530,11 @@ let search rng p model =
   !solved
 
 (* [search], in [search_stubs.c], for an [Ints] or a [Table] problem:
-   the same model, draws, [evals] and [computed].  The stubs read the
-   problem's fields by position; the [Ast.typ] argument is [Ast.Tbool],
-   which they compare each variable's kind with.  [search_ints] returns 1
-   or 0 for solved or not, and -1 when it could not allocate its step
-   buffer. *)
+   the model, draws and [evals] of [search] over the [float_problem] of
+   the same condition.  The stubs read the problem's fields by position;
+   the [Ast.typ] argument is [Ast.Tbool], which they compare each
+   variable's kind with.  [search_ints] returns 1 or 0 for solved or not,
+   and -1 when it could not allocate its buffer. *)
 external search_ints : Rng.t -> Ast.typ -> problem -> int array -> int = "liger_search_ints"
 [@@noalloc]
 
@@ -630,8 +550,7 @@ let fill kernel model =
   | Ints _ | Floats _ -> invalid_arg "Solver.fill: not a table"
 
 (** The search [solve] runs: the C loop for the [Ints] and [Table]
-    kernels, [search] for [Floats].  It does what [search] does, draw for
-    draw. *)
+    kernels, [search] for [Floats]. *)
 let run_search rng p model =
   match p.kernel with
   | Ints _ -> (
@@ -648,7 +567,7 @@ let run_search rng p model =
     [symexec.objective_evals] and [symexec.objective_computed] (the
     evaluations not served from a single-input table). *)
 let solve rng ~(vars : (string * Ast.typ) list) (pc : Path.t) =
-  let p = compile_problem ~lo:int_min ~hi:int_max vars pc in
+  let p = compile_problem vars pc in
   let result =
     if vars = [] then if Path.holds [] pc then Some [] else None
     else begin

@@ -502,46 +502,13 @@ let matmul_nt_slice tape x (p : Param.t) ~off =
   else Tensor.gemm_nt_slice ~beta:0.0 ~ld ~boff:off x.value p.Param.value n.value;
   n
 
-(** [add_rows_cycle tape a b]: for [a : (S·l)×d] (slot-major stack of [S]
-    blocks) and [b : l×d], adds [b]'s lane rows to every block —
-    [out[s·l+i, :] = a[s·l+i, :] + b[i, :]].  Backward passes gradients
-    through to [a] and block-sums them into [b]. *)
-let add_rows_cycle tape a b =
-  let rows_a = lanes a and l = lanes b and d = dim a in
-  if dim b <> d || l = 0 || rows_a mod l <> 0 then
-    invalid_arg "Batched.add_rows_cycle: shape mismatch";
-  if P.on () then P.op op_ew ~flops:(fi (rows_a * d)) ~bytes:(fbytes (rows_a * d));
-  let n =
-    push tape rows_a d (fun n ->
-        if P.on () then P.op op_ew_b ~flops:(fi (2 * rows_a * d)) ~bytes:0.0;
-        let g = n.grad.Tensor.data in
-        let ag = a.grad.Tensor.data and bg = b.grad.Tensor.data in
-        for i = 0 to (rows_a * d) - 1 do
-          BA.unsafe_set ag i (BA.unsafe_get ag i +. BA.unsafe_get g i)
-        done;
-        for r = 0 to rows_a - 1 do
-          let src = r * d and dst = r mod l * d in
-          for j = 0 to d - 1 do
-            BA.unsafe_set bg (dst + j)
-              (BA.unsafe_get bg (dst + j) +. BA.unsafe_get g (src + j))
-          done
-        done)
-  in
-  let v = n.value.Tensor.data and av = a.value.Tensor.data in
-  let bv = b.value.Tensor.data in
-  for r = 0 to rows_a - 1 do
-    let dst = r * d and src = r mod l * d in
-    for j = 0 to d - 1 do
-      BA.unsafe_set v (dst + j) (BA.unsafe_get av (dst + j) +. BA.unsafe_get bv (src + j))
-    done
-  done;
-  n
-
 (** Fused [tanh(a[r] + b[r mod l] + bias)] — the attention scorer's
-    pre-activation ({!add_rows_cycle} + bias broadcast + tanh) in one node.
-    Backward folds the tanh derivative into this node's own gradient in
-    place before routing it to [a], the block-sum into [b] and the
-    column-sum into the bias. *)
+    pre-activation in one node.  For [a : (S·l)×d] (slot-major stack of
+    [S] blocks) and [b : l×d], [b]'s lane rows are added to every block,
+    [out[s·l+i, :] = tanh(a[s·l+i, :] + b[i, :] + bias)].  Backward folds
+    the tanh derivative into this node's own gradient in place before
+    routing it to [a], the block-sum into [b] and the column-sum into the
+    bias. *)
 let add_rows_cycle_bias_tanh tape a b (bias : Param.t) =
   let rows_a = lanes a and l = lanes b and d = dim a in
   if dim b <> d || l = 0 || rows_a mod l <> 0 then
@@ -777,47 +744,6 @@ let lerp tape z a b =
     let zi = BA.unsafe_get zv i in
     BA.unsafe_set v i
       ((zi *. BA.unsafe_get av i) +. ((1.0 -. zi) *. BA.unsafe_get bv i))
-  done;
-  n
-
-(** Fused [a ⊙ b + p ⊙ q] — the LSTM/TreeLSTM cell update
-    [f ⊙ c + i ⊙ u] in one node instead of three (mul/mul/add). *)
-let muladd2 tape a b p q =
-  check_same "muladd2" a b;
-  check_same "muladd2" b p;
-  check_same "muladd2" p q;
-  let l = lanes a and d = dim a in
-  let n_elts = l * d in
-  if P.on () then P.op op_ew ~flops:(fi (3 * n_elts)) ~bytes:(fbytes n_elts);
-  let n =
-    push tape l d (fun n ->
-        if P.on () then P.op op_ew_b ~flops:(fi (8 * n_elts)) ~bytes:0.0;
-        let g = n.grad.Tensor.data in
-        let ag = a.grad.Tensor.data
-        and bg = b.grad.Tensor.data
-        and pg = p.grad.Tensor.data
-        and qg = q.grad.Tensor.data in
-        let av = a.value.Tensor.data
-        and bv = b.value.Tensor.data
-        and pv = p.value.Tensor.data
-        and qv = q.value.Tensor.data in
-        for i = 0 to n_elts - 1 do
-          let gi = BA.unsafe_get g i in
-          BA.unsafe_set ag i (BA.unsafe_get ag i +. (gi *. BA.unsafe_get bv i));
-          BA.unsafe_set bg i (BA.unsafe_get bg i +. (gi *. BA.unsafe_get av i));
-          BA.unsafe_set pg i (BA.unsafe_get pg i +. (gi *. BA.unsafe_get qv i));
-          BA.unsafe_set qg i (BA.unsafe_get qg i +. (gi *. BA.unsafe_get pv i))
-        done)
-  in
-  let v = n.value.Tensor.data in
-  let av = a.value.Tensor.data
-  and bv = b.value.Tensor.data
-  and pv = p.value.Tensor.data
-  and qv = q.value.Tensor.data in
-  for i = 0 to n_elts - 1 do
-    BA.unsafe_set v i
-      ((BA.unsafe_get av i *. BA.unsafe_get bv i)
-      +. (BA.unsafe_get pv i *. BA.unsafe_get qv i))
   done;
   n
 

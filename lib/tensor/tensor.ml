@@ -137,14 +137,6 @@ let blit_from_array a t =
     A.unsafe_set t.data i (Array.unsafe_get a i)
   done
 
-let l2_norm t =
-  let acc = ref 0.0 in
-  for i = 0 to size t - 1 do
-    let x = A.unsafe_get t.data i in
-    acc := !acc +. (x *. x)
-  done;
-  sqrt !acc
-
 let argmax a =
   let best = ref 0 in
   for i = 1 to Array.length a - 1 do

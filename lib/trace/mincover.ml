@@ -45,15 +45,3 @@ let reduction_order (bs : Blended.t list) =
   let core = greedy bs in
   let rest = List.filter (fun b -> not (List.memq b core)) bs in
   core @ rest
-
-(** Keep [n] symbolic traces, never fewer than the covering core (unless the
-    caller asks for fewer than the core size, in which case the core is
-    truncated — the paper's final data point, where accuracy collapses). *)
-let keep_paths n (bs : Blended.t list) =
-  let ordered = reduction_order bs in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
-  take (max 1 n) ordered

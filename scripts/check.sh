@@ -91,6 +91,14 @@ dune build @all
 echo "== dune runtest (LIGER_JOBS=2: exercise the domain pool everywhere)"
 LIGER_JOBS=2 dune runtest
 
+# test/dune also links test_symexec as a self-contained bytecode
+# executable (byte_complete: the C stubs are linked in).  The solver's C
+# search reads and writes OCaml values in place, so it must agree with
+# the float reference under the bytecode runtime as well as native code.
+echo "== test_symexec in bytecode: the solver's C search under the bytecode runtime"
+./_build/default/test/test_symexec.bc.exe --compact
+echo "   ok: test_symexec passed in bytecode"
+
 # No --metrics-out: the snapshot must land in the run directory by default.
 # LIGER_JOBS=1 because the allocation budget below reads one exact value
 # only on one domain (see there).
@@ -117,7 +125,7 @@ echo "   ok: runs/ci-profile/metrics.json has a consistent profile section"
 # Allocation budget for the same run: words allocated on the minor heaps
 # over the whole process (corpus, training, evaluation).  Allocation
 # follows the work done, not the clock, so on one domain it repeats
-# exactly (OCaml 5.1.1, no flambda): 3,913,739 words.  It read 3,958,804
+# exactly (OCaml 5.1.1, no flambda): 3,912,796 words.  It read 3,958,804
 # while Rng.choose_list copied its list into an array on every draw (test
 # generation's value reuse draws once per argument), 4,175,488
 # while the GEMM bodies were OCaml loops, which boxed the float

@@ -512,24 +512,6 @@ let test_stack_to_cols () =
     expect_grad
     (Array.init (k * l) (fun i -> (Batched.row_grad a i).(0)))
 
-let test_add_rows_cycle () =
-  let btape = Batched.tape () in
-  let a = Batched.const_arr btape ~rows:4 ~cols:2 [| 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. |] in
-  let b = Batched.const_arr btape ~rows:2 ~cols:2 [| 10.; 20.; 30.; 40. |] in
-  let out = Batched.add_rows_cycle btape a b in
-  check_close ~tol:0.0 "cycle row0" [| 11.; 22. |] (Batched.row_value out 0);
-  check_close ~tol:0.0 "cycle row1" [| 33.; 44. |] (Batched.row_value out 1);
-  check_close ~tol:0.0 "cycle row2" [| 15.; 26. |] (Batched.row_value out 2);
-  check_close ~tol:0.0 "cycle row3" [| 37.; 48. |] (Batched.row_value out 3);
-  Batched.backward btape (Batched.sum_all btape out);
-  (* d(sum)/da = 1 everywhere; d(sum)/db sums the two blocks *)
-  for i = 0 to 3 do
-    check_close ~tol:0.0 "cycle da" [| 1.; 1. |] (Batched.row_grad a i)
-  done;
-  for i = 0 to 1 do
-    check_close ~tol:0.0 "cycle db" [| 2.; 2. |] (Batched.row_grad b i)
-  done
-
 (* rows listed in [idx] come from [b], all others from [a], bit for bit;
    each row's gradient goes only to the input that supplied it *)
 let test_merge_rows_routing () =
@@ -660,14 +642,6 @@ let rnn_equiv kind name =
 
 let test_gru_equiv () = rnn_equiv Rnn_cell.Gru "rnn_cell.gru"
 let test_vanilla_equiv () = rnn_equiv Rnn_cell.Vanilla "rnn_cell.vanilla"
-
-let test_lstm_equiv () =
-  let store = Param.create_store ~seed:36 () in
-  let cell = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:4 in
-  let rng = Rng.create 37 in
-  let xs = Array.init 3 (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
-  lane_equivalence "lstm" store (fun btape ls ->
-      Lstm.last_batch cell btape ~lanes:(Array.length ls) (ragged_steps btape ~cols:3 xs ls))
 
 (* perturb the zero-initialised scorer direction so attention gradients are
    not trivially zero through the projection *)
@@ -863,11 +837,7 @@ let test_compacted_step_gradcheck () =
   let store = Param.create_store ~seed:68 () in
   let gru = Rnn_cell.create store "gru" ~dim_in:3 ~dim_hidden:4 in
   Testutil.grad_check store (fun btape ->
-      sq_loss_batched btape (Rnn_cell.last_batch gru btape ~lanes:3 (steps btape)));
-  let store = Param.create_store ~seed:69 () in
-  let lstm = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:4 in
-  Testutil.grad_check store (fun btape ->
-      sq_loss_batched btape (Lstm.last_batch lstm btape ~lanes:3 (steps btape)))
+      sq_loss_batched btape (Rnn_cell.last_batch gru btape ~lanes:3 (steps btape)))
 
 let test_batched_attention_gradcheck () =
   (* covers the split-projection path: the matmul_nt_slice,
@@ -1512,7 +1482,6 @@ let () =
       ( "primitives",
         [
           Alcotest.test_case "stack_to_cols" `Quick test_stack_to_cols;
-          Alcotest.test_case "add_rows_cycle" `Quick test_add_rows_cycle;
           Alcotest.test_case "bufpool reuse" `Quick test_bufpool_reuse;
           Alcotest.test_case "merge_rows routing" `Quick test_merge_rows_routing;
           Alcotest.test_case "merge_rows rejects bad idx" `Quick test_merge_rows_invalid;
@@ -1523,7 +1492,6 @@ let () =
           Alcotest.test_case "embedding" `Quick test_embedding_equiv;
           Alcotest.test_case "gru" `Quick test_gru_equiv;
           Alcotest.test_case "vanilla rnn" `Quick test_vanilla_equiv;
-          Alcotest.test_case "lstm" `Quick test_lstm_equiv;
           Alcotest.test_case "attention" `Quick test_attention_equiv;
           Alcotest.test_case "treelstm" `Quick test_treelstm_equiv;
           Alcotest.test_case "decoder" `Quick test_decoder_equiv;
@@ -1538,8 +1506,7 @@ let () =
       ( "gradcheck",
         [
           Alcotest.test_case "gru (masked)" `Quick test_batched_gru_gradcheck;
-          Alcotest.test_case "gru and lstm (compacted lanes)" `Quick
-            test_compacted_step_gradcheck;
+          Alcotest.test_case "gru (compacted lanes)" `Quick test_compacted_step_gradcheck;
           Alcotest.test_case "attention (split proj)" `Quick test_batched_attention_gradcheck;
           Alcotest.test_case "treelstm forest" `Quick test_batched_treelstm_gradcheck;
           Alcotest.test_case "decoder" `Slow test_batched_decoder_gradcheck;

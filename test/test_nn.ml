@@ -53,14 +53,6 @@ let rnn_grads ~seed kind =
 let test_vanilla_rnn_grads () = rnn_grads ~seed:4 Rnn_cell.Vanilla
 let test_gru_grads () = rnn_grads ~seed:6 Rnn_cell.Gru
 
-let test_lstm_grads () =
-  let store = Param.create_store ~seed:8 () in
-  let cell = Lstm.create store "lstm" ~dim_in:3 ~dim_hidden:3 in
-  let rng = Rng.create 9 in
-  let xs = List.init 3 (fun _ -> rand_input rng 6) in
-  Testutil.grad_check store (fun tape ->
-      sq_loss tape (Lstm.last_batch cell tape ~lanes:2 (ragged_steps tape xs)))
-
 let test_treelstm_grads () =
   let store = Param.create_store ~seed:10 () in
   let cell = Treelstm.create store "tree" ~dim_in:3 ~dim_hidden:3 in
@@ -285,7 +277,6 @@ let () =
           Alcotest.test_case "slice_cols" `Quick test_slice_grads;
           Alcotest.test_case "vanilla rnn" `Quick test_vanilla_rnn_grads;
           Alcotest.test_case "gru" `Quick test_gru_grads;
-          Alcotest.test_case "lstm" `Quick test_lstm_grads;
           Alcotest.test_case "treelstm" `Quick test_treelstm_grads;
           Alcotest.test_case "attention" `Quick test_attention_grads;
           Alcotest.test_case "decoder" `Quick test_decoder_grads;

@@ -393,12 +393,6 @@ let test_reduction_order_prefix_preserves_coverage () =
       (Coverage.preserves_lines ~reference:bs (prefix n ordered))
   done
 
-let test_keep_paths () =
-  let _, bs = three_path_blended () in
-  Alcotest.(check int) "keep 2" 2 (List.length (Mincover.keep_paths 2 bs));
-  Alcotest.(check int) "keep never 0" 1 (List.length (Mincover.keep_paths 0 bs));
-  Alcotest.(check int) "keep all" 3 (List.length (Mincover.keep_paths 99 bs))
-
 (* property: grouping then flattening preserves the number of ok traces *)
 let prop_group_partition =
   QCheck.Test.make ~name:"blended groups partition ok traces" ~count:50
@@ -618,7 +612,6 @@ let () =
           Alcotest.test_case "drops redundant" `Quick test_greedy_cover_drops_redundant;
           Alcotest.test_case "reduction order prefixes" `Quick
             test_reduction_order_prefix_preserves_coverage;
-          Alcotest.test_case "keep paths" `Quick test_keep_paths;
         ] );
       ("qcheck", qcheck_cases);
     ]
