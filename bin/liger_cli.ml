@@ -278,12 +278,12 @@ let dataset_cmd =
 (* ---------------- model persistence ---------------- *)
 
 (* A saved model directory holds params.txt, vocab.txt and meta (dim). *)
-let save_model dir (model : Liger_model.t) vocab =
+let save_model dir (model : Liger_model.t) =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   Serialize.save_store (Liger_model.store model) (Filename.concat dir "params.txt");
-  Vocab.save vocab (Filename.concat dir "vocab.txt");
+  Vocab.save (Liger_model.vocab model) (Filename.concat dir "vocab.txt");
   let oc = open_out (Filename.concat dir "meta") in
-  Printf.fprintf oc "dim %d\n" (Liger_model.store model |> fun _ -> model.Liger_model.config.Liger_model.dim);
+  Printf.fprintf oc "dim %d\n" model.Liger_model.config.Liger_model.dim;
   close_out oc
 
 let load_model dir =
@@ -344,7 +344,7 @@ let train_cmd =
     Obs.print_report ();
     match (save, liger_model) with
     | Some dir, Some m ->
-        save_model dir m corpus.Pipeline.vocab;
+        save_model dir m;
         Printf.printf "model saved to %s\n" dir
     | Some _, None -> Printf.eprintf "--save currently supports --model liger only\n"
     | None, _ -> ()

@@ -19,14 +19,12 @@ type enc_path = {
 }
 
 type t = {
-  task : Liger_model.task;
   store : Param.store;
   vocab : Vocab.t;
   embedding : Embedding_layer.t;
   path_rnn : Rnn_cell.t;
   combine : Linear.t;
-  decoder : Decoder.t option;
-  classifier : Linear.t option;
+  head : Head.t;
   paths : enc_path list Path_memo.t;
 }
 
@@ -35,16 +33,8 @@ let create ?(dim = 16) ?(seed = 17) vocab (task : Liger_model.task) =
   let embedding = Embedding_layer.create store "tok" vocab ~dim in
   let path_rnn = Rnn_cell.create ~kind:Rnn_cell.Gru store "path" ~dim_in:dim ~dim_hidden:dim in
   let combine = Linear.create store "combine" ~dim_in:(3 * dim) ~dim_out:dim in
-  let decoder, classifier =
-    match task with
-    | Liger_model.Naming ->
-        (Some (Decoder.create store "dec" embedding ~dim_hidden:dim ~dim_mem:dim), None)
-    | Liger_model.Classify n -> (None, Some (Linear.create store "cls" ~dim_in:dim ~dim_out:n))
-  in
-  { task; store; vocab; embedding; path_rnn; combine; decoder; classifier;
-    paths = Path_memo.create () }
-
-let store t = t.store
+  let head = Head.create store embedding ~dim task in
+  { store; vocab; embedding; path_rnn; combine; head; paths = Path_memo.create () }
 
 let terminal_subtokens tok =
   match Subtoken.split tok with [] -> [ tok ] | ts -> ts
@@ -91,7 +81,8 @@ let target_ids t (ex : Common.enc_example) =
    terminal sub-token embeddings sum per path with [group_sum], node types
    run through one masked path-RNN recurrence, and the combined path
    vectors pool into their example with [group_sum] and a per-example 1/n
-   scale (the mean).  A path-less method attends over one zero slot. *)
+   scale (the mean).  A path-less method attends over one zero slot.  The
+   result is a {!Head.encoding}. *)
 
 let encode_batch t btape (exs : Common.enc_example array) =
   let g_n = Array.length exs in
@@ -101,13 +92,9 @@ let encode_batch t btape (exs : Common.enc_example array) =
     Batch_pack.flatten (Array.map (fun ex -> Array.of_list (paths_of t ex)) exs)
   in
   let p_n = Array.length paths in
-  if p_n = 0 then begin
+  if p_n = 0 then
     (* every memory is the single zero slot of a path-less method *)
-    let z = Batched.zeros btape ~rows:g_n ~cols:d in
-    let mask = Tensor.zeros g_n 1 in
-    Tensor.fill mask 1.0;
-    (z, [| z |], mask)
-  end
+    Head.of_program (Batched.zeros btape ~rows:g_n ~cols:d)
   else begin
     (* sum of a terminal's sub-token embeddings, one group per path *)
     let terminal side =
@@ -144,7 +131,7 @@ let encode_batch t btape (exs : Common.enc_example array) =
                 Array.make d (if n = 0 then 0.0 else 1.0 /. float_of_int n))
               rows))
     in
-    let program_embedding =
+    let program =
       Batched.mul btape
         (Batched.group_sum btape encoded ~groups:path_ex ~n_groups:g_n)
         (Batched.const_arr btape ~rows:g_n ~cols:d inv_n)
@@ -155,40 +142,8 @@ let encode_batch t btape (exs : Common.enc_example array) =
         Batched.vstack btape [ encoded; Batched.zeros btape ~rows:1 ~cols:d ]
       else encoded
     in
-    let memory, mask =
+    let memory, memory_mask =
       Batch_pack.slots btape src (Array.map (fun r -> if r = [||] then [| p_n |] else r) rows)
     in
-    (program_embedding, memory, mask)
+    { Head.program; memory; memory_mask }
   end
-
-(** Training loss: per-example losses as a [G×1] node on [btape]. *)
-let loss_batch t btape (exs : Common.enc_example array) =
-  let program_embedding, memory, memory_mask = encode_batch t btape exs in
-  match (t.task, t.decoder, t.classifier) with
-  | Liger_model.Naming, Some dec, _ ->
-      Decoder.loss_batch dec btape ~memory ~memory_mask ~program_embedding
-        ~target_ids:(Array.map (target_ids t) exs)
-  | Liger_model.Classify _, _, Some cls ->
-      Batch_pack.class_losses btape
-        (Linear.forward_batch cls btape program_embedding)
-        exs ~who:"Code2seq.loss_batch"
-  | _ -> invalid_arg "Code2seq.loss_batch: task/head mismatch"
-
-(** Greedy naming prediction; one sub-token list per example. *)
-let predict_name_batch t exs =
-  match t.decoder with
-  | None -> invalid_arg "Code2seq.predict_name_batch: not a naming model"
-  | Some dec ->
-      Batch_pack.infer exs (fun btape ->
-          let program_embedding, memory, memory_mask = encode_batch t btape exs in
-          Decoder.decode_batch dec btape ~memory ~memory_mask ~program_embedding
-          |> Array.map (List.map (Vocab.name t.vocab)))
-
-(** Class prediction; one class id per example. *)
-let predict_class_batch t exs =
-  match t.classifier with
-  | None -> invalid_arg "Code2seq.predict_class_batch: not a classification model"
-  | Some cls ->
-      Batch_pack.infer exs (fun btape ->
-          let program_embedding, _, _ = encode_batch t btape exs in
-          Batch_pack.argmax_rows (Linear.forward_batch cls btape program_embedding))

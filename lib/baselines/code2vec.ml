@@ -22,8 +22,7 @@ type t = {
   embedding : Embedding_layer.t;
   combine : Linear.t;
   attention_vec : Param.t;
-  out : Linear.t;
-  n_classes : int option;     (* Some n when used as a classifier instead *)
+  head : Head.t;              (* a classifier over labels, or over classes *)
   contexts : enc_context list Path_memo.t;
 }
 
@@ -33,10 +32,8 @@ type t = {
 let create ?(dim = 16) ?(seed = 13) vocab ~labels
     (task : Liger_model.task) =
   let store = Param.create_store ~seed () in
-  let n_out, n_classes =
-    match task with
-    | Liger_model.Naming -> (Vocab.size labels, None)
-    | Liger_model.Classify n -> (n, Some n)
+  let n_out =
+    match task with Liger_model.Naming -> Vocab.size labels | Liger_model.Classify n -> n
   in
   {
     store;
@@ -45,12 +42,9 @@ let create ?(dim = 16) ?(seed = 13) vocab ~labels
     embedding = Embedding_layer.create store "ctx" vocab ~dim;
     combine = Linear.create store "combine" ~dim_in:(3 * dim) ~dim_out:dim;
     attention_vec = Param.matrix store "att" 1 dim;
-    out = Linear.create store "out" ~dim_in:dim ~dim_out:n_out;
-    n_classes;
+    head = Head.Classifier (Linear.create store "out" ~dim_in:dim ~dim_out:n_out);
     contexts = Path_memo.create ();
   }
-
-let store t = t.store
 
 (* a method's path sample is seeded by its name *)
 let path_rng (meth : Liger_lang.Ast.meth) =
@@ -80,11 +74,15 @@ let contexts_of t (ex : Common.enc_example) =
                right = Vocab.id t.vocab c.Ast_paths.right;
              }))
 
-let target_of t (ex : Common.enc_example) =
-  match (ex.Common.label, t.n_classes) with
-  | Common.Class c, Some _ -> c
-  | Common.Name name, None -> Vocab.id t.labels name
-  | _ -> invalid_arg "Code2vec: task/label mismatch"
+(* the head's target: the whole-name label, or the class *)
+let target_ids t (ex : Common.enc_example) =
+  match ex.Common.label with
+  | Common.Name name -> [ Vocab.id t.labels name ]
+  | Common.Class c -> [ c ]
+
+(** Predicted sub-tokens: the predicted whole-name label, split. *)
+let subtokens t labels =
+  List.concat_map (fun label -> Liger_lang.Subtoken.split (Vocab.name t.labels label)) labels
 
 (* ===== Encoding (flat Bigarray engine) =====
 
@@ -92,7 +90,8 @@ let target_of t (ex : Common.enc_example) =
    GEMM against the global attention vector; each example's scores are
    laid out slot-major and turned into one masked softmax row, which
    weights that example's context vectors into its code vector.  A method
-   without contexts gets the zero vector. *)
+   without contexts gets the zero vector.  The result is a {!Head.encoding}
+   whose program embedding is the code vector, also its one memory slot. *)
 
 let code_vectors t btape (exs : Common.enc_example array) =
   let g_n = Array.length exs in
@@ -126,24 +125,4 @@ let code_vectors t btape (exs : Common.enc_example array) =
     Batched.weighted_sum btape w slots
   end
 
-(** Training loss: per-example losses as a [G×1] node on [btape]. *)
-let loss_batch t btape (exs : Common.enc_example array) =
-  let logits = Linear.forward_batch t.out btape (code_vectors t btape exs) in
-  fst
-    (Batched.softmax_xent_rows btape logits ~targets:(Array.map (target_of t) exs)
-       ~weights:(Array.make (Array.length exs) 1.0))
-
-(* argmax label per example, one batched forward *)
-let predict_labels t exs =
-  Batch_pack.infer exs (fun btape ->
-      Batch_pack.argmax_rows (Linear.forward_batch t.out btape (code_vectors t btape exs)))
-
-(** Predicted sub-tokens: the argmax whole-name label, split; one list per
-    example. *)
-let predict_name_batch t exs =
-  Array.map
-    (fun label -> Liger_lang.Subtoken.split (Vocab.name t.labels label))
-    (predict_labels t exs)
-
-(** Class prediction; one class id per example. *)
-let predict_class_batch t exs = predict_labels t exs
+let encode_batch t btape exs = Head.of_program (code_vectors t btape exs)

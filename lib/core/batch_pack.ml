@@ -8,8 +8,8 @@
     {!slots} and {!trace_memory} lay out ragged per-example row lists
     (decoder memory, attention candidates) as padded slot nodes with a
     validity mask; {!flatten} turns per-example items into lanes.
-    {!infer}, {!argmax_rows} and {!class_losses} are the forward-only and
-    classification-head plumbing every model repeats. *)
+    {!infer} is the forward-only pass every model runs to predict or
+    embed. *)
 
 open Liger_tensor
 open Liger_trace
@@ -252,31 +252,14 @@ let flatten (items : 'a array array) =
   in
   (Array.concat (Array.to_list items), rows, groups)
 
-(** [infer exs f] runs the forward pass [f btape] over the batch [exs] on
-    a fresh tape and discards the tape; [[||]] for an empty batch. *)
-let infer exs f =
+(** [infer encode exs f] encodes the batch [exs] on a fresh tape, runs
+    the forward pass [f btape encoding] and discards the tape; [[||]] for
+    an empty batch. *)
+let infer encode exs f =
   if Array.length exs = 0 then [||]
   else begin
     let btape = Batched.tape () in
-    let out = f btape in
+    let out = f btape (encode btape exs) in
     Batched.discard btape;
     out
   end
-
-(** The argmax class of every lane of a [G × classes] logits node. *)
-let argmax_rows logits =
-  Array.init (Batched.lanes logits) (fun g -> Tensor.argmax (Batched.row_value logits g))
-
-(** Per-example cross-entropy ([G×1]) of [logits] against each example's
-    single class target; [who] names the caller in the error raised for a
-    target that is not one class. *)
-let class_losses btape logits (exs : Common.enc_example array) ~who =
-  let targets =
-    Array.map
-      (fun (ex : Common.enc_example) ->
-        match ex.Common.target_ids with
-        | [ c ] -> c
-        | _ -> invalid_arg (who ^ ": classification target must be one class"))
-      exs
-  in
-  fst (Batched.softmax_xent_rows btape logits ~targets ~weights:(Array.make (Array.length exs) 1.0))

@@ -14,9 +14,10 @@
     - {e Programs embedding}: max-pooling over all blended traces yields
       H_P.
 
-    For method-name prediction a decoder attends over the flow of all
-    blended traces ({!Liger_nn.Decoder}); for semantics classification the
-    decoder is replaced by a linear layer + softmax (§6.2).
+    The encoder ends in the task head every model shares ({!Head}): for
+    method-name prediction a decoder attends over the flow of all blended
+    traces, and for semantics classification a linear layer + softmax reads
+    H_P (§6.2).
 
     The ablation switches of §6.3 are first-class: [use_static = false]
     removes the statement component, [use_dynamic = false] gives statements
@@ -27,14 +28,14 @@ open Liger_tensor
 open Liger_trace
 open Liger_nn
 
-type task = Naming | Classify of int
+type task = Head.task = Naming | Classify of int
 
+(* f1/f2 are vanilla RNNs, as in the paper *)
 type config = {
   dim : int;                 (* hidden size = embedding size *)
   use_static : bool;
   use_dynamic : bool;
   use_attention : bool;
-  state_cell : Rnn_cell.kind;  (* f1/f2; vanilla, as in the paper *)
   trace_cell : Rnn_cell.kind;  (* f3; GRU by default for trainability *)
 }
 
@@ -44,13 +45,11 @@ let default_config =
     use_static = true;
     use_dynamic = true;
     use_attention = true;
-    state_cell = Rnn_cell.Vanilla;
     trace_cell = Rnn_cell.Gru;
   }
 
 type t = {
   config : config;
-  task : task;
   store : Param.store;
   vocab : Vocab.t;
   embedding : Embedding_layer.t;
@@ -59,8 +58,7 @@ type t = {
   f2 : Rnn_cell.t option;
   fusion : Attention.t option;
   f3 : Rnn_cell.t;
-  decoder : Decoder.t option;
-  classifier : Linear.t option;
+  head : Head.t;
 }
 
 let create ?(config = default_config) ?(seed = 7) vocab task =
@@ -75,12 +73,12 @@ let create ?(config = default_config) ?(seed = 7) vocab task =
   in
   let f1 =
     if config.use_dynamic then
-      Some (Rnn_cell.create ~kind:config.state_cell store "f1" ~dim_in:d ~dim_hidden:d)
+      Some (Rnn_cell.create ~kind:Rnn_cell.Vanilla store "f1" ~dim_in:d ~dim_hidden:d)
     else None
   in
   let f2 =
     if config.use_dynamic then
-      Some (Rnn_cell.create ~kind:config.state_cell store "f2" ~dim_in:d ~dim_hidden:d)
+      Some (Rnn_cell.create ~kind:Rnn_cell.Vanilla store "f2" ~dim_in:d ~dim_hidden:d)
     else None
   in
   let fusion =
@@ -89,12 +87,8 @@ let create ?(config = default_config) ?(seed = 7) vocab task =
     else None
   in
   let f3 = Rnn_cell.create ~kind:config.trace_cell store "f3" ~dim_in:d ~dim_hidden:d in
-  let decoder, classifier =
-    match task with
-    | Naming -> (Some (Decoder.create store "dec" embedding ~dim_hidden:d ~dim_mem:d), None)
-    | Classify n -> (None, Some (Linear.create store "cls" ~dim_in:d ~dim_out:n))
-  in
-  { config; task; store; vocab; embedding; treelstm; f1; f2; fusion; f3; decoder; classifier }
+  let head = Head.create store embedding ~dim:d task in
+  { config; store; vocab; embedding; treelstm; f1; f2; fusion; f3; head }
 
 let store t = t.store
 let vocab t = t.vocab
@@ -120,15 +114,11 @@ let mean_static_weight s =
    recurrences.  Finished lanes and padded slots carry exactly zero
    gradient (untouched rows, masked softmax, weight-0 losses), and every
    lane is computed from its own rows alone, so an example's results do
-   not depend on the rest of its batch. *)
+   not depend on the rest of its batch.  The result is the
+   {!Head.encoding} the task head reads. *)
 
-type batch_encoding = {
-  benc_prog : Batched.node;          (* G × d program embeddings *)
-  benc_mem : Batched.node array;     (* maxM nodes of G × d: decoder memory slots *)
-  benc_mem_mask : Tensor.t;          (* G × maxM slot validity *)
-}
-
-let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
+let encode_batch t ?(view = Common.full_view) ?(stats = new_stats ()) btape
+    (exs : Common.enc_example array) =
   let d = t.config.dim in
   let g_n = Array.length exs in
   if g_n = 0 then invalid_arg "Liger_model.encode_batch: empty batch";
@@ -147,9 +137,9 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
   let l_n = Array.length lane_tr in
   if l_n = 0 then
     {
-      benc_prog = Batched.zeros btape ~rows:g_n ~cols:d;
-      benc_mem = [| Batched.zeros btape ~rows:g_n ~cols:d |];
-      benc_mem_mask = Tensor.zeros g_n 1;
+      Head.program = Batched.zeros btape ~rows:g_n ~cols:d;
+      memory = [| Batched.zeros btape ~rows:g_n ~cols:d |];
+      memory_mask = Tensor.zeros g_n 1;
     }
   else begin
     let n_steps =
@@ -277,38 +267,32 @@ let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
     done;
     (* program embedding: max over each example's trace finals; an example
        with no traces gets an exactly-zero row *)
-    let benc_prog = Batched.group_max btape !h_trace ~groups:lane_ex ~n_groups:g_n in
+    let program = Batched.group_max btape !h_trace ~groups:lane_ex ~n_groups:g_n in
     (* decoder memory: per example, its lanes' steps in (trace, step) order *)
-    let benc_mem, benc_mem_mask =
+    let memory, memory_mask =
       Batch_pack.trace_memory btape (List.rev !mem_nodes_rev) ~lane_ex ~n_steps ~n_groups:g_n
         ~dim:d
     in
-    { benc_prog; benc_mem; benc_mem_mask }
+    { Head.program; memory; memory_mask }
   end
 
-(** Training loss over a mini-batch (teacher-forced NLL for naming,
-    cross-entropy for classification): per-example losses as a [G×1] node
-    on [btape], plus fusion statistics. *)
-let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
-  let stats = new_stats () in
-  let enc = encode_batch t btape ~view ~stats exs in
-  let losses =
-    match (t.task, t.decoder, t.classifier) with
-    | Naming, Some dec, _ ->
-        Decoder.loss_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
-          ~program_embedding:enc.benc_prog
-          ~target_ids:(Array.map (fun (ex : Common.enc_example) -> ex.Common.target_ids) exs)
-    | Classify _, _, Some cls ->
-        Batch_pack.class_losses btape
-          (Linear.forward_batch cls btape enc.benc_prog)
-          exs ~who:"Liger_model.loss_batch"
-    | _ -> invalid_arg "Liger_model.loss_batch: task/head mismatch"
-  in
-  (losses, stats)
+(** Program embeddings of any encoder: one gradient-free forward of
+    [encode] over [exs], one vector per example. *)
+let programs encode exs =
+  Batch_pack.infer encode exs (fun _ enc ->
+      Array.init (Array.length exs) (fun g -> Batched.row_value enc.Head.program g))
 
-(* one gradient-free forward over [exs]: [f] reads the encoding *)
-let infer t ~view ?(stats = new_stats ()) exs f =
-  Batch_pack.infer exs (fun btape -> f btape (encode_batch t btape ~view ~stats exs))
+(** Frozen program and per-statement embeddings of any encoder, one
+    forward over the batch.  Per example: its program embedding, and for
+    each statement id the mean of the memory slots whose statement
+    [sids ex] lists in slot order, as [(sid, vector)] pairs in
+    statement-id order. *)
+let statements encode ~sids exs =
+  Batch_pack.infer encode exs (fun _ enc ->
+      Array.mapi
+        (fun g ex ->
+          (Batched.row_value enc.Head.program g, Batch_pack.statement_means enc.memory g (sids ex)))
+        exs)
 
 (** Program embeddings: one forward over a [G]-lane batch, one vector per
     example.  This is the serving entry point ([liger serve]): the forward
@@ -316,24 +300,21 @@ let infer t ~view ?(stats = new_stats ()) exs f =
     vector is bitwise identical whether the example is embedded alone or
     inside a larger batch — the property the request coalescer's equality
     test pins down. *)
-let embed_programs t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  infer t ~view exs (fun _ enc ->
-      Array.init (Array.length exs) (fun g -> Batched.row_value enc.benc_prog g))
+let embed_programs t ?view (exs : Common.enc_example array) =
+  programs (fun btape -> encode_batch t ?view btape) exs
 
 (** Fusion statistics of one forward over [exs] (§6.1.2's attention
     inspection). *)
-let fusion_stats t ?(view = Common.full_view) (exs : Common.enc_example array) =
+let fusion_stats t ?view (exs : Common.enc_example array) =
   let stats = new_stats () in
-  ignore (infer t ~view ~stats exs (fun _ _ -> [||]));
+  ignore (Batch_pack.infer (encode_batch t ?view ~stats) exs (fun _ _ -> [||]));
   stats
 
 (** Frozen program and per-statement embeddings for the probing readouts
-    ({!Liger_eval.Probe}), one forward over the batch.  Per example: its
-    program embedding, and for each statement id the mean of every step
-    embedding H^e_{i,j} whose blended-trace step executes that statement,
-    over all traces the view exposes, as [(sid, vector)] pairs in
-    statement-id order.  The step embeddings are the decoder memory, laid
-    out per example in (trace, step) order. *)
+    ({!Liger_eval.Probe}): {!statements} over the step embeddings
+    H^e_{i,j}, the decoder memory, laid out per example in (trace, step)
+    order, so a statement's vector is the mean over every step that
+    executes it in all traces the view exposes. *)
 let embed_statements t ?(view = Common.full_view) (exs : Common.enc_example array) =
   let sids ex =
     Array.concat
@@ -342,26 +323,9 @@ let embed_statements t ?(view = Common.full_view) (exs : Common.enc_example arra
            Array.map (fun (s : Common.enc_step) -> s.Common.memo_key lsr 1) tr.Common.steps)
          (Array.to_list (Common.select_traces view ex)))
   in
-  infer t ~view exs (fun _ enc ->
-      Array.mapi
-        (fun g ex ->
-          ( Batched.row_value enc.benc_prog g,
-            Batch_pack.statement_means enc.benc_mem g (sids ex) ))
-        exs)
+  statements (fun btape -> encode_batch t ~view btape) ~sids exs
 
-(** Greedy naming prediction; one id list per example. *)
-let predict_name_ids_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  match t.decoder with
-  | None -> invalid_arg "Liger_model.predict_name_ids_batch: not a naming model"
-  | Some dec ->
-      infer t ~view exs (fun btape enc ->
-          Decoder.decode_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
-            ~program_embedding:enc.benc_prog)
-
-(** Class prediction; one class id per example. *)
-let predict_class_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  match t.classifier with
-  | None -> invalid_arg "Liger_model.predict_class_batch: not a classification model"
-  | Some cls ->
-      infer t ~view exs (fun btape enc ->
-          Batch_pack.argmax_rows (Linear.forward_batch cls btape enc.benc_prog))
+(** Head predictions, one id list per example: greedy sub-token ids for a
+    naming model. *)
+let predict_name_ids_batch t ?view (exs : Common.enc_example array) =
+  Batch_pack.infer (fun btape -> encode_batch t ?view btape) exs (Head.predict t.head)

@@ -154,14 +154,15 @@ cap_counts runs/ci-profile/metrics.json profile.total_flops:120887821 \
   bufpool.misses:2907 gc.minor_words:3920000
 
 # Batch size 1 is the default of `liger train` and of every experiment:
-# one-lane tapes on the batched engine, for LiGer and for a baseline.
-echo "== batch-1 (one-lane tape) train smoke, LiGer and DYPRO"
-for model in liger dypro; do
+# one-lane tapes on the batched engine, for LiGer and every baseline, so
+# each model's encoder and task head run through the CLI.
+echo "== batch-1 (one-lane tape) train smoke, LiGer, DYPRO, code2seq and code2vec"
+for model in liger dypro code2seq code2vec; do
   dune exec --no-build bin/liger_cli.exe -- train --model "$model" -n 16 --epochs 3 \
     2> /dev/null | grep -q '^test: P=' || {
       echo "   ERROR: batch-1 train --model $model printed no test line" >&2; exit 1; }
 done
-echo "   ok: LiGer and DYPRO trained at batch 1 and reported a test score"
+echo "   ok: all four models trained at batch 1 and reported a test score"
 
 # At -n 16 the test split is 3 examples and F1 is legitimately 0.  This
 # smoke trains batched at a scale where the model actually learns

@@ -60,9 +60,10 @@ let test_metric_classification () =
 let first_example () = List.hd (Lazy.force corpus).Pipeline.train
 
 (* one example's 1×1 loss on a fresh tape *)
-let one_lane_loss model ex =
+let one_lane_loss model (ex : Common.enc_example) =
   let tape = Batched.tape () in
-  (tape, fst (Liger_model.loss_batch model tape [| ex |]))
+  let enc = Liger_model.encode_batch model tape [| ex |] in
+  (tape, Head.loss model.Liger_model.head tape enc ~targets:[| ex.Common.target_ids |])
 
 let test_liger_loss_finite_and_backprops () =
   let c = Lazy.force corpus in
@@ -201,8 +202,13 @@ let test_liger_classification_head () =
   let tape, loss = one_lane_loss model ex in
   Alcotest.(check bool) "finite" true (Float.is_finite (Batched.scalar_value loss));
   Batched.backward tape loss;
-  let cls = (Liger_model.predict_class_batch model [| ex |]).(0) in
-  Alcotest.(check bool) "class in range" true (cls >= 0 && cls < Coset.n_classes)
+  match
+    Batch_pack.infer
+      (fun btape -> Liger_model.encode_batch model btape)
+      [| ex |] (Head.predict model.Liger_model.head)
+  with
+  | [| [ cls ] |] -> Alcotest.(check bool) "class in range" true (cls >= 0 && cls < Coset.n_classes)
+  | _ -> Alcotest.fail "not one class for one example"
 
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
