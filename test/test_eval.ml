@@ -132,6 +132,56 @@ let test_view_normalization_hits_cache () =
   in
   Alcotest.(check bool) "normalized view cached" true (a == b)
 
+(* Every experiment kind's name, and the name its wrapper trains under.
+   The names are part of the run keys, which seed each point's generator,
+   so a renamed kind would move every table.  Each artefact below trains
+   only kinds the ones before it have not, so the [train.loss] gauges
+   recorded during one artefact are exactly its new wrappers' names. *)
+let test_kind_and_wrapper_names_pinned () =
+  let scale =
+    { Experiments.quick with Experiments.med_n = 40; Experiments.large_n = 40;
+      epochs = 1; dim = 6; concrete_points = [ 1 ]; symbolic_points = [ 1 ]; enc }
+  in
+  let ctx = Experiments.create_ctx ~scale () in
+  let models (rs : Experiments.run_result list) = List.map (fun r -> r.Experiments.model) rs in
+  let series ss = List.map (fun s -> s.Experiments.series_name) ss in
+  let wrappers_trained f =
+    Liger_obs.Metrics.enable ();
+    Liger_obs.Metrics.reset_prefix "train.";
+    let x = Fun.protect ~finally:Liger_obs.Metrics.disable f in
+    let names =
+      List.map
+        (fun e -> List.assoc "model" e.Liger_obs.Metrics.e_labels)
+        (Liger_obs.Metrics.entries_with (Liger_obs.Metrics.snapshot ()) "train.loss")
+    in
+    (x, List.sort compare names)
+  in
+  let table2, t2_wrappers = wrappers_trained (fun () -> Experiments.table2 ctx) in
+  List.iter
+    (fun (dataset, rows) ->
+      Alcotest.(check (list string)) ("table 2 kinds, " ^ dataset)
+        [ "code2vec"; "code2seq"; "DYPRO"; "LiGer" ] (models rows))
+    table2;
+  Alcotest.(check (list string)) "table 2 wrappers"
+    [ "DYPRO"; "LiGer"; "code2seq"; "code2vec" ] t2_wrappers;
+  let fig11, f11_wrappers = wrappers_trained (fun () -> Experiments.fig11 ctx) in
+  List.iter
+    (fun (dataset, ss) ->
+      Alcotest.(check (list string)) ("figure 11 kinds, " ^ dataset)
+        [ "LiGer"; "LiGer-nostatic"; "LiGer-nodynamic"; "LiGer-noattention"; "DYPRO" ]
+        (series ss))
+    fig11;
+  Alcotest.(check (list string)) "figure 11 wrappers"
+    [ "DYPRO"; "LiGer"; "LiGer-noattention"; "LiGer-nodynamic"; "LiGer-nostatic" ]
+    f11_wrappers;
+  let design, design_wrappers =
+    wrappers_trained (fun () -> Experiments.design_ablation ctx)
+  in
+  Alcotest.(check (list string)) "design ablation kinds" [ "LiGer"; "LiGer-vanillaF3" ]
+    (models design);
+  Alcotest.(check (list string)) "design ablation wrappers" [ "LiGer-vanillaF3" ]
+    design_wrappers
+
 (* ------------------------------------------------------------------ *)
 (* Report rendering (smoke: must not raise, must mention the models)   *)
 (* ------------------------------------------------------------------ *)
@@ -259,6 +309,8 @@ let () =
           Alcotest.test_case "monotone executions" `Slow test_view_monotone_executions;
           Alcotest.test_case "view stats recorded" `Slow test_run_result_records_view_stats;
           Alcotest.test_case "view normalization" `Slow test_view_normalization_hits_cache;
+          Alcotest.test_case "kind and wrapper names pinned" `Slow
+            test_kind_and_wrapper_names_pinned;
         ] );
       ("report", [ Alcotest.test_case "table2 renders" `Slow test_report_table2_renders ]);
       ( "probe",
