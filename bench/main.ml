@@ -11,8 +11,8 @@
                                               # loopback load against liger serve
 
    Timing of corpus generation, training and serving is perfbench's job
-   (perfbench/run.py); CI gates those paths on counted work.  Unknown or
-   contradictory flags are an error.
+   (perfbench/run.py); CI gates those paths on counted work.  Unknown flags
+   are an error.
 
    The printed artefacts mirror the paper:
      Table 1  - dataset statistics before/after filtering
@@ -22,7 +22,8 @@
      Figure 7 - the same reductions on the COSET task
      Figures 8/9/10 - the ablation configurations under reduction
      Figure 11 - all configurations overlaid
-     plus the 6.1.2 attention-weight inspection. *)
+     plus the design ablation (GRU vs the paper's vanilla trace RNN) and
+     the 6.1.2 attention-weight inspection, in {!Report.artefacts}' order. *)
 
 open Liger_tensor
 open Liger_core
@@ -48,28 +49,8 @@ let run_experiments () =
   say "LiGer reproduction - evaluation at scale '%s'\n"
     ctx.Experiments.scale.Experiments.label;
   say "(set LIGER_SCALE=full for the larger configuration)\n\n%!";
-  Report.print_table1 (Experiments.table1 ctx);
-  say "\n";
-  Report.print_table2 (Experiments.table2 ctx);
-  say "\n";
-  Report.print_table3 (Experiments.table3 ctx);
-  say "\n";
-  Report.print_fig6 (Experiments.fig6 ctx);
-  say "\n";
-  Report.print_fig7 (Experiments.fig7 ctx);
-  say "\n";
-  Report.print_fig8 (Experiments.fig8 ctx);
-  say "\n";
-  Report.print_fig9 (Experiments.fig9 ctx);
-  say "\n";
-  Report.print_fig10 (Experiments.fig10 ctx);
-  say "\n";
-  Report.print_fig11 (Experiments.fig11 ctx);
-  say "\n";
-  Report.print_design_ablation (Experiments.design_ablation ctx);
-  say "\n";
-  Report.print_attention (Experiments.attention_report ctx);
-  say "\ntotal wall time: %.1fs\n%!" (Unix.gettimeofday () -. t0)
+  Report.print_artefacts ctx [];
+  say "total wall time: %.1fs\n%!" (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Serve loopback benchmark (serve --qps N --duration S)                *)
@@ -191,84 +172,77 @@ let serve_floor_failures ~qps (sustained, p99) =
   @ if p99 >= 0.25 then [ Printf.sprintf "p99 latency %.1f ms >= 250 ms" (1000.0 *. p99) ] else []
 
 (* ------------------------------------------------------------------ *)
-(* Argument parsing: unknown or contradictory flags are an error        *)
+(* Command line                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let usage () =
-  prerr_endline "usage: bench/main.exe [--trace FILE] [--metrics-out FILE] [--profile]";
-  prerr_endline
-    "       bench/main.exe serve [--qps N] [--duration S] [--check-regression]";
-  prerr_endline "  serve             loopback load benchmark against a real liger serve stack:";
-  prerr_endline "                    paced POST /embed at --qps (default 50) for --duration";
-  prerr_endline "                    seconds (default 10); prints sustained qps and p50/p99";
-  prerr_endline "  --check-regression  (serve) exit 1 below the 50 qps floor or at p99 >= 250 ms";
-  prerr_endline "  --trace FILE      write a Chrome trace_event JSON (chrome://tracing / Perfetto)";
-  prerr_endline "  --metrics-out FILE  write a metrics snapshot JSON on exit";
-  prerr_endline "  --profile         enable the model profiler (per-op FLOPs, per-layer timings)";
-  exit 2
+open Cmdliner
 
-type opts = {
-  trace_out : string option;
-  metrics_out : string option;
-  profile : bool;
-  check_regression : bool;
-  serve_mode : bool;
-  qps : float;
-  duration : float;
-}
+(* The telemetry flags both modes take; evaluating the term configures the
+   registry and the tracer before the mode's body runs. *)
+let obs_term =
+  let trace_out =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:"Write a Chrome trace_event JSON to $(docv) (chrome://tracing / Perfetto).")
+  in
+  let metrics_out =
+    Arg.(value & opt (some string) None
+         & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write a metrics snapshot JSON on exit.")
+  in
+  let profile =
+    Arg.(value & flag
+         & info [ "profile" ] ~doc:"Enable the model profiler (per-op FLOPs, per-layer timings).")
+  in
+  let init trace_out metrics_out profile =
+    Obs.init_logging ();
+    Obs.init ?metrics_out ?trace_out ~profile ()
+  in
+  Term.(const init $ trace_out $ metrics_out $ profile)
+
+let positive =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let serve () qps duration check_regression =
+  let result = run_serve_bench ~qps ~duration in
+  let failures = if check_regression then serve_floor_failures ~qps result else [] in
+  Obs.print_report ();
+  if failures <> [] then begin
+    prerr_endline "REGRESSION CHECK FAILED:";
+    List.iter (fun f -> Printf.eprintf "  - %s\n" f) failures;
+    exit 1
+  end
+
+let serve_cmd =
+  let qps =
+    Arg.(value & opt positive 50.0 & info [ "qps" ] ~docv:"N" ~doc:"Target requests per second.")
+  in
+  let duration =
+    Arg.(value & opt positive 10.0 & info [ "duration" ] ~docv:"S" ~doc:"Seconds of load.")
+  in
+  let check_regression =
+    Arg.(value & flag
+         & info [ "check-regression" ]
+             ~doc:"Exit 1 below the 50 qps floor or at a p99 of 250 ms or more.")
+  in
+  Cmd.v
+    (Cmd.info "serve"
+       ~doc:"Paced POST /embed against a real liger serve stack over loopback; prints \
+             sustained qps and p50/p99 latency")
+    Term.(const serve $ obs_term $ qps $ duration $ check_regression)
 
 let () =
-  let rec parse o = function
-    | [] -> o
-    | "serve" :: rest -> parse { o with serve_mode = true } rest
-    | "--qps" :: n :: rest -> (
-        match float_of_string_opt n with
-        | Some q when q > 0.0 -> parse { o with qps = q } rest
-        | _ ->
-            Printf.eprintf "error: --qps expects a positive number, got %S\n" n;
-            usage ())
-    | "--duration" :: n :: rest -> (
-        match float_of_string_opt n with
-        | Some d when d > 0.0 -> parse { o with duration = d } rest
-        | _ ->
-            Printf.eprintf "error: --duration expects a positive number, got %S\n" n;
-            usage ())
-    | "--trace" :: path :: rest -> parse { o with trace_out = Some path } rest
-    | "--metrics-out" :: path :: rest -> parse { o with metrics_out = Some path } rest
-    | "--profile" :: rest -> parse { o with profile = true } rest
-    | "--check-regression" :: rest -> parse { o with check_regression = true } rest
-    | [ (("--qps" | "--duration" | "--trace" | "--metrics-out") as flag) ] ->
-        Printf.eprintf "error: %s expects an argument\n" flag;
-        usage ()
-    | arg :: _ ->
-        Printf.eprintf "error: unknown argument %S\n" arg;
-        usage ()
-  in
-  let o =
-    parse
-      { trace_out = None; metrics_out = None; profile = false; check_regression = false;
-        serve_mode = false; qps = 50.0; duration = 10.0 }
-      (List.tl (Array.to_list Sys.argv))
-  in
-  if o.check_regression && not o.serve_mode then begin
-    (* the experiments have no floor to check: refuse rather than pretend
-       a gate ran *)
-    prerr_endline "error: --check-regression applies to serve only (nothing would be checked)";
-    usage ()
-  end;
-  Obs.init_logging ();
-  Obs.init ?metrics_out:o.metrics_out ?trace_out:o.trace_out ~profile:o.profile ();
-  if o.serve_mode then begin
-    let result = run_serve_bench ~qps:o.qps ~duration:o.duration in
-    let failures = if o.check_regression then serve_floor_failures ~qps:o.qps result else [] in
-    Obs.print_report ();
-    if failures <> [] then begin
-      prerr_endline "REGRESSION CHECK FAILED:";
-      List.iter (fun f -> Printf.eprintf "  - %s\n" f) failures;
-      exit 1
-    end
-  end
-  else begin
+  let experiments () =
     run_experiments ();
     Obs.print_report ()
-  end
+  in
+  exit
+    (Cmd.eval
+       (Cmd.group
+          ~default:Term.(const experiments $ obs_term)
+          (Cmd.info "main" ~doc:"Print every table and figure of the paper's evaluation")
+          [ serve_cmd ]))

@@ -12,7 +12,8 @@
                        their conditions, print the discovered inputs
      dataset         - generate a corpus and print Table 1-style statistics
      train           - train a model on a generated corpus and report metrics
-     experiments     - run the paper's tables/figures (same as bench/main.exe)
+     experiments     - run the paper's tables/figures (the list bench/main.exe
+                       prints, or a selection of it)
      stats    FILE   - summarize or validate a telemetry file written via
                        --metrics-out/--trace (or LIGER_METRICS/LIGER_TRACE);
                        --openmetrics renders Prometheus text exposition
@@ -306,52 +307,44 @@ let load_model dir =
 (* ---------------- train ---------------- *)
 
 let train_cmd =
-  let run () model_name n epochs dim seed batch save =
-    let rng = Rng.create seed in
-    Printf.printf "building corpus (n=%d)...\n%!" n;
-    let corpus = Pipeline.build_naming rng ~name:"cli" ~n in
-    let n_train, n_valid, n_test = Pipeline.sizes corpus in
-    Printf.printf "corpus: %d/%d/%d\n%!" n_train n_valid n_test;
-    let task = Liger_model.Naming in
-    let wrapper, liger_model =
-      match model_name with
-      | "liger" ->
-          let w, m =
-            Zoo.liger
-              ~config:{ Liger_model.default_config with Liger_model.dim }
-              ~vocab:corpus.Pipeline.vocab task
-          in
-          (w, Some m)
-      | "dypro" -> (fst (Zoo.dypro ~dim ~vocab:corpus.Pipeline.vocab task), None)
-      | "code2vec" -> (Zoo.code2vec ~dim ~train:corpus.Pipeline.train task, None)
-      | "code2seq" -> (Zoo.code2seq ~dim ~train:corpus.Pipeline.train task, None)
-      | other -> failwith ("unknown model " ^ other)
-    in
-    Printf.printf "training %s (%d params, %d epochs)...\n%!" wrapper.Train.name
-      (Param.num_params wrapper.Train.store) epochs;
-    let history =
-      Train.fit
-        ~options:{ Train.default_options with Train.epochs; Train.batch_size = batch }
-        (Rng.create (seed + 1)) wrapper ~train:corpus.Pipeline.train
-        ~valid:corpus.Pipeline.valid
-    in
-    if history.Train.vacuous_best then
-      Printf.printf "best epoch: %d (validation split empty; selection vacuous)\n"
-        history.Train.best_epoch
-    else Printf.printf "best epoch: %d\n" history.Train.best_epoch;
-    let r = Train.eval_naming ~batch wrapper corpus.Pipeline.test in
-    Fmt.pr "test: %a@." Metrics.pp_prf r.Train.prf;
-    Obs.print_report ();
-    match (save, liger_model) with
-    | Some dir, Some m ->
-        save_model dir m;
-        Printf.printf "model saved to %s\n" dir
-    | Some _, None -> Printf.eprintf "--save currently supports --model liger only\n"
-    | None, _ -> ()
+  let run () kind n epochs dim seed batch save =
+    if save <> None && kind <> Zoo.liger_full then
+      `Error (true, "--save supports --model liger only")
+    else begin
+      let rng = Rng.create seed in
+      Printf.printf "building corpus (n=%d)...\n%!" n;
+      let corpus = Pipeline.build_naming rng ~name:"cli" ~n in
+      let n_train, n_valid, n_test = Pipeline.sizes corpus in
+      Printf.printf "corpus: %d/%d/%d\n%!" n_train n_valid n_test;
+      let wrapper, liger_model =
+        Zoo.build kind ~dim ~view:Common.full_view corpus Liger_model.Naming
+      in
+      Printf.printf "training %s (%d params, %d epochs)...\n%!" wrapper.Train.name
+        (Param.num_params wrapper.Train.store) epochs;
+      let history =
+        Train.fit
+          ~options:{ Train.default_options with Train.epochs; Train.batch_size = batch }
+          (Rng.create (seed + 1)) wrapper ~train:corpus.Pipeline.train
+          ~valid:corpus.Pipeline.valid
+      in
+      if history.Train.vacuous_best then
+        Printf.printf "best epoch: %d (validation split empty; selection vacuous)\n"
+          history.Train.best_epoch
+      else Printf.printf "best epoch: %d\n" history.Train.best_epoch;
+      let r = Train.eval_naming ~batch wrapper corpus.Pipeline.test in
+      Fmt.pr "test: %a@." Metrics.pp_prf r.Train.prf;
+      Obs.print_report ();
+      (match (save, liger_model) with
+      | Some dir, Some m ->
+          save_model dir m;
+          Printf.printf "model saved to %s\n" dir
+      | _ -> ());
+      `Ok ()
+    end
   in
   let model =
-    Arg.(value & opt string "liger"
-         & info [ "model" ] ~doc:"Model: liger, dypro, code2vec or code2seq.")
+    Arg.(value & opt (enum Zoo.cli_names) Zoo.liger_full
+         & info [ "model" ] ~doc:(Printf.sprintf "Model: %s." (doc_alts_enum Zoo.cli_names)))
   in
   let n = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Corpus size.") in
   let epochs = Arg.(value & opt int 10 & info [ "epochs" ] ~doc:"Training epochs.") in
@@ -370,7 +363,7 @@ let train_cmd =
   in
   Cmd.v
     (Cmd.info "train" ~doc:"Train a model on a generated corpus")
-    Term.(const run $ obs_term $ model $ n $ epochs $ dim $ seed $ batch $ save)
+    Term.(ret (const run $ obs_term $ model $ n $ epochs $ dim $ seed $ batch $ save))
 
 (* ---------------- predict ---------------- *)
 
@@ -521,27 +514,18 @@ let probe_cmd =
 (* ---------------- experiments ---------------- *)
 
 let experiments_cmd =
-  let run () which =
+  let run () names =
     let ctx = Experiments.create_ctx () in
     ctx.Experiments.progress <- (fun s -> Printf.eprintf "  %s\n%!" s);
-    let all = which = [] in
-    let want x = all || List.mem x which in
-    if want "table1" then Report.print_table1 (Experiments.table1 ctx);
-    if want "table2" then Report.print_table2 (Experiments.table2 ctx);
-    if want "table3" then Report.print_table3 (Experiments.table3 ctx);
-    if want "fig6" then Report.print_fig6 (Experiments.fig6 ctx);
-    if want "fig7" then Report.print_fig7 (Experiments.fig7 ctx);
-    if want "fig8" then Report.print_fig8 (Experiments.fig8 ctx);
-    if want "fig9" then Report.print_fig9 (Experiments.fig9 ctx);
-    if want "fig10" then Report.print_fig10 (Experiments.fig10 ctx);
-    if want "fig11" then Report.print_fig11 (Experiments.fig11 ctx);
-    if want "attn" then Report.print_attention (Experiments.attention_report ctx);
+    Report.print_artefacts ctx names;
     Obs.print_report ()
   in
+  let names = List.map (fun (name, _) -> (name, name)) Report.artefacts in
   let which =
-    Arg.(value & pos_all string []
+    Arg.(value & pos_all (enum names) []
          & info [] ~docv:"EXPERIMENT"
-             ~doc:"Subset to run (table1 table2 table3 fig6..fig11 attn); all if empty.")
+             ~doc:(Printf.sprintf "Artefacts to print (%s); all if none is given."
+                     (doc_alts_enum names)))
   in
   Cmd.v
     (Cmd.info "experiments"

@@ -20,7 +20,7 @@ type item = {
   project : int;  (* splits are by project, following Alon et al.'s protocol *)
 }
 
-(** Knobs of corpus character; probabilities match the rough proportions the
+(** The corpus's character; probabilities match the rough proportions the
     paper reports losing to each filter. *)
 type profile = {
   p_broken : float;
@@ -121,7 +121,8 @@ let pick_name rng ~project (tpl : Templates.t) =
     | subs -> Subtoken.join (prefix :: subs)
 
 (** Generate one corpus item. *)
-let generate_item ?(profile = default_profile) rng : item =
+let generate_item rng : item =
+  let profile = default_profile in
   let tpl = Rng.choose_list rng Templates.all in
   let project = Rng.int rng profile.n_projects in
   if Rng.bernoulli rng profile.p_broken then
@@ -144,13 +145,13 @@ let generate_item ?(profile = default_profile) rng : item =
   end
 
 (** Generate a corpus of [n] items. *)
-let generate ?profile rng ~n = List.init n (fun _ -> generate_item ?profile rng)
+let generate rng ~n = List.init n (fun _ -> generate_item rng)
 
 (** Partition a corpus by project id into train/validation/test, mirroring
     the protocol where "methods in training, validation and test sets are
     extracted from distinct projects". *)
-let split_by_project ?(profile = default_profile) items =
-  let n = profile.n_projects in
+let split_by_project items =
+  let n = default_profile.n_projects in
   let test_cut = max 1 (n / 4) in
   let valid_cut = test_cut + max 1 (n / 5) in
   let bucket it =

@@ -66,13 +66,13 @@ let assemble ~name ~enc_config ~stats splits =
   }
 
 (** Build a method-name-prediction corpus of [n] generated methods. *)
-let build_naming ?(enc_config = Common.default_enc_config) ?profile rng ~name ~n =
+let build_naming ?(enc_config = Common.default_enc_config) rng ~name ~n =
   Obs.Span.with_ ~name:"pipeline.build_naming" ~args:(fun () -> [ ("corpus", name) ])
   @@ fun () ->
   let items =
-    Obs.Span.with_ ~name:"pipeline.generate" (fun () -> Javagen.generate ?profile rng ~n)
+    Obs.Span.with_ ~name:"pipeline.generate" (fun () -> Javagen.generate rng ~n)
   in
-  let train_items, valid_items, test_items = Javagen.split_by_project ?profile items in
+  let train_items, valid_items, test_items = Javagen.split_by_project items in
   let budget = budget_for enc_config in
   let filter_split split_name items =
     let kept, fstats =

@@ -64,23 +64,6 @@ let scale_of_env () =
 
 (* ---------------- context: corpora + run cache ---------------- *)
 
-type model_kind =
-  | Liger of { static : bool; dynamic : bool; attention : bool }
-  | Liger_vanilla_f3  (* DESIGN.md deviation 1: paper-faithful vanilla trace RNN *)
-  | Dypro_k
-  | Code2vec_k
-  | Code2seq_k
-
-let kind_name = function
-  | Liger { static = true; dynamic = true; attention = true } -> "LiGer"
-  | Liger { static = false; _ } -> "LiGer-nostatic"
-  | Liger { dynamic = false; _ } -> "LiGer-nodynamic"
-  | Liger { attention = false; _ } -> "LiGer-noattention"
-  | Liger_vanilla_f3 -> "LiGer-vanillaF3"
-  | Dypro_k -> "DYPRO"
-  | Code2vec_k -> "code2vec"
-  | Code2seq_k -> "code2seq"
-
 type run_result = {
   model : string;
   dataset : string;
@@ -124,11 +107,7 @@ let corpus_of ctx = function
 
 let dataset_name = function `Med -> "Java-med*" | `Large -> "Java-large*" | `Coset -> "COSET*"
 
-let task_of ctx = function
-  | `Coset -> Liger_model.Classify Coset.n_classes
-  | _ ->
-      ignore ctx;
-      Liger_model.Naming
+let task_of = function `Coset -> Liger_model.Classify Coset.n_classes | _ -> Liger_model.Naming
 
 (* mean fusion-attention weight on the static dimension over a split: the
    mean over examples of each example's own mean, from a one-lane forward *)
@@ -166,7 +145,7 @@ let normalize_view ctx view =
   }
 
 let key_of ~corpus ~kind ~view =
-  Printf.sprintf "%s/%s/p%d/c%d" (dataset_name corpus) (kind_name kind)
+  Printf.sprintf "%s/%s/p%d/c%d" (dataset_name corpus) (Zoo.name kind)
     view.Common.n_paths view.Common.n_concrete
 
 (** Train+evaluate one (corpus, model, view) point, uncached; [view] must be
@@ -180,69 +159,39 @@ let compute ctx ~corpus ~kind ~view =
   @@ fun () ->
   ctx.progress (Printf.sprintf "training %s" key);
   let c = corpus_of ctx corpus in
-      let task = task_of ctx corpus in
-      let rng = Rng.create (Hashtbl.hash key) in
-      let options =
-        { Train.default_options with Train.epochs = ctx.scale.epochs; eval_every = 2 }
-      in
-      let dim = ctx.scale.dim in
-      let wrapper, liger_model =
-        match kind with
-        | Liger { static; dynamic; attention } ->
-            let config =
-              {
-                Liger_model.default_config with
-                Liger_model.dim;
-                use_static = static;
-                use_dynamic = dynamic;
-                use_attention = attention;
-              }
-            in
-            let w, m = Zoo.liger ~config ~view ~vocab:c.Pipeline.vocab task in
-            (w, Some m)
-        | Liger_vanilla_f3 ->
-            let config =
-              {
-                Liger_model.default_config with
-                Liger_model.dim;
-                trace_cell = Liger_nn.Rnn_cell.Vanilla;
-              }
-            in
-            let w, m = Zoo.liger ~config ~view ~vocab:c.Pipeline.vocab task in
-            ({ w with Train.name = "LiGer-vanillaF3" }, Some m)
-        | Dypro_k -> (fst (Zoo.dypro ~dim ~view ~vocab:c.Pipeline.vocab task), None)
-        | Code2vec_k -> (Zoo.code2vec ~dim ~train:c.Pipeline.train task, None)
-        | Code2seq_k -> (Zoo.code2seq ~dim ~train:c.Pipeline.train task, None)
-      in
-      let history =
-        Train.fit ~options rng wrapper ~train:c.Pipeline.train ~valid:c.Pipeline.valid
-      in
-      if history.Train.vacuous_best then
-        ctx.progress
-          (Printf.sprintf "%s: empty validation split, best-epoch selection vacuous" key);
-      let naming, classify =
-        match task with
-        | Liger_model.Naming -> (Some (Train.eval_naming wrapper c.Pipeline.test), None)
-        | Liger_model.Classify _ -> (None, Some (Train.eval_classify wrapper c.Pipeline.test))
-      in
-      let static_attention =
-        match liger_model with
-        | Some m when m.Liger_model.config.Liger_model.use_static
-                      && m.Liger_model.config.Liger_model.use_dynamic ->
-            measure_attention m view c.Pipeline.test
-        | _ -> Float.nan
-      in
-      let avg_executions, avg_paths = view_stats view c.Pipeline.test in
-      {
-        model = kind_name kind;
-        dataset = dataset_name corpus;
-        view;
-        naming;
-        classify;
-        static_attention;
-        avg_executions;
-        avg_paths;
-      }
+  let task = task_of corpus in
+  let rng = Rng.create (Hashtbl.hash key) in
+  let options = { Train.default_options with Train.epochs = ctx.scale.epochs; eval_every = 2 } in
+  let wrapper, liger_model = Zoo.build kind ~dim:ctx.scale.dim ~view c task in
+  let history =
+    Train.fit ~options rng wrapper ~train:c.Pipeline.train ~valid:c.Pipeline.valid
+  in
+  if history.Train.vacuous_best then
+    ctx.progress
+      (Printf.sprintf "%s: empty validation split, best-epoch selection vacuous" key);
+  let naming, classify =
+    match task with
+    | Liger_model.Naming -> (Some (Train.eval_naming wrapper c.Pipeline.test), None)
+    | Liger_model.Classify _ -> (None, Some (Train.eval_classify wrapper c.Pipeline.test))
+  in
+  let static_attention =
+    match liger_model with
+    | Some m when m.Liger_model.config.Liger_model.use_static
+                  && m.Liger_model.config.Liger_model.use_dynamic ->
+        measure_attention m view c.Pipeline.test
+    | _ -> Float.nan
+  in
+  let avg_executions, avg_paths = view_stats view c.Pipeline.test in
+  {
+    model = Zoo.name kind;
+    dataset = dataset_name corpus;
+    view;
+    naming;
+    classify;
+    static_attention;
+    avg_executions;
+    avg_paths;
+  }
 
 (** Cached {!compute}: the tables and figures share full-view points through
     this.  The cache is only touched from the submitting domain. *)
@@ -277,15 +226,14 @@ let table2 ctx =
       ( dataset_name corpus,
         List.map
           (fun kind -> run ctx ~corpus ~kind ~view:full_view)
-          [ Code2vec_k; Code2seq_k; Dypro_k;
-            Liger { static = true; dynamic = true; attention = true } ] ))
+          [ Zoo.Code2vec_k; Zoo.Code2seq_k; Zoo.Dypro_k; Zoo.liger_full ] ))
     [ `Med; `Large ]
 
 (** Table 3: DYPRO vs LiGer on the COSET analogue. *)
 let table3 ctx =
   List.map
     (fun kind -> run ctx ~corpus:`Coset ~kind ~view:full_view)
-    [ Dypro_k; Liger { static = true; dynamic = true; attention = true } ]
+    [ Zoo.Dypro_k; Zoo.liger_full ]
 
 (* ---------------- figures ---------------- *)
 
@@ -334,97 +282,59 @@ let concrete_sweep ctx ~corpus ~kind =
   let points =
     List.map (fun n -> (float_of_int n, concrete_view n)) ctx.scale.concrete_points
   in
-  { series_name = kind_name kind; points = sweep ctx ~corpus ~kind ~views:points }
+  { series_name = Zoo.name kind; points = sweep ctx ~corpus ~kind ~views:points }
 
 let symbolic_sweep ctx ~corpus ~kind =
   let points =
     List.map (fun n -> (float_of_int n, symbolic_view ctx n)) ctx.scale.symbolic_points
   in
-  { series_name = kind_name kind; points = sweep ctx ~corpus ~kind ~views:points }
+  { series_name = Zoo.name kind; points = sweep ctx ~corpus ~kind ~views:points }
 
-let liger_full = Liger { static = true; dynamic = true; attention = true }
-let liger_nostatic = Liger { static = false; dynamic = true; attention = true }
-let liger_nodynamic = Liger { static = true; dynamic = false; attention = true }
-let liger_noattention = Liger { static = true; dynamic = true; attention = false }
+(* [kind] and DYPRO on [corpus], under concrete and under symbolic
+   reduction *)
+let against_dypro ctx kind corpus =
+  let both sweep = [ sweep ctx ~corpus ~kind; sweep ctx ~corpus ~kind:Zoo.Dypro_k ] in
+  (dataset_name corpus, `Concrete (both concrete_sweep), `Symbolic (both symbolic_sweep))
+
+(* the symbolic sweep of each of [kinds] on each of [corpora] *)
+let symbolic_sweeps ctx kinds corpora =
+  List.map
+    (fun corpus ->
+      (dataset_name corpus, List.map (fun kind -> symbolic_sweep ctx ~corpus ~kind) kinds))
+    corpora
 
 (** Figure 6 (a/b: concrete reduction; c/d: symbolic reduction with line
     coverage preserved), LiGer vs DYPRO on both corpora. *)
-let fig6 ctx =
-  List.map
-    (fun corpus ->
-      ( dataset_name corpus,
-        `Concrete
-          [ concrete_sweep ctx ~corpus ~kind:liger_full;
-            concrete_sweep ctx ~corpus ~kind:Dypro_k ],
-        `Symbolic
-          [ symbolic_sweep ctx ~corpus ~kind:liger_full;
-            symbolic_sweep ctx ~corpus ~kind:Dypro_k ] ))
-    [ `Med; `Large ]
+let fig6 ctx = List.map (against_dypro ctx Zoo.liger_full) [ `Med; `Large ]
 
 (** Figure 7: the same two reductions on the COSET task. *)
-let fig7 ctx =
-  ( `Concrete
-      [ concrete_sweep ctx ~corpus:`Coset ~kind:liger_full;
-        concrete_sweep ctx ~corpus:`Coset ~kind:Dypro_k ],
-    `Symbolic
-      [ symbolic_sweep ctx ~corpus:`Coset ~kind:liger_full;
-        symbolic_sweep ctx ~corpus:`Coset ~kind:Dypro_k ] )
+let fig7 ctx = [ against_dypro ctx Zoo.liger_full `Coset ]
 
 let ablation_corpora ctx =
   if ctx.scale.ablation_on_large then [ `Med; `Large ] else [ `Med ]
 
 (** Figure 8: LiGer without the static dimension. *)
-let fig8 ctx =
-  List.map
-    (fun corpus ->
-      ( dataset_name corpus,
-        `Concrete
-          [ concrete_sweep ctx ~corpus ~kind:liger_nostatic;
-            concrete_sweep ctx ~corpus ~kind:Dypro_k ],
-        `Symbolic
-          [ symbolic_sweep ctx ~corpus ~kind:liger_nostatic;
-            symbolic_sweep ctx ~corpus ~kind:Dypro_k ] ))
-    (ablation_corpora ctx)
+let fig8 ctx = List.map (against_dypro ctx Zoo.liger_nostatic) (ablation_corpora ctx)
 
 (** Figure 9: LiGer without the dynamic dimension, symbolic reduction. *)
-let fig9 ctx =
-  List.map
-    (fun corpus ->
-      ( dataset_name corpus,
-        [ symbolic_sweep ctx ~corpus ~kind:liger_nodynamic;
-          symbolic_sweep ctx ~corpus ~kind:Dypro_k ] ))
-    (ablation_corpora ctx)
+let fig9 ctx = symbolic_sweeps ctx [ Zoo.liger_nodynamic; Zoo.Dypro_k ] (ablation_corpora ctx)
 
 (** Figure 10: LiGer without attention (uniform fusion weights). *)
-let fig10 ctx =
-  List.map
-    (fun corpus ->
-      ( dataset_name corpus,
-        `Concrete
-          [ concrete_sweep ctx ~corpus ~kind:liger_noattention;
-            concrete_sweep ctx ~corpus ~kind:Dypro_k ],
-        `Symbolic
-          [ symbolic_sweep ctx ~corpus ~kind:liger_noattention;
-            symbolic_sweep ctx ~corpus ~kind:Dypro_k ] ))
-    (ablation_corpora ctx)
+let fig10 ctx = List.map (against_dypro ctx Zoo.liger_noattention) (ablation_corpora ctx)
 
 (** Figure 11: all ablation configurations overlaid (symbolic reduction —
     the panel where the configurations separate most). *)
 let fig11 ctx =
-  List.map
-    (fun corpus ->
-      ( dataset_name corpus,
-        List.map
-          (fun kind -> symbolic_sweep ctx ~corpus ~kind)
-          [ liger_full; liger_nostatic; liger_nodynamic; liger_noattention; Dypro_k ] ))
+  symbolic_sweeps ctx
+    [ Zoo.liger_full; Zoo.liger_nostatic; Zoo.liger_nodynamic; Zoo.liger_noattention; Zoo.Dypro_k ]
     (ablation_corpora ctx)
 
 (** Design-choice ablations called out in DESIGN.md: the GRU trace RNN
     (our deviation) against the paper's vanilla RNN, at matched capacity on
     Java-med. *)
 let design_ablation ctx =
-  [ run ctx ~corpus:`Med ~kind:liger_full ~view:full_view;
-    run ctx ~corpus:`Med ~kind:Liger_vanilla_f3 ~view:full_view ]
+  [ run ctx ~corpus:`Med ~kind:Zoo.liger_full ~view:full_view;
+    run ctx ~corpus:`Med ~kind:Zoo.Liger_vanilla_f3 ~view:full_view ]
 
 (** §6.1.2's attention inspection: the mean fusion weight on the symbolic
     dimension at convergence, across the concrete-reduction sweep (the paper
@@ -432,6 +342,6 @@ let design_ablation ctx =
 let attention_report ctx =
   List.map
     (fun n ->
-      let r = run ctx ~corpus:`Med ~kind:liger_full ~view:(concrete_view n) in
+      let r = run ctx ~corpus:`Med ~kind:Zoo.liger_full ~view:(concrete_view n) in
       (n, r.static_attention))
     ctx.scale.concrete_points

@@ -51,58 +51,23 @@ let print_series ~x_label (s : Experiments.series) =
     s.Experiments.points;
   pr "\n"
 
-let print_reduction_pair ~header (`Concrete concrete, `Symbolic symbolic) =
-  pr "%s\n" header;
-  pr " concrete-trace reduction (score vs #concrete per path):\n";
-  List.iter (print_series ~x_label:"n") concrete;
-  pr " symbolic-trace reduction, line coverage preserved (score vs #paths):\n";
-  List.iter (print_series ~x_label:"u") symbolic
-
-let print_fig6 results =
-  pr "Figure 6: LiGer vs DYPRO under trace reduction (F1)\n";
+(* Figures 6, 7, 8 and 10: each corpus under both reductions *)
+let print_reductions title results =
+  pr "%s\n" title;
   hr ();
   List.iter
-    (fun (dataset, concrete, symbolic) ->
-      print_reduction_pair ~header:dataset (concrete, symbolic))
-    results;
-  hr ()
-
-let print_fig7 (concrete, symbolic) =
-  pr "Figure 7: COSET task under trace reduction (accuracy)\n";
-  hr ();
-  print_reduction_pair ~header:"COSET*" (concrete, symbolic);
-  hr ()
-
-let print_fig8 results =
-  pr "Figure 8: ablation - LiGer without static features\n";
-  hr ();
-  List.iter
-    (fun (dataset, concrete, symbolic) ->
-      print_reduction_pair ~header:dataset (concrete, symbolic))
-    results;
-  hr ()
-
-let print_fig9 results =
-  pr "Figure 9: ablation - LiGer without dynamic features (symbolic reduction)\n";
-  hr ();
-  List.iter
-    (fun (dataset, series) ->
+    (fun (dataset, `Concrete concrete, `Symbolic symbolic) ->
       pr "%s\n" dataset;
-      List.iter (print_series ~x_label:"u") series)
+      pr " concrete-trace reduction (score vs #concrete per path):\n";
+      List.iter (print_series ~x_label:"n") concrete;
+      pr " symbolic-trace reduction, line coverage preserved (score vs #paths):\n";
+      List.iter (print_series ~x_label:"u") symbolic)
     results;
   hr ()
 
-let print_fig10 results =
-  pr "Figure 10: ablation - LiGer without attention\n";
-  hr ();
-  List.iter
-    (fun (dataset, concrete, symbolic) ->
-      print_reduction_pair ~header:dataset (concrete, symbolic))
-    results;
-  hr ()
-
-let print_fig11 results =
-  pr "Figure 11: all ablation configurations (symbolic reduction, F1)\n";
+(* Figures 9 and 11: each corpus under symbolic reduction *)
+let print_symbolic title results =
+  pr "%s\n" title;
   hr ();
   List.iter
     (fun (dataset, series) ->
@@ -127,3 +92,47 @@ let print_attention points =
       else pr "  %d concrete traces per path: n/a\n" n)
     points;
   hr ()
+
+(** Every artefact of the evaluation by name, in the order both runners
+    print them. *)
+let artefacts =
+  [ ("table1", fun ctx -> print_table1 (Experiments.table1 ctx));
+    ("table2", fun ctx -> print_table2 (Experiments.table2 ctx));
+    ("table3", fun ctx -> print_table3 (Experiments.table3 ctx));
+    ( "fig6",
+      fun ctx ->
+        print_reductions "Figure 6: LiGer vs DYPRO under trace reduction (F1)"
+          (Experiments.fig6 ctx) );
+    ( "fig7",
+      fun ctx ->
+        print_reductions "Figure 7: COSET task under trace reduction (accuracy)"
+          (Experiments.fig7 ctx) );
+    ( "fig8",
+      fun ctx ->
+        print_reductions "Figure 8: ablation - LiGer without static features"
+          (Experiments.fig8 ctx) );
+    ( "fig9",
+      fun ctx ->
+        print_symbolic
+          "Figure 9: ablation - LiGer without dynamic features (symbolic reduction)"
+          (Experiments.fig9 ctx) );
+    ( "fig10",
+      fun ctx ->
+        print_reductions "Figure 10: ablation - LiGer without attention" (Experiments.fig10 ctx) );
+    ( "fig11",
+      fun ctx ->
+        print_symbolic "Figure 11: all ablation configurations (symbolic reduction, F1)"
+          (Experiments.fig11 ctx) );
+    ("ablation", fun ctx -> print_design_ablation (Experiments.design_ablation ctx));
+    ("attn", fun ctx -> print_attention (Experiments.attention_report ctx)) ]
+
+(** Print the artefacts named in [names] (all of them when [names] is
+    empty), in the list's order, each followed by a blank line. *)
+let print_artefacts ctx names =
+  List.iter
+    (fun (name, print) ->
+      if names = [] || List.mem name names then begin
+        print ctx;
+        pr "\n"
+      end)
+    artefacts

@@ -358,11 +358,15 @@ echo "   ok: all endpoints answered; clean SIGTERM left the final ledger tick"
 # A flag value the command cannot use is a usage error: cmdliner prints
 # it and exits non-zero, where an exception from the library it reached
 # would end in "Fatal error".  The timeout ends a server that wrongly
-# accepted its flags.
-echo "== CLI usage errors: zero-sized serve flags and an empty index are rejected"
+# accepted its flags.  An unknown model or artefact name, and --save with a
+# model that cannot be saved, are refused before any corpus is built.
+echo "== CLI usage errors: zero-sized serve flags, an empty index, unknown names and an unsavable model are rejected"
 for args in "serve --model runs/ci-serve-model --port 0 --cache-capacity 0" \
   "serve --model runs/ci-serve-model --port 0 --max-inflight 0" \
-  "index --model runs/ci-serve-model --out runs/ci-usage-index --generate 0"; do
+  "index --model runs/ci-serve-model --out runs/ci-usage-index --generate 0" \
+  "train --model nosuch" \
+  "train --model dypro --save runs/ci-usage-model" \
+  "experiments nosuch"; do
   if timeout 60 ./_build/default/bin/liger_cli.exe $args > runs/ci-usage.out 2>&1; then
     echo "   ERROR: liger $args exited 0" >&2; exit 1
   fi
@@ -370,7 +374,8 @@ for args in "serve --model runs/ci-serve-model --port 0 --cache-capacity 0" \
     echo "   ERROR: liger $args died with an uncaught exception" >&2; exit 1
   fi
 done
-echo "   ok: serve --cache-capacity 0, serve --max-inflight 0 and index --generate 0 are usage errors"
+echo "   ok: serve --cache-capacity 0, serve --max-inflight 0, index --generate 0,"
+echo "       train --model nosuch, train --model dypro --save and experiments nosuch are usage errors"
 
 echo "== serve loopback bench: sustained QPS + p99 gates"
 dune exec --no-build bench/main.exe -- serve --qps 50 --duration 10 --check-regression > /dev/null

@@ -106,9 +106,9 @@ let test_run_result_records_view_stats () =
       concrete_points = [ 2; 1 ]; symbolic_points = [ 2; 1 ]; enc }
   in
   let ctx = Experiments.create_ctx ~scale () in
-  let full = Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full ~view:Common.full_view in
+  let full = Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full ~view:Common.full_view in
   let reduced =
-    Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full
+    Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full
       ~view:{ Common.n_paths = 1; n_concrete = 1 }
   in
   Alcotest.(check bool) "fewer executions under reduction" true
@@ -124,10 +124,10 @@ let test_view_normalization_hits_cache () =
       concrete_points = [ 2; 1 ]; symbolic_points = [ 2; 1 ]; enc }
   in
   let ctx = Experiments.create_ctx ~scale () in
-  let a = Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full ~view:Common.full_view in
+  let a = Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full ~view:Common.full_view in
   (* a view at the caps must be the same cached run as full_view *)
   let b =
-    Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full
+    Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full
       ~view:{ Common.n_paths = enc.Common.max_paths; n_concrete = enc.Common.max_concrete }
   in
   Alcotest.(check bool) "normalized view cached" true (a == b)
@@ -278,7 +278,7 @@ let test_report_table2_renders () =
   let ctx = Experiments.create_ctx ~scale () in
   let fake =
     [ ("Java-med*",
-       [ Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full ~view:Common.full_view ]) ]
+       [ Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full ~view:Common.full_view ]) ]
   in
   let out = capture (fun () -> Report.print_table2 fake) in
   Alcotest.(check bool) "mentions model" true

@@ -309,11 +309,11 @@ let test_experiments_cache () =
   in
   let ctx = Experiments.create_ctx ~scale () in
   let r1 =
-    Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full
+    Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full
       ~view:Common.full_view
   in
   let r2 =
-    Experiments.run ctx ~corpus:`Med ~kind:Experiments.liger_full
+    Experiments.run ctx ~corpus:`Med ~kind:Zoo.liger_full
       ~view:Common.full_view
   in
   Alcotest.(check bool) "cached" true (r1 == r2)
